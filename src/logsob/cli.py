@@ -65,7 +65,13 @@ def _require(cond, msg):
         raise ConfigParseError(msg)
 
 
-def load_sweep_config(path) -> SweepConfig:
+def load_sweep_config(path, overrides=None) -> SweepConfig:
+    """Parse and validate a sweep config file.
+
+    ``overrides`` (command-line values in config form) replace top-level
+    keys, or single fields of a nested section such as ``verify``, before
+    validation, so they are checked exactly like values from the file.
+    """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -74,6 +80,8 @@ def load_sweep_config(path) -> SweepConfig:
     except json.JSONDecodeError as exc:
         raise ConfigParseError("%s:%d: %s" % (path, exc.lineno, exc.msg)) from exc
     _require(isinstance(raw, dict), "%s: config must be a JSON object" % path)
+    for key, value in (overrides or {}).items():
+        raw[key] = {**(raw.get(key) or {}), **value} if isinstance(value, dict) else value
 
     measures = raw.get("measures")
     _require(
@@ -156,6 +164,10 @@ def load_sweep_config(path) -> SweepConfig:
     _require(cfg.lipschitz_points >= 3, "%s: lipschitz.points must be >= 3" % path)
     _require(cfg.transport_points >= 2, "%s: transport.points must be >= 2" % path)
     _require(cfg.bg_points >= 8, "%s: bg.points must be >= 8" % path)
+    _require(
+        cfg.verify_grid_size is None or cfg.verify_grid_size >= 1,
+        "%s: verify.grid_size must be >= 1" % path,
+    )
     return cfg
 
 
@@ -346,31 +358,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _overrides(args) -> dict:
+    """Command-line values in config form, for load_sweep_config to validate."""
+    out = {"format": args.format} if args.format else {}
+    if args.command == "verify":
+        ver = {}
+        if args.families:
+            ver["families"] = [f.strip() for f in args.families.split(",") if f.strip()]
+        if args.bound is not None:
+            try:
+                ver["bound"] = float(args.bound)
+            except ValueError:
+                ver["bound"] = args.bound
+        if args.grid_size is not None:
+            ver["grid_size"] = args.grid_size
+        if ver:
+            out["verify"] = ver
+    return out
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_sweep_config(args.config)
-        if args.format:
-            cfg.out_format = args.format
-        if args.command == "verify":
-            if args.families:
-                fams = tuple(f.strip() for f in args.families.split(",") if f.strip())
-                for fam in fams:
-                    if fam not in KNOWN_FAMILIES:
-                        raise ConfigParseError("unknown family %r" % fam)
-                cfg.verify_families = fams
-            if args.bound is not None:
-                if args.bound in KNOWN_BOUNDS:
-                    cfg.verify_bound = args.bound
-                else:
-                    try:
-                        cfg.verify_bound = float(args.bound)
-                    except ValueError:
-                        raise ConfigParseError("unknown bound name %r" % args.bound)
-            if args.grid_size is not None:
-                if args.grid_size < 1:
-                    raise ConfigParseError("grid size must be positive")
-                cfg.verify_grid_size = args.grid_size
+        cfg = load_sweep_config(args.config, _overrides(args))
         out_dir = Path(args.out)
         if args.command == "bounds":
             return cmd_bounds(cfg, out_dir, jobs=args.jobs)

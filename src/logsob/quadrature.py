@@ -3,7 +3,8 @@
 Integrands and residuals are numpy-vectorized: they receive a 1-D array of
 abscissae and return an array whose leading axis matches it.  Extra trailing
 axes are treated as independent output components, which lets callers push
-many expectation values through a single refinement pass.
+many expectation values through a single refinement pass; adaptive Simpson
+also takes many intervals at once, each refined on its own.
 """
 
 from __future__ import annotations
@@ -20,45 +21,72 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=1):
     """Integrate ``f`` over [a, b] by adaptive Simpson subdivision.
 
-    Starts from ``initial_cells`` equal panels (one vectorized call seeds
-    them all).  A cell is accepted once one extra halving changes its value
-    by no more than 15 * (atol + rtol * |value|) in every output component;
-    the usual one-fifteenth Richardson correction is folded into the
-    accepted value.  ``atol`` is a per-cell floor, needed for integrands
-    that change sign.
+    Scalar ``a`` and ``b`` integrate one interval, and ``f`` receives the
+    abscissae alone.  Arrays ``a`` and ``b`` of K entries integrate K
+    intervals in one pass: the pending cells of every interval sit in one
+    array per round, ``f(x, k)`` also receives the interval index of each
+    abscissa, and the result gains a leading axis of K.  ``initial_cells``
+    and ``atol`` may be given per interval too.  The scalar form is the
+    K = 1 case: every interval is refined and summed exactly as if it were
+    integrated alone.
+
+    Each interval starts from ``initial_cells`` equal panels (one vectorized
+    call seeds them all).  A cell is accepted once one extra halving changes
+    its value by no more than 15 * (atol + rtol * max(|value|, eps * scale))
+    in every output component; eps is the double-precision epsilon and scale
+    the interval's sum of |initial panel estimates| in that component.  The
+    usual one-fifteenth Richardson correction is folded into the accepted
+    value.  The scale floor stops the refinement of cells too small to move
+    the integral: each floored cell errs by at most eps * rtol * scale, so
+    together they spend a negligible share of the rtol budget as long as
+    the cell count stays far below 1/eps.  ``atol`` is a per-cell floor,
+    needed for integrands that change sign.
 
     Raises QuadratureFailure when ``max_depth`` rounds of halving cannot
     reach the tolerance.
     """
-    a = float(a)
-    b = float(b)
-    if b < a:
-        return -adaptive_simpson(
-            f, b, a, rtol=rtol, atol=atol, max_depth=max_depth, initial_cells=initial_cells
-        )
-    m = max(1, int(initial_cells))
-    edges = np.linspace(a, b, m + 1)
-    nodes = np.empty(2 * m + 1)
-    nodes[0::2] = edges
-    nodes[1::2] = 0.5 * (edges[:-1] + edges[1:])
-    first = np.asarray(f(nodes), dtype=float)
+    batched = np.ndim(a) > 0 or np.ndim(b) > 0
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
+    count = a.size
+    sign = np.where(b < a, -1.0, 1.0)
+    atol = np.broadcast_to(np.asarray(atol, dtype=float), a.shape)
+    panels = np.broadcast_to(np.maximum(1, np.asarray(initial_cells, dtype=int)), a.shape)
+    edges = [
+        np.linspace(min(ak, bk), max(ak, bk), m + 1) for ak, bk, m in zip(a, b, panels)
+    ]
+    member = np.repeat(np.arange(count), panels)
+    last = np.cumsum(panels) - 1
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    n = lo.size
+    call = f if batched else (lambda x, k: f(x))
+    first = np.asarray(
+        call(
+            np.concatenate([lo, 0.5 * (lo + hi), hi[last]]),
+            np.concatenate([member, member, np.arange(count)]),
+        ),
+        dtype=float,
+    )
     out_shape = first.shape[1:]
-    if b == a:
-        return np.zeros(out_shape) if out_shape else 0.0
-    flo = first[0:-1:2]
-    fmid = first[1::2]
-    fhi = first[2::2]
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
+    flo = first[:n]
+    fmid = first[n : 2 * n]
+    fhi = np.roll(flo, -1, axis=0)
+    fhi[last] = first[2 * n :]
     pad = (Ellipsis,) + (None,) * len(out_shape)
     cell = ((hi - lo)[pad] / 6.0) * (flo + 4.0 * fmid + fhi)
-    total = np.zeros(out_shape)
+    floor = np.zeros((count,) + out_shape)
+    np.add.at(floor, member, np.abs(cell))
+    floor *= np.finfo(float).eps
+    total = np.zeros((count,) + out_shape)
 
     for _ in range(max_depth):
         mid = 0.5 * (lo + hi)
         lmid = 0.5 * (lo + mid)
         rmid = 0.5 * (mid + hi)
-        vals = np.asarray(f(np.concatenate([lmid, rmid])), dtype=float)
+        vals = np.asarray(
+            call(np.concatenate([lmid, rmid]), np.concatenate([member, member])), dtype=float
+        )
         n = lo.size
         flm, frm = vals[:n], vals[n:]
         h12 = (hi - lo)[pad] / 12.0
@@ -66,14 +94,21 @@ def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=
         s_right = h12 * (fmid + 4.0 * frm + fhi)
         s2 = s_left + s_right
         err = np.abs(s2 - cell)
-        tol = 15.0 * (atol + rtol * np.abs(s2))
+        tol = 15.0 * (atol[member][pad] + rtol * np.maximum(np.abs(s2), floor[member]))
         ok = err <= tol
         if ok.ndim > 1:
             ok = ok.all(axis=tuple(range(1, ok.ndim)))
         if ok.any():
-            total = total + (s2[ok] + (s2[ok] - cell[ok]) / 15.0).sum(axis=0)
+            done = s2[ok] + (s2[ok] - cell[ok]) / 15.0
+            owner = member[ok]
+            # per interval, in the order its cells would have alone
+            for k in np.unique(owner):
+                total[k] += done[owner == k].sum(axis=0)
         if ok.all():
-            return total if out_shape else float(total)
+            total *= sign[pad]
+            if batched:
+                return total
+            return total[0] if out_shape else float(total[0])
         keep = ~ok
         lo = np.concatenate([lo[keep], mid[keep]])
         hi = np.concatenate([mid[keep], hi[keep]])
@@ -81,9 +116,11 @@ def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=
         fhi = np.concatenate([fmid[keep], fhi[keep]])
         fmid = np.concatenate([flm[keep], frm[keep]])
         cell = np.concatenate([s_left[keep], s_right[keep]])
+        member = np.concatenate([member[keep], member[keep]])
     raise QuadratureFailure(
-        "adaptive Simpson did not reach tolerance rtol=%g atol=%g after %d halvings "
-        "(%d cells pending)" % (rtol, atol, max_depth, lo.size)
+        "adaptive Simpson did not reach tolerance rtol=%g after %d halvings "
+        "(%d cells pending in %d of %d intervals)"
+        % (rtol, max_depth, lo.size, np.unique(member).size, count)
     )
 
 

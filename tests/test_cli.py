@@ -218,3 +218,22 @@ def test_verify_grid_size_flag(tmp_path):
     )
     (record,) = read_jsonl(out / "verify.jsonl")
     assert len(record["members"]) == 6
+
+
+@pytest.mark.parametrize("bound", ["-1", "nan"])
+def test_verify_invalid_numeric_bound_is_input_error(tmp_path, bound):
+    # the same value in the config file is rejected the same way
+    cfg = write_config(tmp_path, delta=[1.0], measures=["pm.json"])
+    argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "x"), "--bound", bound]
+    assert main(argv) == 2
+    in_file = write_config(
+        tmp_path, delta=[1.0], measures=["pm.json"], verify={"bound": float(bound)}
+    )
+    with pytest.raises(ConfigParseError, match="nonnegative"):
+        load_sweep_config(in_file)
+
+
+def test_verify_grid_size_flag_is_validated(tmp_path):
+    cfg = write_config(tmp_path, delta=[1.0], measures=["pm.json"])
+    argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "x"), "--grid-size", "0"]
+    assert main(argv) == 2

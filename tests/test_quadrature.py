@@ -70,3 +70,35 @@ def test_golden_section_max_quadratic():
     x, fx = golden_section_max(lambda t: -((t - math.pi) ** 2), 0.0, 5.0, xtol=1e-10)
     assert x == pytest.approx(math.pi, abs=1e-8)
     assert fx == pytest.approx(0.0, abs=1e-15)
+
+
+def test_scale_floor_keeps_wide_gaussian_within_rtol():
+    # most of [-40, 40] holds cells far below eps * rtol of the integral;
+    # leaving them unrefined must not cost the rtol budget
+    for rtol in (1e-8, 1e-12):
+        val = adaptive_simpson(
+            lambda x: np.exp(-x * x), -40.0, 40.0, rtol=rtol, initial_cells=80
+        )
+        assert abs(val - math.sqrt(math.pi)) <= rtol * math.sqrt(math.pi)
+
+
+def test_batched_intervals_match_scalar_calls():
+    def f(x, k):
+        return np.stack([np.exp(-((x - k) ** 2)), np.cos(x) * k], axis=-1)
+
+    a = np.array([-5.0, 0.0, 3.0, 2.0])
+    b = np.array([5.0, 4.0, -1.0, 2.0])  # one reversed, one empty interval
+    cells = [3, 8, 1, 5]
+    atol = [0.0, 1e-12, 0.0, 0.0]
+    batched = adaptive_simpson(f, a, b, rtol=1e-10, atol=atol, initial_cells=cells)
+    assert batched.shape == (4, 2)
+    for k in range(4):
+        alone = adaptive_simpson(
+            lambda x: f(x, np.full(x.shape, k)),
+            a[k],
+            b[k],
+            rtol=1e-10,
+            atol=atol[k],
+            initial_cells=cells[k],
+        )
+        assert np.array_equal(batched[k], alone)
