@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
@@ -121,22 +122,24 @@ class QuadratureConfig:
             raise DomainError("tail_mult too small for the requested cdf_tol")
 
 
-# antiderivatives of Phi and z*Phi, used by the piecewise-linear convolution
-def _anti_cdf(z):
-    return z * ndtr(z) + _std_pdf(z)
+def _edge_antiderivatives(z):
+    """Antiderivatives of Phi and z*Phi at z, from one ndtr/pdf pair.
 
-
-def _anti_z_cdf(z):
-    return 0.5 * ((z * z - 1.0) * ndtr(z) + z * _std_pdf(z))
+    The piecewise-linear convolution takes their differences across each
+    cell; neighbouring cells share an edge, so each edge is evaluated once.
+    """
+    cdf, pdf = ndtr(z), _std_pdf(z)
+    return z * cdf + pdf, 0.5 * ((z * z - 1.0) * cdf + z * pdf)
 
 
 class SmoothedMeasure:
     """A compactly supported measure convolved with a centered Gaussian.
 
-    Immutable after construction: the monotone CDF table used for quantile
-    bracketing is built eagerly, and every evaluator is pure, so instances
-    are safe to share across threads.  Evaluators accept scalars or arrays
-    in the base measure's original coordinates.
+    Every evaluator is pure, so instances are safe to share across threads.
+    The monotone CDF table used for quantile bracketing is built on the first
+    quantile request; a race there can only compute the same deterministic
+    table twice.  Evaluators accept scalars or arrays in the base measure's
+    original coordinates.
     """
 
     def __init__(self, base: Measure1D, delta=1.0, config: QuadratureConfig | None = None):
@@ -156,9 +159,8 @@ class SmoothedMeasure:
         if mu_c.density is not None:
             grid = mu_c.density.grid
             vals = mu_c.density.values
-            s0, s1 = grid[:-1], grid[1:]
-            slope = (vals[1:] - vals[:-1]) / (s1 - s0)
-            self._cells = (s0, s1, vals[:-1] - slope * s0, slope)
+            slope = (vals[1:] - vals[:-1]) / (grid[1:] - grid[:-1])
+            self._cells = (grid, vals[:-1] - slope * grid[:-1], slope)
         else:
             self._cells = None
 
@@ -166,10 +168,12 @@ class SmoothedMeasure:
         step = self.sigma / self.config.cache_points_per_sigma
         n = max(3, int(round(2.0 * self.cutoff / step)) + 1)
         self._grid = np.linspace(-self.cutoff, self.cutoff, n)
-        # monotone tables for quantile bracketing; enforce monotonicity
+
+    @cached_property
+    def _grid_cdf(self):
+        # monotone table for quantile bracketing; enforce monotonicity
         # against last-ulp quadrature noise
-        self._grid_cdf = np.maximum.accumulate(self._cdf_c(self._grid))
-        self._grid_sf = np.minimum.accumulate(self._sf_c(self._grid))
+        return np.maximum.accumulate(self._cdf_c(self._grid))
 
     # -- centered-frame evaluators -------------------------------------
 
@@ -178,15 +182,19 @@ class SmoothedMeasure:
         return (self._awt * np.exp(-0.5 * z * z)).sum(axis=1) / (self.sigma * _SQRT_2PI)
 
     def _density_cells(self, t):
-        s0, s1, alpha, beta = self._cells
-        u0 = (s0 - t[:, None]) / self.sigma
-        u1 = (s1 - t[:, None]) / self.sigma
+        edges, alpha, beta = self._cells
+        u = (edges - t[:, None]) / self.sigma
         # Phi(u1) - Phi(u0) via whichever tail avoids cancellation
+        upper, lower = ndtr(-u), ndtr(u)
         cdf_gap = np.where(
-            u0 + u1 > 0.0, ndtr(-u0) - ndtr(-u1), ndtr(u1) - ndtr(u0)
+            u[:, :-1] + u[:, 1:] > 0.0,
+            upper[:, :-1] - upper[:, 1:],
+            lower[:, 1:] - lower[:, :-1],
         )
+        del upper, lower  # free both tails before the pdf: keeps peak memory down
+        pdf = _std_pdf(u)
         lin = alpha + beta * t[:, None]
-        terms = lin * cdf_gap + beta * self.sigma * (_std_pdf(u0) - _std_pdf(u1))
+        terms = lin * cdf_gap + beta * self.sigma * (pdf[:, :-1] - pdf[:, 1:])
         return np.maximum(terms.sum(axis=1), 0.0)
 
     def _density_c(self, t):
@@ -239,21 +247,19 @@ class SmoothedMeasure:
         return np.minimum(out, 0.0)
 
     def _cells_cdf_only(self, x):
-        s0, s1, alpha, beta = self._cells
-        z0 = (x[:, None] - s0) / self.sigma
-        z1 = (x[:, None] - s1) / self.sigma
+        edges, alpha, beta = self._cells
+        a, b = _edge_antiderivatives((x[:, None] - edges) / self.sigma)
         lin = alpha + beta * x[:, None]
-        terms = lin * (_anti_cdf(z0) - _anti_cdf(z1))
-        terms = terms - beta * self.sigma * (_anti_z_cdf(z0) - _anti_z_cdf(z1))
+        terms = lin * (a[:, :-1] - a[:, 1:])
+        terms = terms - beta * self.sigma * (b[:, :-1] - b[:, 1:])
         return self.sigma * np.maximum(terms, 0.0).sum(axis=1)
 
     def _cells_sf_only(self, x):
-        s0, s1, alpha, beta = self._cells
-        w0 = (s0 - x[:, None]) / self.sigma
-        w1 = (s1 - x[:, None]) / self.sigma
+        edges, alpha, beta = self._cells
+        a, b = _edge_antiderivatives((edges - x[:, None]) / self.sigma)
         lin = alpha + beta * x[:, None]
-        terms = lin * (_anti_cdf(w1) - _anti_cdf(w0))
-        terms = terms + beta * self.sigma * (_anti_z_cdf(w1) - _anti_z_cdf(w0))
+        terms = lin * (a[:, 1:] - a[:, :-1])
+        terms = terms + beta * self.sigma * (b[:, 1:] - b[:, :-1])
         return self.sigma * np.maximum(terms, 0.0).sum(axis=1)
 
     def _log_sf_c(self, x):
@@ -304,9 +310,10 @@ class SmoothedMeasure:
     def inv_cdf(self, u):
         """Quantile: x with |cdf(x) - u| below cdf_tol, root_tol-accurate in x.
 
-        Brackets from the cached monotone table, then polishes with Newton
-        steps driven by the density.  Raises BracketFailure when u is more
-        extreme than the mass inside the tail cutoff can resolve.
+        Brackets from the monotone CDF table, built on first use, then
+        polishes with Newton steps driven by the density.  Raises
+        BracketFailure when u is more extreme than the mass inside the tail
+        cutoff can resolve.
         """
         arr = np.asarray(u, dtype=float)
         flat = np.atleast_1d(arr).ravel()
@@ -370,14 +377,6 @@ class SmoothedMeasure:
     def mgf(self, x):
         with np.errstate(over="ignore"):
             return np.exp(self.log_mgf(x))
-
-    def tilt_mean(self, x):
-        """Mean of the base measure tilted by exp(x*s); equals (log mgf)'."""
-        arr = np.asarray(x, dtype=float)
-        out = self._tilted_stats(arr)[1]
-        if arr.ndim == 0:
-            return float(out[0])
-        return out.reshape(arr.shape)
 
     def tail_shift(self, x):
         """Shift K with q(x + K(x)) comparable to the source density at x.
