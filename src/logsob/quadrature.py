@@ -1,10 +1,11 @@
 """Adaptive Simpson quadrature and bracketed search primitives.
 
-Integrands and residuals are numpy-vectorized: they receive a 1-D array of
-abscissae and return an array whose leading axis matches it.  Extra trailing
-axes are treated as independent output components, which lets callers push
-many expectation values through a single refinement pass; adaptive Simpson
-also takes many intervals at once, each refined on its own.
+Integrands are numpy-vectorized: they receive a 1-D array of abscissae and
+return an array whose leading axis matches it.  Extra trailing axes are
+treated as independent output components, which lets callers push many
+expectation values through a single refinement pass; adaptive Simpson also
+takes many intervals at once, each refined on its own.  Root residuals get
+``(y, k)``, ``k`` the index of each abscissa among the points solved.
 """
 
 from __future__ import annotations
@@ -149,54 +150,57 @@ def golden_section_max(f, lo, hi, xtol=1e-8, max_iter=200):
     return xm, f(xm)
 
 
-def bracketed_newton(g, dg, lo, hi, bisect_width=1e-3, root_tol=1e-10, max_iter=200):
-    """Elementwise root of an increasing residual g on [lo, hi].
+def bracketed_newton(g, g_slope, lo, hi, root_tol=1e-10, max_iter=200):
+    """Elementwise root of an increasing residual on [lo, hi], safeguarded Newton.
 
-    ``g`` and ``dg`` receive the full abscissa array on every call.  The
-    bracket is first narrowed to ``bisect_width`` by bisection; Newton steps
-    (clipped into the live bracket, midpoint fallback when a step escapes or
-    the derivative misbehaves) then polish to ``root_tol`` in x.
+    ``g(y, k)`` gives the residual, checked for a sign change at both bracket
+    ends; ``g_slope(y, k) -> (residual, slope)`` is called on the live points
+    only.  Newton starts from the bracket midpoint; a step that is not finite
+    or leaves the live bracket falls back to its midpoint.  A point is done
+    once its step or its bracket width is at most ``root_tol``.
 
-    Raises BracketFailure when some endpoint pair does not straddle zero.
+    Raises BracketFailure, with the count of points, when an endpoint pair
+    does not straddle zero or a residual is not finite (a tail underflows);
+    QuadratureFailure when ``max_iter`` steps leave points unconverged.
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
-    glo = np.asarray(g(lo), dtype=float)
-    ghi = np.asarray(g(hi), dtype=float)
-    bad = (glo > 0.0) | (ghi < 0.0)
-    if bad.any():
+    every = np.arange(lo.size)
+    glo, ghi = g(lo, every), g(hi, every)
+    unsigned = ~((glo <= 0.0) & (ghi >= 0.0))
+    # a wrong sign at a non-finite residual is an underflow, reported below
+    bad = unsigned & ~(np.isfinite(glo) & np.isfinite(ghi))
+    unsigned &= ~bad
+    if unsigned.any():
         raise BracketFailure(
             "%d of %d points have no sign change over the initial bracket"
-            % (int(bad.sum()), bad.size)
+            % (int(unsigned.sum()), unsigned.size)
         )
 
-    width = float(np.max(hi - lo))
-    n_bisect = 0
-    if width > bisect_width:
-        n_bisect = int(math.ceil(math.log2(width / bisect_width)))
-    for _ in range(n_bisect):
-        mid = 0.5 * (lo + hi)
-        neg = np.asarray(g(mid)) < 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-
     y = 0.5 * (lo + hi)
-    done = (hi - lo) <= root_tol
+    live = np.flatnonzero(~bad & (hi - lo > root_tol))
     for _ in range(max_iter):
-        if done.all():
+        if not live.size:
             break
-        gy = np.asarray(g(y), dtype=float)
-        dgy = np.asarray(dg(y), dtype=float)
-        neg = gy < 0.0
-        lo = np.where(~done & neg, y, lo)
-        hi = np.where(~done & ~neg, y, hi)
+        yl = y[live]
+        r, slope = g_slope(yl, live)
+        neg = r < 0.0
+        lol = np.where(neg, yl, lo[live])
+        hil = np.where(neg, hi[live], yl)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ynew = y - gy / dgy
-        fallback = ~np.isfinite(ynew) | (ynew < lo) | (ynew > hi)
-        ynew = np.where(fallback, 0.5 * (lo + hi), ynew)
-        newly = ~done & ((np.abs(ynew - y) <= root_tol) | ((hi - lo) <= root_tol))
-        y = np.where(done, y, ynew)
-        done |= newly
-    else:
-        raise QuadratureFailure("bracketed root refinement stalled")
+            ynew = yl - r / slope
+        fallback = ~np.isfinite(ynew) | (ynew < lol) | (ynew > hil)
+        ynew = np.where(fallback, 0.5 * (lol + hil), ynew)
+        lo[live], hi[live], y[live] = lol, hil, ynew
+        lost = ~np.isfinite(r)
+        bad[live] = lost
+        done = lost | (np.abs(ynew - yl) <= root_tol) | (hil - lol <= root_tol)
+        live = live[~done]
+    if bad.any():
+        raise BracketFailure(
+            "%d of %d points have a residual that is not finite; a tail underflows to 0"
+            % (int(bad.sum()), bad.size)
+        )
+    if live.size:
+        raise QuadratureFailure("bracketed Newton left %d points unconverged" % live.size)
     return y

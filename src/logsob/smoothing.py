@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partialmethod
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
@@ -122,14 +122,30 @@ class QuadratureConfig:
             raise DomainError("tail_mult too small for the requested cdf_tol")
 
 
-def _edge_antiderivatives(z):
-    """Antiderivatives of Phi and z*Phi at z, from one ndtr/pdf pair.
+def _edge_antiderivatives(z, cdf, pdf):
+    """Antiderivatives of Phi and z*Phi at z, given Phi(z) and phi(z).
 
     The piecewise-linear convolution takes their differences across each
     cell; neighbouring cells share an edge, so each edge is evaluated once.
     """
-    cdf, pdf = ndtr(z), _std_pdf(z)
     return z * cdf + pdf, 0.5 * ((z * z - 1.0) * cdf + z * pdf)
+
+
+def _cdf_gap(u, upper, lower):
+    """Phi(u1) - Phi(u0) per cell via whichever tail avoids cancellation."""
+    right = u[:, :-1] + u[:, 1:] > 0.0
+    return np.where(right, upper[:, :-1] - upper[:, 1:], lower[:, 1:] - lower[:, :-1])
+
+
+def _side(sf):
+    """Column of +1 where ``sf`` (a flag, or one per point), -1 elsewhere."""
+    return np.where(np.reshape(sf, (-1, 1)), 1.0, -1.0)
+
+
+def _log_tail(v):
+    """log of a tail mass; -inf below the normal doubles, where its precision is gone."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.where(v < np.finfo(float).tiny, 0.0, v))
 
 
 class SmoothedMeasure:
@@ -181,21 +197,37 @@ class SmoothedMeasure:
         z = (t[:, None] - self._aloc) / self.sigma
         return (self._awt * np.exp(-0.5 * z * z)).sum(axis=1) / (self.sigma * _SQRT_2PI)
 
-    def _density_cells(self, t):
-        edges, alpha, beta = self._cells
-        u = (edges - t[:, None]) / self.sigma
-        # Phi(u1) - Phi(u0) via whichever tail avoids cancellation
-        upper, lower = ndtr(-u), ndtr(u)
-        cdf_gap = np.where(
-            u[:, :-1] + u[:, 1:] > 0.0,
-            upper[:, :-1] - upper[:, 1:],
-            lower[:, 1:] - lower[:, :-1],
-        )
-        del upper, lower  # free both tails before the pdf: keeps peak memory down
-        pdf = _std_pdf(u)
+    def _tail_atoms(self, x, s):
+        z = (x[:, None] - self._aloc) / self.sigma
+        return (self._awt * ndtr(-s * z)).sum(axis=1)
+
+    def _edge_u(self, t):
+        # u = (edge - t)/sigma; Phi(+-u) and phi(u) serve q, cdf (z = -u) and sf (z = u)
+        return (self._cells[0] - t[:, None]) / self.sigma
+
+    def _density_edges(self, t, cdf_gap, pdf):
+        _, alpha, beta = self._cells
         lin = alpha + beta * t[:, None]
         terms = lin * cdf_gap + beta * self.sigma * (pdf[:, :-1] - pdf[:, 1:])
         return np.maximum(terms.sum(axis=1), 0.0)
+
+    def _tail_edges(self, x, a, b, s):
+        """Cell mass above x (s = 1) or below it (s = -1), from the antiderivatives at z = s*u."""
+        _, alpha, beta = self._cells
+        lin = (alpha + beta * x[:, None]) * s  # -lin * (a1 - a0) == lin * (a0 - a1) bitwise
+        terms = lin * (a[:, 1:] - a[:, :-1]) + beta * self.sigma * (b[:, 1:] - b[:, :-1])
+        return self.sigma * np.maximum(terms, 0.0).sum(axis=1)
+
+    def _density_cells(self, t):
+        u = self._edge_u(t)
+        # both tails are freed before the pdf: keeps peak memory down
+        return self._density_edges(t, _cdf_gap(u, ndtr(-u), ndtr(u)), _std_pdf(u))
+
+    def _tail_cells(self, x, s):
+        z = s * self._edge_u(x)
+        a, b = _edge_antiderivatives(z, ndtr(z), _std_pdf(z))
+        del z  # not needed by the cell sums: keeps peak memory down
+        return self._tail_edges(x, a, b, s)
 
     def _density_c(self, t):
         out = np.zeros_like(t)
@@ -217,61 +249,75 @@ class SmoothedMeasure:
                 out = np.logaddexp(out, np.log(self._density_cells(t)))
         return out
 
-    def _cdf_c(self, x):
+    def _tail_c(self, x, sf):
+        """Mass above x where ``sf`` (a flag, or one per point), below it elsewhere."""
+        s = _side(sf)
         out = np.zeros_like(x)
         if self._aloc.size:
-            z = (x[:, None] - self._aloc) / self.sigma
-            out = out + (self._awt * ndtr(z)).sum(axis=1)
+            out = out + self._tail_atoms(x, s)
         if self._cells is not None:
-            out = out + self._cells_cdf_only(x)
+            out = out + self._tail_cells(x, s)
         return np.clip(out, 0.0, 1.0)
 
-    def _sf_c(self, x):
-        out = np.zeros_like(x)
-        if self._aloc.size:
-            z = (x[:, None] - self._aloc) / self.sigma
-            out = out + (self._awt * ndtr(-z)).sum(axis=1)
-        if self._cells is not None:
-            out = out + self._cells_sf_only(x)
-        return np.clip(out, 0.0, 1.0)
+    _cdf_c = partialmethod(_tail_c, sf=False)
+    _sf_c = partialmethod(_tail_c, sf=True)
 
-    def _log_cdf_c(self, x):
+    def _tail_density_c(self, y, sf):
+        """(_tail_c, _density_c) at y, bit for bit, from one pass over the cell edges."""
+        s = _side(sf)
+        tail, dens = np.zeros_like(y), np.zeros_like(y)
+        if self._aloc.size:
+            tail = tail + self._tail_atoms(y, s)
+            dens = dens + self._density_atoms(y)
+        if self._cells is not None:
+            u = self._edge_u(y)
+            upper, lower = ndtr(-u), ndtr(u)
+            gap = _cdf_gap(u, upper, lower)
+            cdf = np.where(s > 0.0, lower, upper)
+            del upper, lower  # the dels keep peak memory that of _tail_c
+            u *= s  # z = s*u, and phi(z) == phi(u) bitwise
+            pdf = _std_pdf(u)
+            dens = dens + self._density_edges(y, gap, pdf)
+            a, b = _edge_antiderivatives(u, cdf, pdf)
+            del gap, u, cdf, pdf
+            tail = tail + self._tail_edges(y, a, b, s)
+        return np.clip(tail, 0.0, 1.0), dens
+
+    def _log_tail_c(self, x, sf):
         if self._aloc.size:
             z = (x[:, None] - self._aloc) / self.sigma
-            out = _lse_rows(np.log(self._awt) + log_ndtr(z))
+            out = _lse_rows(np.log(self._awt) + log_ndtr(-z if sf else z))
         else:
             out = np.full(x.shape, -np.inf)
         if self._cells is not None:
             with np.errstate(divide="ignore"):
-                out = np.logaddexp(out, np.log(self._cells_cdf_only(x)))
+                out = np.logaddexp(out, np.log(self._tail_cells(x, _side(sf))))
         return np.minimum(out, 0.0)
 
-    def _cells_cdf_only(self, x):
-        edges, alpha, beta = self._cells
-        a, b = _edge_antiderivatives((x[:, None] - edges) / self.sigma)
-        lin = alpha + beta * x[:, None]
-        terms = lin * (a[:, :-1] - a[:, 1:])
-        terms = terms - beta * self.sigma * (b[:, :-1] - b[:, 1:])
-        return self.sigma * np.maximum(terms, 0.0).sum(axis=1)
+    def _tail_residuals(self, target, upper):
+        """``(g, g_slope)`` for :func:`bracketed_newton` in log-tail form.
 
-    def _cells_sf_only(self, x):
-        edges, alpha, beta = self._cells
-        a, b = _edge_antiderivatives((edges - x[:, None]) / self.sigma)
-        lin = alpha + beta * x[:, None]
-        terms = lin * (a[:, 1:] - a[:, :-1])
-        terms = terms + beta * self.sigma * (b[:, 1:] - b[:, :-1])
-        return self.sigma * np.maximum(terms, 0.0).sum(axis=1)
+        Point k solves sf(y) = target[k] where ``upper[k]``, else cdf(y) =
+        target[k], as log tail(y) - log target[k], negated on the sf side so
+        both increase in y; the slope is q / tail.  Far in the tails Newton
+        converges in a few steps where the linear residual crawls.
+        """
+        log_target = _log_tail(target)
 
-    def _log_sf_c(self, x):
-        if self._aloc.size:
-            z = (x[:, None] - self._aloc) / self.sigma
-            out = _lse_rows(np.log(self._awt) + log_ndtr(-z))
-        else:
-            out = np.full(x.shape, -np.inf)
-        if self._cells is not None:
-            with np.errstate(divide="ignore"):
-                out = np.logaddexp(out, np.log(self._cells_sf_only(x)))
-        return np.minimum(out, 0.0)
+        def residual(tail, k):
+            with np.errstate(invalid="ignore"):
+                d = _log_tail(tail) - log_target[k]
+            return np.where(upper[k], -d, d)
+
+        def g(y, k):
+            return residual(self._tail_c(y, upper[k]), k)
+
+        def g_slope(y, k):
+            tail, dens = self._tail_density_c(y, upper[k])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return residual(tail, k), dens / tail
+
+        return g, g_slope
 
     # -- public interface (original coordinates) -----------------------
 
@@ -298,10 +344,10 @@ class SmoothedMeasure:
         return self._wrap(self._sf_c, x)
 
     def log_cdf(self, x):
-        return self._wrap(self._log_cdf_c, x)
+        return self._wrap(lambda v: self._log_tail_c(v, False), x)
 
     def log_sf(self, x):
-        return self._wrap(self._log_sf_c, x)
+        return self._wrap(lambda v: self._log_tail_c(v, True), x)
 
     def window(self):
         """Interval outside which the smoothed mass is below cdf_tol."""
@@ -310,8 +356,8 @@ class SmoothedMeasure:
     def inv_cdf(self, u):
         """Quantile: x with |cdf(x) - u| below cdf_tol, root_tol-accurate in x.
 
-        Brackets from the monotone CDF table, built on first use, then
-        polishes with Newton steps driven by the density.  Raises
+        Brackets from the monotone CDF table, built on first use, then runs
+        Newton on the log of the nearer tail from the bracket midpoint.  Raises
         BracketFailure when u is more extreme than the mass inside the tail
         cutoff can resolve.
         """
@@ -327,19 +373,9 @@ class SmoothedMeasure:
         idx = np.clip(np.searchsorted(gc, flat), 1, gc.size - 1)
         lo = self._grid[np.maximum(idx - 2, 0)]
         hi = self._grid[np.minimum(idx + 1, gc.size - 1)]
-        use_sf = flat > 0.5
-        ubar = 1.0 - flat
-
-        def resid(y):
-            out = np.empty_like(y)
-            if use_sf.any():
-                out[use_sf] = ubar[use_sf] - self._sf_c(y[use_sf])
-            rest = ~use_sf
-            if rest.any():
-                out[rest] = self._cdf_c(y[rest]) - flat[rest]
-            return out
-
-        y = bracketed_newton(resid, self._density_c, lo, hi, root_tol=self.config.root_tol)
+        upper = flat > 0.5
+        g, g_slope = self._tail_residuals(np.where(upper, 1.0 - flat, flat), upper)
+        y = bracketed_newton(g, g_slope, lo, hi, root_tol=self.config.root_tol)
         y = y + self.center
         if arr.ndim == 0:
             return float(y[0])

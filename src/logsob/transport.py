@@ -87,27 +87,17 @@ class TransportMap:
     # -- unit-frame solve ------------------------------------------------
 
     def _eval_unit(self, xn):
-        """Solve G(y) = F(x) in the normalized frame, tail-stable on both sides."""
+        """Solve G(y) = F(x) in the normalized frame, in the envelope, as
+        log F_sf(x) = log G_sf(y) for x >= 0, log G_cdf(y) = log F_cdf(x) below;
+        a tail underflowing (|x| beyond about 37) raises BracketFailure."""
         rn = self.radius_normalized
         pad = 1e-9 + 1e-12 * np.abs(xn)
-        lo = xn - rn - pad
-        hi = xn + rn + pad
         right = xn >= 0.0
-        f_sf = gaussian_sf(xn)
-        f_cdf = gaussian_cdf(xn)
-        unit = self.unit
-
-        def resid(y):
-            out = np.empty_like(y)
-            if right.any():
-                out[right] = f_sf[right] - unit._sf_c(y[right])
-            left = ~right
-            if left.any():
-                out[left] = unit._cdf_c(y[left]) - f_cdf[left]
-            return out
-
+        g, g_slope = self.unit._tail_residuals(
+            np.where(right, gaussian_sf(xn), gaussian_cdf(xn)), right
+        )
         return bracketed_newton(
-            resid, unit._density_c, lo, hi, root_tol=self.target.config.root_tol
+            g, g_slope, xn - rn - pad, xn + rn + pad, root_tol=self.target.config.root_tol
         )
 
     def _log_derivative_unit(self, xn, yn):

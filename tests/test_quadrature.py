@@ -43,13 +43,17 @@ def test_failure_on_endpoint_singularity():
             adaptive_simpson(lambda x: 1.0 / np.sqrt(np.abs(x)), 0.0, 1.0, max_depth=20)
 
 
+def _std_pdf(y):
+    return np.exp(-0.5 * y * y) / math.sqrt(2 * math.pi)
+
+
 def test_bracketed_newton_solves_cdf():
     from scipy.special import ndtr, ndtri
 
     u = np.array([0.1, 0.5, 0.9, 0.999])
     root = bracketed_newton(
-        lambda y: ndtr(y) - u,
-        lambda y: np.exp(-0.5 * y * y) / math.sqrt(2 * math.pi),
+        lambda y, k: ndtr(y) - u[k],
+        lambda y, k: (ndtr(y) - u[k], _std_pdf(y)),
         np.full(4, -10.0),
         np.full(4, 10.0),
     )
@@ -59,10 +63,84 @@ def test_bracketed_newton_solves_cdf():
 def test_bracketed_newton_rejects_bad_bracket():
     with pytest.raises(BracketFailure):
         bracketed_newton(
-            lambda y: y + 5.0,
-            lambda y: np.ones_like(y),
+            lambda y, k: y + 5.0,
+            lambda y, k: (y + 5.0, np.ones_like(y)),
             np.array([0.0]),
             np.array([1.0]),
+        )
+
+
+def test_bracketed_newton_steps_live_points_only():
+    from scipy.special import ndtr
+
+    # u = 1/2 has its root at the bracket midpoint and converges on the
+    # first step; the others need several
+    u = np.array([0.5, 0.1, 0.999, 0.6])
+    calls = []
+
+    def g_slope(y, k):
+        calls.append(k.copy())
+        return ndtr(y) - u[k], _std_pdf(y)
+
+    bracketed_newton(lambda y, k: ndtr(y) - u[k], g_slope, np.full(4, -10.0), np.full(4, 10.0))
+    assert np.array_equal(calls[0], np.arange(4))
+    assert len(calls) > 2
+    assert all(0 not in k for k in calls[1:])
+    for before, after in zip(calls, calls[1:]):
+        # a point that left the live set never comes back
+        assert after.size and np.isin(after, before).all()
+
+
+def test_bracketed_newton_log_tail_residual_deep_quantiles():
+    from scipy.special import log_ndtr, ndtri
+
+    u = np.array([1e-30, 1e-20, 1e-12, 1e-6, 1e-3, 0.2])
+    log_u = np.log(u)
+    steps = []
+
+    def g_slope(y, k):
+        steps.append(y.size)
+        log_cdf = log_ndtr(y)
+        return log_cdf - log_u[k], np.exp(-0.5 * y * y - 0.5 * math.log(2 * math.pi) - log_cdf)
+
+    root = bracketed_newton(
+        lambda y, k: log_ndtr(y) - log_u[k], g_slope, np.full(6, -13.0), np.full(6, 1.0)
+    )
+    assert np.all(np.abs(root - ndtri(u)) <= 1e-10)
+    assert len(steps) <= 12
+
+
+def test_bracketed_newton_exhausted_iterations_raise():
+    from scipy.special import ndtr
+
+    u = np.array([0.1, 0.999])
+    with pytest.raises(QuadratureFailure, match="left 2 points unconverged"):
+        bracketed_newton(
+            lambda y, k: ndtr(y) - u[k],
+            lambda y, k: (ndtr(y) - u[k], _std_pdf(y)),
+            np.full(2, -10.0),
+            np.full(2, 10.0),
+            max_iter=2,
+        )
+
+
+def test_bracketed_newton_non_finite_residual_is_a_bracket_failure():
+    from scipy.special import ndtr
+
+    # log sf(y) = target with sf = ndtr(-y) in linear form: for the first and
+    # third targets the root lies where ndtr(-y) has underflowed to 0, so the
+    # residual is +inf there and the iterate would otherwise settle on the
+    # underflow edge near y = 38.5
+    log_target = np.array([-1000.0, math.log(0.3), -2000.0, math.log(1e-5)])
+
+    def g_slope(y, k):
+        sf = ndtr(-y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return log_target[k] - np.log(sf), _std_pdf(y) / sf
+
+    with pytest.raises(BracketFailure, match="2 of 4 points"):
+        bracketed_newton(
+            lambda y, k: g_slope(y, k)[0], g_slope, np.full(4, 0.0), np.full(4, 60.0)
         )
 
 

@@ -209,3 +209,15 @@ def test_lazy_quantiles_equal_forced_table_quantiles(name):
     assert forced._grid_cdf.shape == forced._grid.shape
     assert np.array_equal(lazy.inv_cdf(us), forced.inv_cdf(us))
     assert np.allclose(lazy.cdf(lazy.inv_cdf(us)), us, rtol=1e-8, atol=1e-12)
+
+
+# -- the fused tail + density evaluator of the Newton solves ----------------
+
+
+def test_fused_tail_and_density_equal_separate_kernels_bitwise(case):
+    _, sm = case
+    xs = _centered_points(sm)
+    for sf, tail_only in ((True, sm._sf_c), (False, sm._cdf_c)):
+        tail, dens = sm._tail_density_c(xs, sf)
+        assert np.array_equal(tail, tail_only(xs))
+        assert np.array_equal(dens, sm._density_c(xs))

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
 import logsob as L
+import logsob.transport as transport
 
 from conftest import central_difference
 
@@ -144,3 +146,91 @@ def test_transport_table_columns(bernoulli):
     assert len(table["x"]) == 101
     assert np.all(table["T"] <= table["envelope_hi"] + 1e-9)
     assert np.all(table["T"] >= table["envelope_lo"] - 1e-9)
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.25, 1.0])
+def test_offcenter_point_mass_slope_is_exactly_one(delta):
+    # the smoothed measure is the source Gaussian moved by the center: T is
+    # a translation, and the midpoint start lands on it bit for bit
+    tm = make_map(L.make_discrete([(2.5, 1.0)]), delta)
+    lip = tm.lipschitz_estimate(grid_points=801)
+    xs, ts, ds = tm.samples
+    assert np.all(ds == 1.0)
+    assert lip.log_value == 0.0
+
+
+def _oracle_map(mu, delta, x, dps=40):
+    """T(x) from mpmath findroot on log G(y) = log F(x), in the tail nearer x."""
+    atoms = [(mpmath.mpf(a), mpmath.mpf(w)) for a, w in mu.atoms]
+    with mpmath.workdps(dps):
+        scale = mpmath.sqrt(2 * mpmath.mpf(delta))
+        xm = mpmath.mpf(x)
+        # sf for x >= 0 and cdf below it, as erfc of the distance to each atom
+        side = 1 if x >= 0 else -1
+
+        def tail(y):
+            return sum(w * mpmath.erfc(side * (y - a) / scale) for a, w in atoms) / 2
+
+        target = mpmath.log(mpmath.erfc(side * xm / scale) / 2)
+        radius = max(abs(a) for a, _ in atoms)
+        root = mpmath.findroot(
+            lambda y: mpmath.log(tail(y)) - target,
+            (xm - radius - mpmath.mpf("1e-6"), xm + radius + mpmath.mpf("1e-6")),
+            solver="anderson",
+        )
+        return float(root)
+
+
+@pytest.mark.parametrize("name", ["bernoulli", "asymmetric"])
+def test_map_matches_mpmath_oracle_out_to_the_window_edge(name, request):
+    mu = request.getfixturevalue(name)
+    tm = make_map(mu, 0.25)
+    lo, hi = tm.lipschitz_estimate(grid_points=201).window
+    xs = np.concatenate([np.linspace(lo, hi, 25), [lo + 1e-3, hi - 1e-3]])
+    ts = tm.eval(xs)
+    oracle = np.array([_oracle_map(mu, 0.25, x) for x in xs])
+    assert np.max(np.abs(ts - oracle)) <= 10 * tm.sigma * tm.target.config.root_tol
+
+
+def test_underflowing_tail_is_a_bracket_failure(bernoulli):
+    # delta = 0.002: normalized |x| of 44.7 and 50 put the source Gaussian
+    # tail below the normal doubles; the parent returned the bracket end
+    tm = make_map(bernoulli, 0.002)
+    xs = np.array([0.0, 1.0, 2.0, 50.0 * tm.sigma])
+    with pytest.raises(L.BracketFailure, match="2 of 4 points have a residual that is not finite"):
+        tm.eval(xs)
+    t = tm.eval(xs[:2])
+    lo, hi = tm.envelope(xs[:2])
+    assert np.all((lo <= t) & (t <= hi))
+
+
+def test_newton_evaluations_per_abscissa_in_the_sweep(monkeypatch):
+    # the log-tail Newton from the bracket midpoint needs no bisection stage:
+    # 2 value calls (the bracket ends) and about 6 fused value+slope calls
+    # per abscissa here, against 15 and 3 with a bisection stage
+    rng = np.random.default_rng(3)
+    grid = np.linspace(-1.0, 1.0, 257)
+    values = rng.uniform(0.3, 1.3, 257)
+    values /= L.TabulatedDensity(grid, values).mass
+    mu = L.make_measure(density=L.TabulatedDensity(grid, values))
+    counts = {"abscissae": 0, "value": 0, "slope": 0}
+    solve = transport.bracketed_newton
+
+    def counted(g, g_slope, lo, hi, **kw):
+        counts["abscissae"] += np.size(lo)
+
+        def g_counted(y, k):
+            counts["value"] += y.size
+            return g(y, k)
+
+        def g_slope_counted(y, k):
+            counts["slope"] += y.size
+            return g_slope(y, k)
+
+        return solve(g_counted, g_slope_counted, lo, hi, **kw)
+
+    monkeypatch.setattr(transport, "bracketed_newton", counted)
+    make_map(mu, 0.05).lipschitz_estimate(grid_points=1001)
+    assert counts["abscissae"] >= 1001
+    assert counts["value"] <= 2 * counts["abscissae"]
+    assert counts["slope"] <= 8 * counts["abscissae"]
