@@ -218,6 +218,8 @@ def _bounds_worker(payload):
 
 def cmd_bounds(cfg: SweepConfig, out_dir: Path, jobs: int = 1) -> int:
     pairs = [(m, d) for m in cfg.measures for d in cfg.deltas]
+    # the pool forks all its workers on the first submit: no more than pairs
+    jobs = min(jobs, len(pairs))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_bounds_worker, [(str(m), d, cfg) for m, d in pairs]))
@@ -380,6 +382,8 @@ def _overrides(args) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigParseError("--jobs must be at least 1, got %d" % args.jobs)
         cfg = load_sweep_config(args.config, _overrides(args))
         out_dir = Path(args.out)
         if args.command == "bounds":

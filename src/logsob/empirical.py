@@ -190,8 +190,8 @@ def _grad2_terms(tf: TestFunction, x, lq):
 
 #: Members integrated in one quadrature pass.  Their pending cells share one
 #: array per round, so peak memory grows with the batch while the time saved
-#: levels off.  Shipped sweep on a 2-vCPU Xeon, batch 1/8/16/32/64: peak RSS
-#: 59/62/66/69/80 MB, sweep 3.4/2.1/2.0/1.9/1.9 s.
+#: levels off at 16.  Shipped sweep on a 2-vCPU Xeon, batch 8/16/32: peak RSS
+#: 61/65/68 MB, verify stage 1.16/1.04/1.04 s (medians of 8 interleaved runs).
 _BATCH_MEMBERS = 16
 
 

@@ -10,6 +10,7 @@ takes many intervals at once, each refined on its own.  Root residuals get
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -42,6 +43,11 @@ def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=
     together they spend a negligible share of the rtol budget as long as
     the cell count stays far below 1/eps.  ``atol`` is a per-cell floor,
     needed for integrands that change sign.
+
+    Each round sums an interval's accepted cells as one ``.sum(axis=0)``
+    block, in the order they would have alone (a stable sort on the
+    interval index): numpy sums a 1-D block pairwise and a block with
+    components row by row, so any other grouping moves the last bits.
 
     Raises QuadratureFailure when ``max_depth`` rounds of halving cannot
     reach the tolerance.
@@ -96,28 +102,30 @@ def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=
         s2 = s_left + s_right
         err = np.abs(s2 - cell)
         tol = 15.0 * (atol[member][pad] + rtol * np.maximum(np.abs(s2), floor[member]))
-        ok = err <= tol
-        if ok.ndim > 1:
-            ok = ok.all(axis=tuple(range(1, ok.ndim)))
-        if ok.any():
-            done = s2[ok] + (s2[ok] - cell[ok]) / 15.0
-            owner = member[ok]
-            # per interval, in the order its cells would have alone
-            for k in np.unique(owner):
-                total[k] += done[owner == k].sum(axis=0)
-        if ok.all():
+        # AND the component columns: reducing a short axis costs more per cell
+        ok = functools.reduce(np.logical_and, (err <= tol).reshape(n, -1).T)
+        acc = np.flatnonzero(ok)
+        if acc.size:
+            acc = acc[np.argsort(member[acc], kind="stable")]
+            owner = member[acc]
+            done = s2[acc]
+            done += (done - cell[acc]) / 15.0
+            cut = (np.flatnonzero(np.diff(owner)) + 1).tolist()
+            for i, j in zip([0] + cut, cut + [acc.size]):
+                total[owner[i]] += done[i:j].sum(axis=0)
+        if acc.size == n:
             total *= sign[pad]
             if batched:
                 return total
             return total[0] if out_shape else float(total[0])
-        keep = ~ok
-        lo = np.concatenate([lo[keep], mid[keep]])
-        hi = np.concatenate([mid[keep], hi[keep]])
-        flo = np.concatenate([flo[keep], fmid[keep]])
-        fhi = np.concatenate([fmid[keep], fhi[keep]])
+        keep = np.flatnonzero(~ok)
+        lo, mid, hi, fmid = lo[keep], mid[keep], hi[keep], fmid[keep]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        flo = np.concatenate([flo[keep], fmid])
+        fhi = np.concatenate([fmid, fhi[keep]])
         fmid = np.concatenate([flm[keep], frm[keep]])
         cell = np.concatenate([s_left[keep], s_right[keep]])
-        member = np.concatenate([member[keep], member[keep]])
+        member = np.tile(member[keep], 2)
     raise QuadratureFailure(
         "adaptive Simpson did not reach tolerance rtol=%g after %d halvings "
         "(%d cells pending in %d of %d intervals)"

@@ -40,11 +40,14 @@ def _std_pdf(z):
     return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
-def _lse_rows(a):
-    """logsumexp over the last axis, shift-stabilized (rows of -inf give -inf)."""
-    m = np.max(a, axis=-1)
+def _lse_atoms(a):
+    """logsumexp over the leading (atom) axis, shift-stabilized (-inf columns give -inf).
+
+    Sums one row per atom in turn, the order of numpy's row sum below 8 terms.
+    """
+    m = np.max(a, axis=0)
     safe = np.where(np.isfinite(m), m, 0.0)
-    out = safe + np.log(np.sum(np.exp(a - safe[..., None]), axis=-1))
+    out = safe + np.log(np.sum(np.exp(a - safe), axis=0))
     return np.where(np.isfinite(m), out, m)
 
 
@@ -239,9 +242,9 @@ class SmoothedMeasure:
 
     def _log_density_c(self, t):
         if self._aloc.size:
-            z = (t[:, None] - self._aloc) / self.sigma
-            la = np.log(self._awt) - 0.5 * z * z - math.log(self.sigma) - _LOG_SQRT_2PI
-            out = _lse_rows(la)
+            z = (t - self._aloc[:, None]) / self.sigma
+            la = np.log(self._awt)[:, None] - 0.5 * z * z - math.log(self.sigma) - _LOG_SQRT_2PI
+            out = _lse_atoms(la)
         else:
             out = np.full(t.shape, -np.inf)
         if self._cells is not None:
@@ -285,8 +288,8 @@ class SmoothedMeasure:
 
     def _log_tail_c(self, x, sf):
         if self._aloc.size:
-            z = (x[:, None] - self._aloc) / self.sigma
-            out = _lse_rows(np.log(self._awt) + log_ndtr(-z if sf else z))
+            z = (x - self._aloc[:, None]) / self.sigma
+            out = _lse_atoms(np.log(self._awt)[:, None] + log_ndtr(-z if sf else z))
         else:
             out = np.full(x.shape, -np.inf)
         if self._cells is not None:

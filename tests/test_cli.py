@@ -237,3 +237,47 @@ def test_verify_grid_size_flag_is_validated(tmp_path):
     cfg = write_config(tmp_path, delta=[1.0], measures=["pm.json"])
     argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "x"), "--grid-size", "0"]
     assert main(argv) == 2
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    _SerialPool.made = []
+    monkeypatch.setattr("logsob.cli.ProcessPoolExecutor", _SerialPool)
+    return _SerialPool.made
+
+
+@pytest.mark.parametrize("jobs, deltas, workers", [("500", [0.5, 1.0], [2]), ("500", [1.0], [])])
+def test_jobs_capped_at_pair_count(tmp_path, serial_pool, jobs, deltas, workers):
+    cfg = write_config(tmp_path, delta=deltas, measures=["pm.json"])
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 0
+    assert serial_pool == workers
+    assert len(read_jsonl(out / "bounds.jsonl")) == len(deltas)
+
+
+@pytest.mark.parametrize("command", ["bounds", "sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_input_error(tmp_path, serial_pool, capsys, command, jobs):
+    cfg = write_config(tmp_path, delta=[1.0], measures=["pm.json"])
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert serial_pool == [] and not out.exists()

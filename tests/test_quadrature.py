@@ -180,3 +180,151 @@ def test_batched_intervals_match_scalar_calls():
             initial_cells=cells[k],
         )
         assert np.array_equal(batched[k], alone)
+
+
+# -- the earlier adaptive Simpson, kept as a bitwise oracle ------------------
+#
+# It sums each interval's accepted cells with one boolean mask per interval
+# and reduces the acceptance test along the component axis.  The refinement
+# and summation order of the shipped routine must match it bit for bit: the
+# stored verify reports depend on every node and every rounding.
+
+
+def _oracle_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=1):
+    batched = np.ndim(a) > 0 or np.ndim(b) > 0
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
+    count = a.size
+    sign = np.where(b < a, -1.0, 1.0)
+    atol = np.broadcast_to(np.asarray(atol, dtype=float), a.shape)
+    panels = np.broadcast_to(np.maximum(1, np.asarray(initial_cells, dtype=int)), a.shape)
+    edges = [
+        np.linspace(min(ak, bk), max(ak, bk), m + 1) for ak, bk, m in zip(a, b, panels)
+    ]
+    member = np.repeat(np.arange(count), panels)
+    last = np.cumsum(panels) - 1
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    n = lo.size
+    call = f if batched else (lambda x, k: f(x))
+    first = np.asarray(
+        call(
+            np.concatenate([lo, 0.5 * (lo + hi), hi[last]]),
+            np.concatenate([member, member, np.arange(count)]),
+        ),
+        dtype=float,
+    )
+    out_shape = first.shape[1:]
+    flo = first[:n]
+    fmid = first[n : 2 * n]
+    fhi = np.roll(flo, -1, axis=0)
+    fhi[last] = first[2 * n :]
+    pad = (Ellipsis,) + (None,) * len(out_shape)
+    cell = ((hi - lo)[pad] / 6.0) * (flo + 4.0 * fmid + fhi)
+    floor = np.zeros((count,) + out_shape)
+    np.add.at(floor, member, np.abs(cell))
+    floor *= np.finfo(float).eps
+    total = np.zeros((count,) + out_shape)
+
+    for _ in range(max_depth):
+        mid = 0.5 * (lo + hi)
+        lmid = 0.5 * (lo + mid)
+        rmid = 0.5 * (mid + hi)
+        vals = np.asarray(
+            call(np.concatenate([lmid, rmid]), np.concatenate([member, member])), dtype=float
+        )
+        n = lo.size
+        flm, frm = vals[:n], vals[n:]
+        h12 = (hi - lo)[pad] / 12.0
+        s_left = h12 * (flo + 4.0 * flm + fmid)
+        s_right = h12 * (fmid + 4.0 * frm + fhi)
+        s2 = s_left + s_right
+        err = np.abs(s2 - cell)
+        tol = 15.0 * (atol[member][pad] + rtol * np.maximum(np.abs(s2), floor[member]))
+        ok = err <= tol
+        if ok.ndim > 1:
+            ok = ok.all(axis=tuple(range(1, ok.ndim)))
+        if ok.any():
+            done = s2[ok] + (s2[ok] - cell[ok]) / 15.0
+            owner = member[ok]
+            for k in np.unique(owner):
+                total[k] += done[owner == k].sum(axis=0)
+        if ok.all():
+            total *= sign[pad]
+            if batched:
+                return total
+            return total[0] if out_shape else float(total[0])
+        keep = ~ok
+        lo = np.concatenate([lo[keep], mid[keep]])
+        hi = np.concatenate([mid[keep], hi[keep]])
+        flo = np.concatenate([flo[keep], fmid[keep]])
+        fhi = np.concatenate([fmid[keep], fhi[keep]])
+        fmid = np.concatenate([flm[keep], frm[keep]])
+        cell = np.concatenate([s_left[keep], s_right[keep]])
+        member = np.concatenate([member[keep], member[keep]])
+    raise AssertionError("oracle did not converge")
+
+
+def _recorded(shape, calls):
+    """An integrand of the given component shape that logs every call.
+
+    Peaks of different widths and an oscillating factor spread the accepted
+    cells over many rounds and magnitudes, so the summation order shows in
+    the last bits; the (2, 3) shape is the (value, s * value) stack of
+    ``SmoothedMeasure._tilted_stats``.
+    """
+
+    def f(x, k=None):
+        calls.append((x.copy(), None if k is None else k.copy()))
+        kk = np.zeros(x.shape) if k is None else k.astype(float)
+        base = np.exp(-((x - 0.3 * kk + 1.0) ** 2) * (0.5 + kk)) * (1.5 + np.sin(7.0 * x))
+        if shape == ():
+            return base * np.cos(3.0 * x)
+        if shape == (2,):
+            return np.stack([base, x * np.cos(3.0 * x) * base], axis=-1)
+        e = base[:, None] * np.exp(np.multiply.outer(x, [-0.5, 0.0, 0.5]))
+        return np.stack([e, x[:, None] * e], axis=1)
+
+    return f
+
+
+def _same_calls(got, want):
+    assert len(got) == len(want)
+    for (xg, kg), (xw, kw) in zip(got, want):
+        assert np.array_equal(xg, xw)
+        assert (kg is None and kw is None) or np.array_equal(kg, kw)
+
+
+SHAPES = [(), (2,), (2, 3)]
+SHAPE_IDS = ["scalar", "n2", "n2x3"]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+@pytest.mark.parametrize("count", [1, 3, 17])
+def test_batched_simpson_equals_oracle_bitwise(shape, count):
+    rng = np.random.default_rng(count)
+    a = rng.uniform(-4.0, -0.5, count)
+    b = rng.uniform(0.5, 4.0, count)
+    if count > 1:
+        a[1], b[1] = b[1], a[1]  # reversed
+        b[2] = a[2]  # empty
+    atol = np.where(np.arange(count) % 2 == 1, 1e-13, 0.0)
+    cells = rng.integers(1, 12, count)
+    got, want = [], []
+    val = adaptive_simpson(_recorded(shape, got), a, b, rtol=1e-10, atol=atol, initial_cells=cells)
+    ref = _oracle_simpson(_recorded(shape, want), a, b, rtol=1e-10, atol=atol, initial_cells=cells)
+    _same_calls(got, want)
+    assert len(got) > 5
+    assert val.shape == (count,) + shape
+    assert np.array_equal(val, ref)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+@pytest.mark.parametrize("ab", [(-3.0, 2.5), (2.5, -3.0), (1.0, 1.0)], ids=["fwd", "rev", "empty"])
+def test_scalar_simpson_equals_oracle_bitwise(shape, ab):
+    got, want = [], []
+    val = adaptive_simpson(_recorded(shape, got), *ab, rtol=1e-11, atol=1e-14, initial_cells=5)
+    ref = _oracle_simpson(_recorded(shape, want), *ab, rtol=1e-11, atol=1e-14, initial_cells=5)
+    _same_calls(got, want)
+    assert type(val) is type(ref)
+    assert np.array_equal(val, ref)

@@ -8,11 +8,14 @@ base measure, pin the kernels bit for bit to a per-cell oracle, and check
 that the quantile table is built only when a quantile is asked for.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 import logsob as L
+from logsob.cli import bundled_data_path
 from logsob.transport import TransportMap, transport_table
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -221,3 +224,77 @@ def test_fused_tail_and_density_equal_separate_kernels_bitwise(case):
         tail, dens = sm._tail_density_c(xs, sf)
         assert np.array_equal(tail, tail_only(xs))
         assert np.array_equal(dens, sm._density_c(xs))
+
+
+# -- the atom log-sum-exp of the log evaluators ------------------------------
+#
+# The log density and log tails reduce the atoms along a leading axis.  The
+# earlier row-major formula is kept here as the oracle: below 8 atoms numpy
+# sums a row in the same order as the leading-axis pass, so the two agree
+# bit for bit; with more atoms the row sum is pairwise and they differ by a
+# few ulp.
+
+_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+
+
+def _lse_rows(a):
+    m = np.max(a, axis=-1)
+    safe = np.where(np.isfinite(m), m, 0.0)
+    out = safe + np.log(np.sum(np.exp(a - safe[..., None]), axis=-1))
+    return np.where(np.isfinite(m), out, m)
+
+
+def oracle_log_density_c(sm, t):
+    z = (t[:, None] - sm._aloc) / sm.sigma
+    out = _lse_rows(np.log(sm._awt) - 0.5 * z * z - np.log(sm.sigma) - _LOG_SQRT_2PI)
+    if sm._cells is not None:
+        with np.errstate(divide="ignore"):
+            out = np.logaddexp(out, np.log(sm._density_cells(t)))
+    return out
+
+
+def oracle_log_tail_c(sm, x, sf):
+    z = (x[:, None] - sm._aloc) / sm.sigma
+    out = _lse_rows(np.log(sm._awt) + log_ndtr(-z if sf else z))
+    if sm._cells is not None:
+        with np.errstate(divide="ignore"):
+            out = np.logaddexp(out, np.log(sm._tail_cells(x, 1.0 if sf else -1.0)))
+    return np.minimum(out, 0.0)
+
+
+def _bundled(name):
+    return L.load_measure(bundled_data_path(name + ".json"))
+
+
+def _atoms(count):
+    rng = np.random.default_rng(count)
+    w = rng.uniform(0.05, 1.0, count)
+    return L.make_discrete(zip(rng.uniform(-1.5, 2.5, count), w / w.sum()))
+
+
+ATOM_MEASURES = {n: partial(_bundled, n) for n in ("point_mass", "bernoulli", "asymmetric")}
+ATOM_MEASURES["mixed"] = _mixed
+ATOM_MEASURES.update({"atoms%d" % c: partial(_atoms, c) for c in (3, 7, 8, 48, 96)})
+
+
+def _ulps(got, want):
+    # a sum rounded to a few eps has a log off by a few eps absolutely, so
+    # the last place is taken at 1 where |log| < 1
+    both = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), both)
+    assert np.array_equal(got[~both], want[~both])
+    return np.abs(got[both] - want[both]) / np.spacing(np.maximum(np.abs(want[both]), 1.0))
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+@pytest.mark.parametrize("name", list(ATOM_MEASURES))
+def test_log_evaluators_equal_row_major_oracle(name, delta):
+    sm = L.SmoothedMeasure(ATOM_MEASURES[name](), delta)
+    xs = _centered_points(sm, n=401)
+    pairs = [(sm._log_density_c(xs), oracle_log_density_c(sm, xs))]
+    pairs += [(sm._log_tail_c(xs, sf), oracle_log_tail_c(sm, xs, sf)) for sf in (True, False)]
+    for got, want in pairs:
+        if sm._aloc.size < 8:
+            assert np.array_equal(got, want)
+        else:
+            assert _ulps(got, want).max() <= 4.0
