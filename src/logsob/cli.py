@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,7 +122,7 @@ def load_sweep_config(path, overrides=None) -> SweepConfig:
     except LogsobError as exc:
         raise ConfigParseError("%s: %s" % (path, exc)) from exc
     mass_tol = float(tol.get("mass_tol", 1e-9))
-    _require(mass_tol > 0, "%s: mass_tol must be positive" % path)
+    _require(0 < mass_tol < math.inf, "%s: mass_tol must be finite and positive" % path)
 
     lip = raw.get("lipschitz") or {}
     tra = raw.get("transport") or {}
@@ -164,6 +165,8 @@ def load_sweep_config(path, overrides=None) -> SweepConfig:
     _require(cfg.lipschitz_points >= 3, "%s: lipschitz.points must be >= 3" % path)
     _require(cfg.transport_points >= 2, "%s: transport.points must be >= 2" % path)
     _require(cfg.bg_points >= 8, "%s: bg.points must be >= 8" % path)
+    for name, extent in (("lipschitz", cfg.lipschitz_extent), ("transport", cfg.transport_extent)):
+        _require(0 < extent < math.inf, "%s: %s.extent must be finite and positive" % (path, name))
     _require(
         cfg.verify_grid_size is None or cfg.verify_grid_size >= 1,
         "%s: verify.grid_size must be >= 1" % path,
@@ -197,17 +200,28 @@ def _flat_items(obj, prefix=""):
         yield prefix[:-1], obj
 
 
+@contextmanager
+def _naming_pair(measure_path: Path, delta: float):
+    """Prefix a LogsobError raised for one (measure, delta) pair with the pair."""
+    try:
+        yield
+    except LogsobError as exc:
+        exc.args = ("%s at delta=%r: %s" % (measure_path.stem, delta, exc),)
+        raise
+
+
 def _bounds_record(measure_path: Path, delta: float, cfg: SweepConfig) -> dict:
-    measure = load_measure(measure_path, mass_tol=cfg.mass_tol)
-    report = compute_bound_report(
-        measure,
-        delta,
-        n_dim=cfg.dimension,
-        config=cfg.quad,
-        lipschitz_points=cfg.lipschitz_points,
-        lipschitz_extent=cfg.lipschitz_extent,
-        bg_points=cfg.bg_points,
-    )
+    with _naming_pair(measure_path, delta):
+        measure = load_measure(measure_path, mass_tol=cfg.mass_tol)
+        report = compute_bound_report(
+            measure,
+            delta,
+            n_dim=cfg.dimension,
+            config=cfg.quad,
+            lipschitz_points=cfg.lipschitz_points,
+            lipschitz_extent=cfg.lipschitz_extent,
+            bg_points=cfg.bg_points,
+        )
     return {"measure": measure_path.stem, "delta": delta, **report.to_dict()}
 
 
@@ -246,9 +260,9 @@ def cmd_transport(cfg: SweepConfig, out_dir: Path) -> int:
     for measure_path in cfg.measures:
         measure = load_measure(measure_path, mass_tol=cfg.mass_tol)
         for delta in cfg.deltas:
-            sm = SmoothedMeasure(measure, delta, cfg.quad)
-            tm = TransportMap(sm)
-            table = transport_table(tm, points=cfg.transport_points, extent=cfg.transport_extent)
+            with _naming_pair(measure_path, delta):
+                tm = TransportMap(SmoothedMeasure(measure, delta, cfg.quad))
+                table = transport_table(tm, cfg.transport_points, cfg.transport_extent)
             name = "transport_%s_d%g.csv" % (measure_path.stem, delta)
             with (out_dir / name).open("w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
@@ -296,12 +310,13 @@ def cmd_verify(cfg: SweepConfig, out_dir: Path) -> int:
     for measure_path in cfg.measures:
         measure = load_measure(measure_path, mass_tol=cfg.mass_tol)
         for delta in cfg.deltas:
-            sm = SmoothedMeasure(measure, delta, cfg.quad)
-            constant, label = _resolve_constant(cfg.verify_bound, sm, cfg)
-            families = [
-                _family_by_name(n, sm, cfg.verify_grid_size) for n in cfg.verify_families
-            ]
-            report = verify_lsi(sm, constant, families)
+            with _naming_pair(measure_path, delta):
+                sm = SmoothedMeasure(measure, delta, cfg.quad)
+                constant, label = _resolve_constant(cfg.verify_bound, sm, cfg)
+                families = [
+                    _family_by_name(n, sm, cfg.verify_grid_size) for n in cfg.verify_families
+                ]
+                report = verify_lsi(sm, constant, families)
             all_ok = all_ok and report.all_passed
             lines.append(
                 {

@@ -2,7 +2,12 @@
 
 
 class LogsobError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``index`` is the
+    position of the first failed point of a batched solve, if there is one."""
+
+    def __init__(self, *args, index=None):
+        super().__init__(*args)
+        self.index = index
 
 
 class NonpositiveWeight(LogsobError):

@@ -158,18 +158,20 @@ def golden_section_max(f, lo, hi, xtol=1e-8, max_iter=200):
     return xm, f(xm)
 
 
-def bracketed_newton(g, g_slope, lo, hi, root_tol=1e-10, max_iter=200):
+def bracketed_newton(g, g_slope, lo, hi, root_tol=1e-10, max_iter=200, start=None):
     """Elementwise root of an increasing residual on [lo, hi], safeguarded Newton.
 
     ``g(y, k)`` gives the residual, checked for a sign change at both bracket
     ends; ``g_slope(y, k) -> (residual, slope)`` is called on the live points
-    only.  Newton starts from the bracket midpoint; a step that is not finite
-    or leaves the live bracket falls back to its midpoint.  A point is done
-    once its step or its bracket width is at most ``root_tol``.
+    only.  Newton starts from ``start`` where it is finite and inside the
+    bracket, else from the bracket midpoint; a step that is not finite or
+    leaves the live bracket falls back to its midpoint.  A point is done once
+    its step or its bracket width is at most ``root_tol``.
 
     Raises BracketFailure, with the count of points, when an endpoint pair
     does not straddle zero or a residual is not finite (a tail underflows);
-    QuadratureFailure when ``max_iter`` steps leave points unconverged.
+    QuadratureFailure when ``max_iter`` steps leave points unconverged; each
+    with ``index``, the first failed point.
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
@@ -182,10 +184,13 @@ def bracketed_newton(g, g_slope, lo, hi, root_tol=1e-10, max_iter=200):
     if unsigned.any():
         raise BracketFailure(
             "%d of %d points have no sign change over the initial bracket"
-            % (int(unsigned.sum()), unsigned.size)
+            % (int(unsigned.sum()), unsigned.size),
+            index=int(unsigned.argmax()),
         )
 
     y = 0.5 * (lo + hi)
+    if start is not None:
+        y = np.where(np.isfinite(start) & (lo <= start) & (start <= hi), start, y)
     live = np.flatnonzero(~bad & (hi - lo > root_tol))
     for _ in range(max_iter):
         if not live.size:
@@ -207,8 +212,11 @@ def bracketed_newton(g, g_slope, lo, hi, root_tol=1e-10, max_iter=200):
     if bad.any():
         raise BracketFailure(
             "%d of %d points have a residual that is not finite; a tail underflows to 0"
-            % (int(bad.sum()), bad.size)
+            % (int(bad.sum()), bad.size),
+            index=int(bad.argmax()),
         )
     if live.size:
-        raise QuadratureFailure("bracketed Newton left %d points unconverged" % live.size)
+        raise QuadratureFailure(
+            "bracketed Newton left %d points unconverged" % live.size, index=int(live[0])
+        )
     return y

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partialmethod
+from functools import partialmethod
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr, ndtr, ndtri
 
-from .errors import BracketFailure, DomainError
+from .errors import BracketFailure, DomainError, QuadratureFailure
 from .measures import Measure1D, centered, integrate
 from .quadrature import bracketed_newton
 
@@ -108,19 +108,19 @@ class QuadratureConfig:
 
     Integrals over the whole line are truncated to the support hull padded by
     ``tail_mult`` standard deviations; the neglected Gaussian mass is below
-    ndtr(-tail_mult), which must stay under ``cdf_tol``.
+    ndtr(-tail_mult), which must stay under ``cdf_tol``.  Every field must be
+    finite and positive.
     """
 
     tail_mult: float = 12.0
     integ_tol: float = 1e-10
     cdf_tol: float = 1e-9
     root_tol: float = 1e-10
-    cache_points_per_sigma: int = 50
 
     def __post_init__(self):
         for name in ("tail_mult", "integ_tol", "cdf_tol", "root_tol"):
-            if not float(getattr(self, name)) > 0.0:
-                raise DomainError("%s must be positive" % name)
+            if not 0.0 < float(getattr(self, name)) < math.inf:
+                raise DomainError("%s must be finite and positive" % name)
         if ndtr(-float(self.tail_mult)) > float(self.cdf_tol):
             raise DomainError("tail_mult too small for the requested cdf_tol")
 
@@ -154,11 +154,9 @@ def _log_tail(v):
 class SmoothedMeasure:
     """A compactly supported measure convolved with a centered Gaussian.
 
-    Every evaluator is pure, so instances are safe to share across threads.
-    The monotone CDF table used for quantile bracketing is built on the first
-    quantile request; a race there can only compute the same deterministic
-    table twice.  Evaluators accept scalars or arrays in the base measure's
-    original coordinates.
+    Every evaluator is pure and an instance holds no cache, so instances
+    are safe to share across threads.  Evaluators accept scalars or arrays
+    in the base measure's original coordinates.
     """
 
     def __init__(self, base: Measure1D, delta=1.0, config: QuadratureConfig | None = None):
@@ -184,15 +182,6 @@ class SmoothedMeasure:
             self._cells = None
 
         self.cutoff = self.radius + self.config.tail_mult * self.sigma
-        step = self.sigma / self.config.cache_points_per_sigma
-        n = max(3, int(round(2.0 * self.cutoff / step)) + 1)
-        self._grid = np.linspace(-self.cutoff, self.cutoff, n)
-
-    @cached_property
-    def _grid_cdf(self):
-        # monotone table for quantile bracketing; enforce monotonicity
-        # against last-ulp quadrature noise
-        return np.maximum.accumulate(self._cdf_c(self._grid))
 
     # -- centered-frame evaluators -------------------------------------
 
@@ -357,28 +346,27 @@ class SmoothedMeasure:
         return (self.center - self.cutoff, self.center + self.cutoff)
 
     def inv_cdf(self, u):
-        """Quantile: x with |cdf(x) - u| below cdf_tol, root_tol-accurate in x.
+        """Quantile: x with cdf(x) = u, root_tol-accurate in x.
 
-        Brackets from the monotone CDF table, built on first use, then runs
-        Newton on the log of the nearer tail from the bracket midpoint.  Raises
-        BracketFailure when u is more extreme than the mass inside the tail
-        cutoff can resolve.
+        The quantile is the transport image T(sigma * Phi^-1(u)), and the
+        transport envelope puts it within the support radius of
+        sigma * Phi^-1(u): that interval, padded, brackets Newton on the log
+        of the nearer tail from its midpoint.  Raises BracketFailure, naming
+        the first such u, when a tail 1 - u or u is below the normal doubles.
         """
         arr = np.asarray(u, dtype=float)
         flat = np.atleast_1d(arr).ravel()
         if flat.size and (np.any(flat <= 0.0) | np.any(flat >= 1.0)):
             raise DomainError("quantile argument must lie strictly inside (0, 1)")
-        gc = self._grid_cdf
-        if flat.size and (np.any(flat < gc[0]) or np.any(flat > gc[-1])):
-            raise BracketFailure(
-                "quantile beyond the tail cutoff; widen tail_mult to resolve it"
-            )
-        idx = np.clip(np.searchsorted(gc, flat), 1, gc.size - 1)
-        lo = self._grid[np.maximum(idx - 2, 0)]
-        hi = self._grid[np.minimum(idx + 1, gc.size - 1)]
+        x = self.sigma * ndtri(flat)
+        reach = self.radius + 1e-9 * self.sigma + 1e-12 * np.abs(x)
         upper = flat > 0.5
         g, g_slope = self._tail_residuals(np.where(upper, 1.0 - flat, flat), upper)
-        y = bracketed_newton(g, g_slope, lo, hi, root_tol=self.config.root_tol)
+        try:
+            y = bracketed_newton(g, g_slope, x - reach, x + reach, root_tol=self.config.root_tol)
+        except (BracketFailure, QuadratureFailure) as exc:
+            exc.args = ("%s; first at u = %r" % (exc, float(flat[exc.index])),)
+            raise
         y = y + self.center
         if arr.ndim == 0:
             return float(y[0])

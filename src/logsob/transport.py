@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BracketFailure, DomainError, LogsobError, QuadratureFailure
 from .logdomain import MAX_EXP_LOG, LogValue
 from .measures import pushforward_affine
 from .quadrature import bracketed_newton, golden_section_max
@@ -49,6 +50,20 @@ class LipschitzEstimate:
         if self.log_value > MAX_EXP_LOG:
             return None
         return math.exp(self.log_value)
+
+
+def _warm_start(xc, yc, log_slope, x):
+    """x plus the cubic Hermite interpolant of T(x) - x through roots ``yc`` at
+    ascending, distinct ``xc``, whose slopes are T' - 1 = expm1(``log_slope``).
+    A slope or start beyond the doubles is not finite, and Newton starts that
+    point from its bracket midpoint instead."""
+    j = np.clip(np.searchsorted(xc, x) - 1, 0, xc.size - 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, d, h = np.expm1(log_slope), yc - xc, xc[j + 1] - xc[j]
+        t = (x - xc[j]) / h
+        s = 1.0 - t
+        left = s * s * ((1.0 + 2.0 * t) * d[j] + t * h * m[j])
+        return x + left + t * t * ((1.0 + 2.0 * s) * d[j + 1] - s * h * m[j + 1])
 
 
 def lipschitz_theoretical_bound(radius_normalized) -> LogValue:
@@ -86,19 +101,44 @@ class TransportMap:
 
     # -- unit-frame solve ------------------------------------------------
 
-    def _eval_unit(self, xn):
+    def _solve(self, xn, start=None):
         """Solve G(y) = F(x) in the normalized frame, in the envelope, as
         log F_sf(x) = log G_sf(y) for x >= 0, log G_cdf(y) = log F_cdf(x) below;
-        a tail underflowing (|x| beyond about 37) raises BracketFailure."""
+        a tail underflowing (|x| beyond about 37) raises BracketFailure.  An
+        error names its first failed x in original coordinates."""
         rn = self.radius_normalized
         pad = 1e-9 + 1e-12 * np.abs(xn)
         right = xn >= 0.0
         g, g_slope = self.unit._tail_residuals(
             np.where(right, gaussian_sf(xn), gaussian_cdf(xn)), right
         )
-        return bracketed_newton(
-            g, g_slope, xn - rn - pad, xn + rn + pad, root_tol=self.target.config.root_tol
-        )
+        lo, hi, tol = xn - rn - pad, xn + rn + pad, self.target.config.root_tol
+        try:
+            return bracketed_newton(g, g_slope, lo, hi, root_tol=tol, start=start)
+        except (BracketFailure, QuadratureFailure) as exc:
+            exc.args = ("%s; first at x = %r" % (exc, float(self.sigma * xn[exc.index])),)
+            raise
+
+    def _eval_unit(self, xn):
+        """:meth:`_solve` on a batch, warm-started: every 8th distinct abscissa
+        in ascending order, and the last, is solved from the bracket midpoint,
+        the others from :func:`_warm_start` through those roots.  If that raises,
+        the whole batch is solved from midpoints, so that an error counts and
+        names the batch's own points."""
+        xu, inverse = np.unique(xn, return_inverse=True)
+        coarse = np.arange(xu.size) % 8 == 0
+        coarse[-1:] = True
+        if coarse.all():
+            return self._solve(xn)
+        try:
+            xc, xf = xu[coarse], xu[~coarse]
+            yc = self._solve(xc)
+            start = _warm_start(xc, yc, self._log_derivative_unit(xc, yc), xf)
+            yu = np.empty_like(xu)
+            yu[coarse], yu[~coarse] = yc, self._solve(xf, start)
+        except LogsobError:
+            return self._solve(xn)
+        return yu[inverse]
 
     def _log_derivative_unit(self, xn, yn):
         return log_gaussian_density(xn, 1.0) - self.unit._log_density_c(yn)
@@ -140,11 +180,14 @@ class TransportMap:
         """Sweep max of T' over [-2R-extent, 2R+extent] (normalized), refined.
 
         The grid max is polished by golden-section search between its
-        neighboring grid points.  Beyond the window no numerical evaluation
+        neighboring grid points, each solve starting from :func:`_warm_start`
+        through the sweep's samples.  Beyond the window no numerical evaluation
         is attempted; the analytic outer-region bound is reported alongside.
         """
         gp = int(grid_points) if grid_points else self.grid_points
         ext = float(extent) if extent else self.extent
+        if not 0.0 < ext < math.inf:
+            raise DomainError("sweep extent must be finite and positive, got %r" % ext)
         rn = self.radius_normalized
         xs = np.linspace(-(2.0 * rn + ext), 2.0 * rn + ext, gp)
         ys = self._eval_unit(xs)
@@ -158,7 +201,8 @@ class TransportMap:
 
         def logd_at(x):
             xa = np.array([x])
-            return float(self._log_derivative_unit(xa, self._eval_unit(xa))[0])
+            ya = self._solve(xa, _warm_start(xs, ys, logd, xa))
+            return float(self._log_derivative_unit(xa, ya)[0])
 
         xr, fr = golden_section_max(
             logd_at, xs[max(i - 1, 0)], xs[min(i + 1, gp - 1)], xtol=refine_xtol

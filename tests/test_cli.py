@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -281,3 +282,45 @@ def test_jobs_below_one_is_input_error(tmp_path, serial_pool, capsys, command, j
     assert main([command, "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 2
     assert "--jobs" in capsys.readouterr().err
     assert serial_pool == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting, name",
+    [
+        ({"tolerances": {"root_tol": math.inf}}, "root_tol"),
+        ({"tolerances": {"integ_tol": math.inf}}, "integ_tol"),
+        ({"tolerances": {"mass_tol": math.inf}}, "mass_tol"),
+        ({"tail_mult": math.inf}, "tail_mult"),
+        ({"lipschitz": {"points": 801, "extent": -20.0}}, "lipschitz.extent"),
+        ({"lipschitz": {"points": 801, "extent": math.nan}}, "lipschitz.extent"),
+        ({"transport": {"points": 101, "extent": math.inf}}, "transport.extent"),
+        ({"transport": {"points": 101, "extent": 0.0}}, "transport.extent"),
+    ],
+)
+def test_nonfinite_or_nonpositive_setting_is_input_error(tmp_path, capsys, setting, name):
+    # json writes the non-finite floats as Infinity / NaN, which it also reads
+    cfg = write_config(tmp_path, delta=[0.25], measures=["bern.json"], **setting)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "transport", "verify"])
+def test_solver_failure_names_the_pair_and_the_abscissa(tmp_path, capsys, command):
+    # delta = 0.002: the sweep and table windows reach normalized |x| of about
+    # 52, where the source Gaussian tail is below the normal doubles
+    cfg = write_config(
+        tmp_path,
+        delta=[0.002],
+        measures=["bern.json"],
+        transport={"points": 1001, "extent": 8.0},
+        verify={"families": ["exponential"], "bound": "pushforward"},
+    )
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert re.search(
+        r"bern at delta=0\.002: \d+ of \d+ points have a residual that is not finite"
+        r".*; first at x = -?\d",
+        err,
+    )

@@ -144,6 +144,38 @@ def test_bracketed_newton_non_finite_residual_is_a_bracket_failure():
         )
 
 
+def test_bracketed_newton_starts_from_start_only_inside_the_bracket():
+    from scipy.special import ndtr, ndtri
+
+    u = np.array([0.1, 0.5, 0.9, 0.999, 0.3])
+    firsts = []
+
+    def g_slope(y, k):
+        if not firsts:
+            firsts.append(y.copy())
+        return ndtr(y) - u[k], _std_pdf(y)
+
+    # a non-finite or out-of-bracket start falls back to the midpoint, 0
+    start = np.array([ndtri(0.1) + 1e-3, np.nan, np.inf, 25.0, ndtri(0.3)])
+    root = bracketed_newton(
+        lambda y, k: ndtr(y) - u[k], g_slope, np.full(5, -10.0), np.full(5, 10.0), start=start
+    )
+    assert np.array_equal(firsts[0], [start[0], 0.0, 0.0, 0.0, start[4]])
+    assert np.allclose(root, ndtri(u), atol=1e-9)
+
+
+def test_bracketed_newton_failure_carries_the_first_failed_index():
+    shift = np.array([0.5, 5.0, 0.5, 7.0])
+    with pytest.raises(BracketFailure, match="2 of 4 points") as info:
+        bracketed_newton(
+            lambda y, k: y + shift[k] - 1.0,
+            lambda y, k: (y + shift[k] - 1.0, np.ones_like(y)),
+            np.zeros(4),
+            np.ones(4),
+        )
+    assert info.value.index == 1
+
+
 def test_golden_section_max_quadratic():
     x, fx = golden_section_max(lambda t: -((t - math.pi) ** 2), 0.0, 5.0, xtol=1e-10)
     assert x == pytest.approx(math.pi, abs=1e-8)

@@ -5,7 +5,7 @@ uniform density (4 cells, slope 0), where an edge/cell off-by-one cannot
 show.  These tests use a seeded 64-cell density with nonzero slopes and a
 mixed atoms+cells measure, check them against direct quadrature over the
 base measure, pin the kernels bit for bit to a per-cell oracle, and check
-that the quantile table is built only when a quantile is asked for.
+that quantiles round-trip through the CDF.
 """
 
 from functools import partial
@@ -16,7 +16,6 @@ from scipy.special import log_ndtr, ndtr
 
 import logsob as L
 from logsob.cli import bundled_data_path
-from logsob.transport import TransportMap, transport_table
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 DELTAS = (0.05, 1.0)
@@ -130,7 +129,7 @@ def oracle_sf_c(sm, x):
 
 
 def _centered_points(sm, n=241):
-    # the whole quantile-table range plus a margin beyond the cutoff
+    # the whole tail-cutoff window plus a margin beyond it
     return np.linspace(-sm.cutoff - 2.0 * sm.sigma, sm.cutoff + 2.0 * sm.sigma, n)
 
 
@@ -180,38 +179,14 @@ def test_kernels_equal_per_cell_oracle_bitwise(case):
     assert np.array_equal(sm._sf_c(xs), oracle_sf_c(sm, xs))
 
 
-def test_quantile_table_equals_eager_oracle_table(case):
-    _, sm = case
-    expected = np.maximum.accumulate(oracle_cdf_c(sm, sm._grid))
-    assert np.array_equal(sm._grid_cdf, expected)
-
-
-# -- the quantile table is built on the first quantile only -----------------
+# -- quantiles -----------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", sorted(MEASURES))
-def test_quantile_table_is_lazy(name):
+def test_quantiles_round_trip_through_cdf(name):
     sm = L.SmoothedMeasure(MEASURES[name](), 0.05)
-    assert "_grid_cdf" not in sm.__dict__
-    tm = TransportMap(sm)
-    assert tm.unit is not sm
-    tm.eval_and_derivative(sm.center + np.linspace(-2.0, 2.0, 9))
-    transport_table(tm, points=33)
-    for inst in (sm, tm.unit):
-        assert "_grid_cdf" not in inst.__dict__
-    sm.inv_cdf(0.5)
-    assert "_grid_cdf" in sm.__dict__
-
-
-@pytest.mark.parametrize("name", sorted(MEASURES))
-def test_lazy_quantiles_equal_forced_table_quantiles(name):
-    mu = MEASURES[name]()
     us = np.array([1e-6, 0.01, 0.3, 0.5, 0.77, 0.99, 1.0 - 1e-6])
-    lazy = L.SmoothedMeasure(mu, 0.05)
-    forced = L.SmoothedMeasure(mu, 0.05)
-    assert forced._grid_cdf.shape == forced._grid.shape
-    assert np.array_equal(lazy.inv_cdf(us), forced.inv_cdf(us))
-    assert np.allclose(lazy.cdf(lazy.inv_cdf(us)), us, rtol=1e-8, atol=1e-12)
+    assert np.allclose(sm.cdf(sm.inv_cdf(us)), us, rtol=1e-8, atol=1e-12)
 
 
 # -- the fused tail + density evaluator of the Newton solves ----------------

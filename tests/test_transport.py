@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -131,6 +132,13 @@ def test_tail_log_bound_reported(bernoulli):
     assert lip.window[0] < 0 < lip.window[1]
 
 
+@pytest.mark.parametrize("extent", [-20.0, math.inf, math.nan])
+def test_sweep_extent_must_be_finite_and_positive(bernoulli, extent):
+    # a negative extent used to report the reversed window [8, -8]
+    with pytest.raises(L.DomainError, match="extent"):
+        make_map(bernoulli, 0.25).lipschitz_estimate(extent=extent)
+
+
 def test_sweep_samples_cached(bernoulli):
     tm = make_map(bernoulli, 1.0)
     assert tm.samples is None
@@ -204,10 +212,8 @@ def test_underflowing_tail_is_a_bracket_failure(bernoulli):
     assert np.all((lo <= t) & (t <= hi))
 
 
-def test_newton_evaluations_per_abscissa_in_the_sweep(monkeypatch):
-    # the log-tail Newton from the bracket midpoint needs no bisection stage:
-    # 2 value calls (the bracket ends) and about 6 fused value+slope calls
-    # per abscissa here, against 15 and 3 with a bisection stage
+def _counted_sweep(monkeypatch):
+    """Solver call counts of the 1001-point sweep of a seeded 256-cell density, delta 0.05."""
     rng = np.random.default_rng(3)
     grid = np.linspace(-1.0, 1.0, 257)
     values = rng.uniform(0.3, 1.3, 257)
@@ -231,6 +237,58 @@ def test_newton_evaluations_per_abscissa_in_the_sweep(monkeypatch):
 
     monkeypatch.setattr(transport, "bracketed_newton", counted)
     make_map(mu, 0.05).lipschitz_estimate(grid_points=1001)
+    return counts
+
+
+def test_newton_evaluations_per_abscissa_in_the_sweep(monkeypatch):
+    # the log-tail Newton from the bracket midpoint needs no bisection stage:
+    # 2 value calls (the bracket ends) and about 6 fused value+slope calls
+    # per abscissa here, against 15 and 3 with a bisection stage
+    counts = _counted_sweep(monkeypatch)
     assert counts["abscissae"] >= 1001
     assert counts["value"] <= 2 * counts["abscissae"]
     assert counts["slope"] <= 8 * counts["abscissae"]
+
+
+def test_warm_start_cuts_fused_evaluations_in_the_sweep(monkeypatch):
+    # from midpoints every point takes about 5.9 fused calls; warm-started,
+    # the coarse eighth still does, the rest about 2
+    counts = _counted_sweep(monkeypatch)
+    assert counts["slope"] <= 4.5 * counts["abscissae"]
+
+
+@pytest.mark.parametrize("name", ["bernoulli", "asymmetric", "uniform"])
+def test_warm_start_matches_midpoint_solves_on_unsorted_duplicates(name, request):
+    tm = make_map(request.getfixturevalue(name), 0.05)
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([rng.uniform(-3.0, 3.0, 240), np.linspace(-3.0, 3.0, 41)])
+    xs = np.concatenate([xs, xs[:50], [0.0, xs[7]]])
+    rng.shuffle(xs)
+    warm = tm.eval(xs)
+    cold = tm.center + tm.sigma * tm._solve(xs / tm.sigma)
+    assert np.max(np.abs(warm - cold)) <= 10 * tm.sigma * tm.target.config.root_tol
+    # a duplicate abscissa is solved once
+    order = np.argsort(xs, kind="stable")
+    same = np.diff(xs[order]) == 0.0
+    assert same.sum() >= 52 and np.all(np.diff(warm[order])[same] == 0.0)
+
+
+def test_warm_start_survives_slopes_beyond_the_doubles():
+    # log T' of 1000 or inf must give starts the solver discards, not an
+    # error or a RuntimeWarning; a stretch with T(x) = x stays exact
+    xn = np.linspace(-2.0, 2.0, 5)
+    xs = np.array([-1.5, 0.3, 1.2])
+    starts = transport._warm_start(xn, xn, np.array([0.0, 0.0, 1000.0, np.inf, 0.0]), xs)
+    assert starts[0] == xs[0]
+    assert not np.any(np.isfinite(starts[1:]))
+
+
+def test_failed_warm_pass_reports_the_whole_batch(bernoulli):
+    # the coarse pass fails first; the error must still count the whole sweep
+    # (578 of its 2001 source tails underflow) and name its first abscissa
+    tm = make_map(bernoulli, 0.002)
+    lo = -tm.sigma * (2.0 * tm.radius_normalized + 8.0)
+    with pytest.raises(
+        L.BracketFailure, match=r"^578 of 2001 points .*; first at x = %s$" % re.escape(repr(lo))
+    ):
+        tm.lipschitz_estimate(grid_points=2001)
