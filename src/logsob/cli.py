@@ -66,6 +66,29 @@ def _require(cond, msg):
         raise ConfigParseError(msg)
 
 
+def _number(path, value, key):
+    """``value`` as a float if it is a JSON number, else a ConfigParseError naming ``key``."""
+    _require(
+        isinstance(value, (int, float)) and not isinstance(value, bool),
+        "%s: %s must be a number, got %r" % (path, key, value),
+    )
+    return float(value)
+
+
+def _integer(path, value, key):
+    _require(
+        isinstance(value, int) and not isinstance(value, bool),
+        "%s: %s must be an integer, got %r" % (path, key, value),
+    )
+    return value
+
+
+def _section(path, raw, key):
+    value = raw.get(key) or {}
+    _require(isinstance(value, dict), "%s: %s must be a JSON object" % (path, key))
+    return value
+
+
 def load_sweep_config(path, overrides=None) -> SweepConfig:
     """Parse and validate a sweep config file.
 
@@ -86,7 +109,8 @@ def load_sweep_config(path, overrides=None) -> SweepConfig:
 
     measures = raw.get("measures")
     _require(
-        isinstance(measures, list) and measures, "%s: 'measures' must be a nonempty list" % path
+        isinstance(measures, list) and measures and all(isinstance(m, str) for m in measures),
+        "%s: 'measures' must be a nonempty list of paths" % path,
     )
     base = path.parent
     measure_paths = [Path(m) if Path(m).is_absolute() else base / m for m in measures]
@@ -98,7 +122,8 @@ def load_sweep_config(path, overrides=None) -> SweepConfig:
             isinstance(rng, list) and len(rng) == 3,
             "%s: delta.log_range must be [lo, hi, count]" % path,
         )
-        lo, hi, count = float(rng[0]), float(rng[1]), int(rng[2])
+        lo, hi = (_number(path, v, "delta.log_range") for v in rng[:2])
+        count = _integer(path, rng[2], "delta.log_range count")
         _require(lo > 0 and hi >= lo and count >= 1, "%s: bad delta.log_range" % path)
         if count == 1:
             deltas = [lo]
@@ -108,39 +133,41 @@ def load_sweep_config(path, overrides=None) -> SweepConfig:
     _require(
         isinstance(deltas, list) and deltas, "%s: 'delta' must be a nonempty list" % path
     )
-    deltas = [float(d) for d in deltas]
-    _require(all(d > 0 for d in deltas), "%s: every delta must be positive" % path)
+    deltas = [_number(path, d, "delta") for d in deltas]
+    _require(
+        all(0 < d < math.inf for d in deltas), "%s: every delta must be finite and positive" % path
+    )
 
-    tol = raw.get("tolerances") or {}
+    tol = _section(path, raw, "tolerances")
     try:
         quad = QuadratureConfig(
-            tail_mult=float(raw.get("tail_mult", 12.0)),
-            integ_tol=float(tol.get("integ_tol", 1e-10)),
-            cdf_tol=float(tol.get("cdf_tol", 1e-9)),
-            root_tol=float(tol.get("root_tol", 1e-10)),
+            tail_mult=_number(path, raw.get("tail_mult", 12.0), "tail_mult"),
+            integ_tol=_number(path, tol.get("integ_tol", 1e-10), "tolerances.integ_tol"),
+            cdf_tol=_number(path, tol.get("cdf_tol", 1e-9), "tolerances.cdf_tol"),
+            root_tol=_number(path, tol.get("root_tol", 1e-10), "tolerances.root_tol"),
         )
     except LogsobError as exc:
         raise ConfigParseError("%s: %s" % (path, exc)) from exc
-    mass_tol = float(tol.get("mass_tol", 1e-9))
+    mass_tol = _number(path, tol.get("mass_tol", 1e-9), "tolerances.mass_tol")
     _require(0 < mass_tol < math.inf, "%s: mass_tol must be finite and positive" % path)
 
-    lip = raw.get("lipschitz") or {}
-    tra = raw.get("transport") or {}
-    bg = raw.get("bg") or {}
-    ver = raw.get("verify") or {}
-    families = tuple(ver.get("families", list(KNOWN_FAMILIES)))
-    _require(len(families) > 0, "%s: verify.families must be nonempty" % path)
+    sections = ("lipschitz", "transport", "bg", "verify")
+    lip, tra, bg, ver = (_section(path, raw, key) for key in sections)
+    families = ver.get("families", list(KNOWN_FAMILIES))
+    _require(
+        isinstance(families, list) and families,
+        "%s: verify.families must be a nonempty list" % path,
+    )
     for fam in families:
-        _require(fam in KNOWN_FAMILIES, "%s: unknown family %r" % (path, fam))
+        _require(fam in KNOWN_FAMILIES, "%s: unknown family %r in verify.families" % (path, fam))
     bound = ver.get("bound", "transport")
     if isinstance(bound, str):
         _require(bound in KNOWN_BOUNDS, "%s: unknown bound name %r" % (path, bound))
     else:
-        try:
-            bound = float(bound)
-        except (TypeError, ValueError):
-            raise ConfigParseError("%s: verify.bound must be a name or a number" % path)
-        _require(bound >= 0, "%s: numeric verify.bound must be nonnegative" % path)
+        bound = _number(path, bound, "verify.bound")
+        _require(
+            0 <= bound < math.inf, "%s: numeric verify.bound must be finite and nonnegative" % path
+        )
 
     out_format = raw.get("format", "json")
     _require(out_format in ("json", "csv"), "%s: format must be 'json' or 'csv'" % path)
@@ -150,15 +177,17 @@ def load_sweep_config(path, overrides=None) -> SweepConfig:
         deltas=deltas,
         quad=quad,
         mass_tol=mass_tol,
-        dimension=int(raw.get("dimension", 1)),
-        lipschitz_points=int(lip.get("points", 4001)),
-        lipschitz_extent=float(lip.get("extent", 8.0)),
-        transport_points=int(tra.get("points", 1001)),
-        transport_extent=float(tra.get("extent", 8.0)),
-        bg_points=int(bg.get("points", 1201)),
-        verify_families=families,
+        dimension=_integer(path, raw.get("dimension", 1), "dimension"),
+        lipschitz_points=_integer(path, lip.get("points", 4001), "lipschitz.points"),
+        lipschitz_extent=_number(path, lip.get("extent", 8.0), "lipschitz.extent"),
+        transport_points=_integer(path, tra.get("points", 1001), "transport.points"),
+        transport_extent=_number(path, tra.get("extent", 8.0), "transport.extent"),
+        bg_points=_integer(path, bg.get("points", 1201), "bg.points"),
+        verify_families=tuple(families),
         verify_bound=bound,
-        verify_grid_size=(int(ver["grid_size"]) if "grid_size" in ver else None),
+        verify_grid_size=(
+            _integer(path, ver["grid_size"], "verify.grid_size") if "grid_size" in ver else None
+        ),
         out_format=out_format,
     )
     _require(cfg.dimension >= 1, "%s: dimension must be >= 1" % path)

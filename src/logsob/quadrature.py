@@ -161,43 +161,38 @@ def golden_section_max(f, lo, hi, xtol=1e-8, max_iter=200):
 def bracketed_newton(g, g_slope, lo, hi, root_tol=1e-10, max_iter=200, start=None):
     """Elementwise root of an increasing residual on [lo, hi], safeguarded Newton.
 
-    ``g(y, k)`` gives the residual, checked for a sign change at both bracket
-    ends; ``g_slope(y, k) -> (residual, slope)`` is called on the live points
-    only.  Newton starts from ``start`` where it is finite and inside the
-    bracket, else from the bracket midpoint; a step that is not finite or
-    leaves the live bracket falls back to its midpoint.  A point is done once
-    its step or its bracket width is at most ``root_tol``.
+    ``g_slope(y, k) -> (residual, slope)`` is called on the live points only.
+    Newton starts from ``start`` where it is finite and inside the bracket,
+    else from the bracket midpoint; a step that is not finite or leaves the
+    live bracket falls back to its midpoint.  A point is done once its step
+    or its bracket width is at most ``root_tol``.
+
+    The residual ``g(y, k)`` checks the sign change at the bracket ends after
+    the loop.  An end that an iterate replaced (residual < 0 replaces lo,
+    >= 0 hi) has the right sign, as g increases, and is evaluated only when
+    the other end has the wrong one.  Every root lies between ends of the
+    right signs, and no iterate reads the end residuals.
 
     Raises BracketFailure, with the count of points, when an endpoint pair
-    does not straddle zero or a residual is not finite (a tail underflows);
-    QuadratureFailure when ``max_iter`` steps leave points unconverged; each
-    with ``index``, the first failed point.
+    does not straddle zero or, next, when a residual is not finite (a tail
+    underflows); QuadratureFailure when ``max_iter`` steps leave points
+    unconverged; each with ``index``, the first failed point.
     """
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    every = np.arange(lo.size)
-    glo, ghi = g(lo, every), g(hi, every)
-    unsigned = ~((glo <= 0.0) & (ghi >= 0.0))
-    # a wrong sign at a non-finite residual is an underflow, reported below
-    bad = unsigned & ~(np.isfinite(glo) & np.isfinite(ghi))
-    unsigned &= ~bad
-    if unsigned.any():
-        raise BracketFailure(
-            "%d of %d points have no sign change over the initial bracket"
-            % (int(unsigned.sum()), unsigned.size),
-            index=int(unsigned.argmax()),
-        )
-
+    ends = np.array([lo, hi], dtype=float).reshape(2, -1)
+    lo, hi = ends.copy()
+    crossed = np.zeros(ends.shape, dtype=bool)
+    lost = np.zeros(lo.size, dtype=bool)
     y = 0.5 * (lo + hi)
     if start is not None:
         y = np.where(np.isfinite(start) & (lo <= start) & (start <= hi), start, y)
-    live = np.flatnonzero(~bad & (hi - lo > root_tol))
+    live = np.flatnonzero(hi - lo > root_tol)
     for _ in range(max_iter):
         if not live.size:
             break
         yl = y[live]
         r, slope = g_slope(yl, live)
         neg = r < 0.0
+        crossed[:, live] |= [neg, r >= 0.0]
         lol = np.where(neg, yl, lo[live])
         hil = np.where(neg, hi[live], yl)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -205,10 +200,26 @@ def bracketed_newton(g, g_slope, lo, hi, root_tol=1e-10, max_iter=200, start=Non
         fallback = ~np.isfinite(ynew) | (ynew < lol) | (ynew > hil)
         ynew = np.where(fallback, 0.5 * (lol + hil), ynew)
         lo[live], hi[live], y[live] = lol, hil, ynew
-        lost = ~np.isfinite(r)
-        bad[live] = lost
-        done = lost | (np.abs(ynew - yl) <= root_tol) | (hil - lol <= root_tol)
+        lost[live] = ~np.isfinite(r)
+        done = lost[live] | (np.abs(ynew - yl) <= root_tol) | (hil - lol <= root_tol)
         live = live[~done]
+    resid = np.zeros(ends.shape)  # a crossed end stands in as 0: of the right sign at either end
+    todo = ~crossed
+    for _ in range(2):
+        if todo.any():
+            resid[todo] = g(ends[todo], np.nonzero(todo)[1])
+        unsigned = ~((resid[0] <= 0.0) & (resid[1] >= 0.0))
+        todo = crossed & unsigned
+    # a wrong sign at a non-finite residual is an underflow, reported below
+    bad = unsigned & ~np.isfinite(resid).all(axis=0)
+    unsigned &= ~bad
+    if unsigned.any():
+        raise BracketFailure(
+            "%d of %d points have no sign change over the initial bracket"
+            % (int(unsigned.sum()), unsigned.size),
+            index=int(unsigned.argmax()),
+        )
+    bad |= lost
     if bad.any():
         raise BracketFailure(
             "%d of %d points have a residual that is not finite; a tail underflows to 0"

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partialmethod
+from functools import partialmethod, wraps
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
@@ -145,6 +145,38 @@ def _side(sf):
     return np.where(np.reshape(sf, (-1, 1)), 1.0, -1.0)
 
 
+#: Bytes of one (points x (edges + atoms)) temporary in a blocked evaluator,
+#: whose ~40 elementwise passes then stay in cache.  Fused tail + density, 1001
+#: points of 256 cells, 2-vCPU Xeon, min of 30: 26.7 ms in one block, 20.0/16.4/
+#: 14.1/15.6/22.3 ms at 32/64/128/256/512 KB; log density 18.4 -> 10.8 ms at 128 KB.
+_BLOCK_BYTES = 1 << 17
+
+
+def _blocked(kernel):
+    """Run a centered-frame evaluator over balanced blocks of about
+    _BLOCK_BYTES per temporary, slicing per-point ``sf`` flags given by
+    position.  No multi-point call makes a 1-point block, whose atom
+    log-sum-exp numpy would sum pairwise; every other reduction is per
+    point, so the results are bit for bit those of one call."""
+
+    @wraps(kernel)
+    def run(self, x, *args, **kwargs):
+        n = x.size
+        parts = min(-(-n // max(2, _BLOCK_BYTES // (8 * self._width))), max(1, n // 2))
+        if parts <= 1:
+            return kernel(self, x, *args, **kwargs)
+        cuts = np.arange(parts + 1) * n // parts
+        outs = [
+            kernel(self, x[i:j], *[v[i:j] if np.ndim(v) else v for v in args], **kwargs)
+            for i, j in zip(cuts[:-1], cuts[1:])
+        ]
+        if isinstance(outs[0], tuple):
+            return tuple(np.concatenate(col) for col in zip(*outs))
+        return np.concatenate(outs)
+
+    return run
+
+
 def _log_tail(v):
     """log of a tail mass; -inf below the normal doubles, where its precision is gone."""
     with np.errstate(divide="ignore"):
@@ -156,7 +188,8 @@ class SmoothedMeasure:
 
     Every evaluator is pure and an instance holds no cache, so instances
     are safe to share across threads.  Evaluators accept scalars or arrays
-    in the base measure's original coordinates.
+    in the base measure's original coordinates, and run over cache-sized
+    blocks of points with the bits of one pass over all of them.
     """
 
     def __init__(self, base: Measure1D, delta=1.0, config: QuadratureConfig | None = None):
@@ -180,6 +213,7 @@ class SmoothedMeasure:
             self._cells = (grid, vals[:-1] - slope * grid[:-1], slope)
         else:
             self._cells = None
+        self._width = self._aloc.size + (0 if self._cells is None else self._cells[0].size)
 
         self.cutoff = self.radius + self.config.tail_mult * self.sigma
 
@@ -212,15 +246,14 @@ class SmoothedMeasure:
 
     def _density_cells(self, t):
         u = self._edge_u(t)
-        # both tails are freed before the pdf: keeps peak memory down
         return self._density_edges(t, _cdf_gap(u, ndtr(-u), ndtr(u)), _std_pdf(u))
 
     def _tail_cells(self, x, s):
         z = s * self._edge_u(x)
         a, b = _edge_antiderivatives(z, ndtr(z), _std_pdf(z))
-        del z  # not needed by the cell sums: keeps peak memory down
         return self._tail_edges(x, a, b, s)
 
+    @_blocked
     def _density_c(self, t):
         out = np.zeros_like(t)
         if self._aloc.size:
@@ -229,6 +262,7 @@ class SmoothedMeasure:
             out = out + self._density_cells(t)
         return out
 
+    @_blocked
     def _log_density_c(self, t):
         if self._aloc.size:
             z = (t - self._aloc[:, None]) / self.sigma
@@ -241,6 +275,7 @@ class SmoothedMeasure:
                 out = np.logaddexp(out, np.log(self._density_cells(t)))
         return out
 
+    @_blocked
     def _tail_c(self, x, sf):
         """Mass above x where ``sf`` (a flag, or one per point), below it elsewhere."""
         s = _side(sf)
@@ -254,6 +289,7 @@ class SmoothedMeasure:
     _cdf_c = partialmethod(_tail_c, sf=False)
     _sf_c = partialmethod(_tail_c, sf=True)
 
+    @_blocked
     def _tail_density_c(self, y, sf):
         """(_tail_c, _density_c) at y, bit for bit, from one pass over the cell edges."""
         s = _side(sf)
@@ -266,15 +302,14 @@ class SmoothedMeasure:
             upper, lower = ndtr(-u), ndtr(u)
             gap = _cdf_gap(u, upper, lower)
             cdf = np.where(s > 0.0, lower, upper)
-            del upper, lower  # the dels keep peak memory that of _tail_c
             u *= s  # z = s*u, and phi(z) == phi(u) bitwise
             pdf = _std_pdf(u)
             dens = dens + self._density_edges(y, gap, pdf)
             a, b = _edge_antiderivatives(u, cdf, pdf)
-            del gap, u, cdf, pdf
             tail = tail + self._tail_edges(y, a, b, s)
         return np.clip(tail, 0.0, 1.0), dens
 
+    @_blocked
     def _log_tail_c(self, x, sf):
         if self._aloc.size:
             z = (x - self._aloc[:, None]) / self.sigma

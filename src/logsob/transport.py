@@ -122,9 +122,10 @@ class TransportMap:
     def _eval_unit(self, xn):
         """:meth:`_solve` on a batch, warm-started: every 8th distinct abscissa
         in ascending order, and the last, is solved from the bracket midpoint,
-        the others from :func:`_warm_start` through those roots.  If that raises,
-        the whole batch is solved from midpoints, so that an error counts and
-        names the batch's own points."""
+        the others from :func:`_warm_start` through those roots.  A solve checks
+        its bracket signs after iterating, so a failing pass iterates all its
+        points; the whole batch is then solved from midpoints, so that an
+        error counts and names the batch's own points."""
         xu, inverse = np.unique(xn, return_inverse=True)
         coarse = np.arange(xu.size) % 8 == 0
         coarse[-1:] = True

@@ -221,7 +221,7 @@ def test_verify_grid_size_flag(tmp_path):
     assert len(record["members"]) == 6
 
 
-@pytest.mark.parametrize("bound", ["-1", "nan"])
+@pytest.mark.parametrize("bound", ["-1", "nan", "inf", "1e400"])
 def test_verify_invalid_numeric_bound_is_input_error(tmp_path, bound):
     # the same value in the config file is rejected the same way
     cfg = write_config(tmp_path, delta=[1.0], measures=["pm.json"])
@@ -300,6 +300,30 @@ def test_jobs_below_one_is_input_error(tmp_path, serial_pool, capsys, command, j
 def test_nonfinite_or_nonpositive_setting_is_input_error(tmp_path, capsys, setting, name):
     # json writes the non-finite floats as Infinity / NaN, which it also reads
     cfg = write_config(tmp_path, delta=[0.25], measures=["bern.json"], **setting)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting, name",
+    [
+        ({"lipschitz": {"points": "many"}}, "lipschitz.points"),
+        ({"tail_mult": "x"}, "tail_mult"),
+        ({"tolerances": {"root_tol": None}}, "tolerances.root_tol"),
+        ({"dimension": "two"}, "dimension"),
+        ({"delta": ["a"]}, "delta"),
+        ({"delta": [math.inf]}, "delta"),
+        ({"lipschitz": {"points": 3.9}}, "lipschitz.points"),
+        ({"verify": {"families": ["exponential"], "grid_size": True}}, "verify.grid_size"),
+        ({"verify": {"families": "exponential"}}, "verify.families"),
+    ],
+    ids=["str-count", "str-number", "null-number", "str-dimension", "str-delta", "inf-delta",
+         "float-count", "bool-count", "str-families"],
+)
+def test_malformed_setting_is_input_error(tmp_path, capsys, setting, name):
+    cfg = write_config(tmp_path, **{"delta": [0.25], "measures": ["bern.json"], **setting})
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert name in capsys.readouterr().err

@@ -176,6 +176,83 @@ def test_bracketed_newton_failure_carries_the_first_failed_index():
     assert info.value.index == 1
 
 
+def _logged(u):
+    """ndtr(y) - u[k] as (g, g_slope), logging the points and residuals each sees."""
+    from scipy.special import ndtr
+
+    ends, steps = [], []
+
+    def g(y, k):
+        ends.append((y.copy(), k.copy()))
+        return ndtr(y) - u[k]
+
+    def g_slope(y, k):
+        r = ndtr(y) - u[k]
+        steps.append((k.copy(), r))
+        return r, _std_pdf(y)
+
+    return g, g_slope, ends, steps
+
+
+def test_bracketed_newton_checks_only_ends_no_iterate_crossed():
+    from scipy.special import ndtri
+
+    u = np.array([0.1, 0.5, 0.9, 0.999, 0.3, 0.7])
+    lo, hi = np.full(6, -10.0), np.full(6, 10.0)
+    # a start just left of a root where ndtr is convex overshoots it
+    start = np.where(u < 0.5, ndtri(u) - 1e-2, np.nan)
+    g, g_slope, ends, steps = _logged(u)
+    root = bracketed_newton(g, g_slope, lo, hi, start=start)
+    assert np.allclose(root, ndtri(u), atol=1e-9)
+    below, above = np.zeros(6, dtype=bool), np.zeros(6, dtype=bool)
+    for k, r in steps:
+        below[k] |= r < 0.0
+        above[k] |= r >= 0.0
+    assert (below & above).any() and not (below & above).all()
+    checked = {(int(k), side) for y, ks in ends for k, side in zip(ks, np.sign(y))}
+    assert checked == {(k, -1.0) for k in np.flatnonzero(~below)} | {
+        (k, 1.0) for k in np.flatnonzero(~above)
+    }
+
+
+def test_bracketed_newton_no_sign_change_after_crossing_keeps_count_and_index():
+    # point 0 has no root in [0, 1], so every iterate replaces hi and only lo
+    # is checked; point 2's residual is -inf at lo, so its lo is crossed and
+    # checked only once hi shows the wrong sign, which makes it an underflow
+    shift = np.array([5.0, -0.5, -6.0, 4.0, -0.5])
+
+    def g(y, k):
+        return np.where((k == 2) & (y == 0.0), -np.inf, 0.0) + y + shift[k]
+
+    def g_slope(y, k):
+        return y + shift[k], np.ones_like(y)
+
+    args = (np.zeros(5), np.ones(5))
+    with pytest.raises(BracketFailure, match="^2 of 5 points have no sign change") as info:
+        bracketed_newton(g, g_slope, *args)
+    assert info.value.index == 0
+    shift[[0, 3]] = -0.5
+    underflow = "^1 of 5 points have a residual that is not finite"
+    with pytest.raises(BracketFailure, match=underflow) as info:
+        bracketed_newton(g, g_slope, *args)
+    assert info.value.index == 2
+
+
+def test_bracketed_newton_uncrossed_non_finite_end_is_an_underflow():
+    # point 1's residual is +inf at lo and positive inside: no iterate
+    # crosses lo, so it is checked, and its wrong sign is not finite
+    def g(y, k):
+        return np.where((k == 1) & (y == 0.0), np.inf, y - 0.5 + k)
+
+    def g_slope(y, k):
+        return y - 0.5 + k, np.ones_like(y)
+
+    underflow = "^1 of 3 points have a residual that is not finite"
+    with pytest.raises(BracketFailure, match=underflow) as info:
+        bracketed_newton(g, g_slope, np.array([0.0, 0.0, -3.0]), np.ones(3))
+    assert info.value.index == 1
+
+
 def test_golden_section_max_quadratic():
     x, fx = golden_section_max(lambda t: -((t - math.pi) ** 2), 0.0, 5.0, xtol=1e-10)
     assert x == pytest.approx(math.pi, abs=1e-8)

@@ -8,6 +8,7 @@ base measure, pin the kernels bit for bit to a per-cell oracle, and check
 that quantiles round-trip through the CDF.
 """
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from scipy.special import log_ndtr, ndtr
 
 import logsob as L
+import logsob.smoothing as smoothing
 from logsob.cli import bundled_data_path
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -273,3 +275,103 @@ def test_log_evaluators_equal_row_major_oracle(name, delta):
             assert np.array_equal(got, want)
         else:
             assert _ulps(got, want).max() <= 4.0
+
+
+# -- blocked evaluators -------------------------------------------------------
+#
+# Every centered-frame evaluator runs over balanced blocks of points; the
+# unwrapped kernel on all the points at once is the oracle, bit for bit.
+
+
+def _cells256():
+    rng = np.random.default_rng(3)
+    grid = np.linspace(-1.0, 1.0, 257)
+    values = rng.uniform(0.3, 1.3, 257)
+    values /= L.TabulatedDensity(grid, values).mass
+    return L.make_measure(density=L.TabulatedDensity(grid, values))
+
+
+BLOCK_MEASURES = {"atoms96": partial(_atoms, 96), "cells256": _cells256, "mixed": _mixed}
+
+
+def _rows(sm):
+    return max(2, smoothing._BLOCK_BYTES // (8 * sm._width))
+
+
+def _evaluator_calls(sm, sides):
+    """(evaluator name, extra arguments) of every blocked evaluator."""
+    calls = [("_density_c", (), {}), ("_log_density_c", (), {}), ("_tail_c", (sides,), {})]
+    calls += [("_tail_c", (), {"sf": sf}) for sf in (False, True)]  # as _cdf_c, _sf_c
+    calls += [("_tail_density_c", (sides,), {})]
+    return calls + [("_log_tail_c", (sf,), {}) for sf in (True, False)]
+
+
+def _blocked_pairs(sm, xs, sides):
+    """(blocked, one-block) result pairs of every evaluator at xs."""
+    pairs = [(sm._cdf_c(xs), sm._tail_c(xs, False)), (sm._sf_c(xs), sm._tail_c(xs, True))]
+    for name, args, kwargs in _evaluator_calls(sm, sides):
+        got = getattr(sm, name)(xs, *args, **kwargs)
+        want = getattr(type(sm), name).__wrapped__(sm, xs, *args, **kwargs)
+        pairs += zip(got, want) if isinstance(got, tuple) else [(got, want)]
+    return pairs
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+@pytest.mark.parametrize("name", list(BLOCK_MEASURES))
+def test_blocked_evaluators_equal_one_block_bitwise(name, delta):
+    sm = L.SmoothedMeasure(BLOCK_MEASURES[name](), delta)
+    rows = _rows(sm)
+    rng = np.random.default_rng(rows)
+    for n in (rows - 1, rows, rows + 1, 3 * rows + 1):
+        xs = _centered_points(sm, n)
+        for got, want in _blocked_pairs(sm, xs, rng.random(n) < 0.5):
+            assert got.shape == (n,)
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", list(BLOCK_MEASURES))
+def test_multi_point_calls_never_reach_a_kernel_as_one_point(name, monkeypatch):
+    sm = L.SmoothedMeasure(BLOCK_MEASURES[name](), 0.25)
+    sizes = []
+    lse = smoothing._lse_atoms
+
+    def lse_recorded(a):
+        sizes.append(a.shape[1])
+        return lse(a)
+
+    def recorded(method):
+        def run(self, x, *args):
+            sizes.append(x.size)
+            return method(self, x, *args)
+
+        return run
+
+    monkeypatch.setattr(smoothing, "_lse_atoms", lse_recorded)
+    for attr in ("_edge_u", "_density_atoms", "_tail_atoms"):
+        monkeypatch.setattr(L.SmoothedMeasure, attr, recorded(getattr(L.SmoothedMeasure, attr)))
+    # blocks of 2 or 3 points, where a careless split leaves one point over
+    monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 8 * sm._width * 2)
+    for n in range(2, 12):
+        xs = _centered_points(sm, n)
+        for evaluator, args, kwargs in _evaluator_calls(sm, np.arange(n) % 2 == 0):
+            sizes.clear()
+            getattr(sm, evaluator)(xs, *args, **kwargs)
+            assert sizes and min(sizes) >= 2 and max(sizes) <= 3
+    sizes.clear()
+    sm._density_c(np.zeros(1))
+    assert set(sizes) == {1}
+
+
+def test_blocked_fused_kernel_peak_memory():
+    # one (1001 x 257) temporary is 2.06 MB, and one call on all the points
+    # at once peaks at about 16.5 MB; in blocks it peaks near 1.1 MB
+    sm = L.SmoothedMeasure(_cells256(), 0.05)
+    xs = _centered_points(sm, 1001)
+    sm._tail_density_c(xs, True)
+    tracemalloc.start()
+    try:
+        sm._tail_density_c(xs, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6

@@ -242,11 +242,12 @@ def _counted_sweep(monkeypatch):
 
 def test_newton_evaluations_per_abscissa_in_the_sweep(monkeypatch):
     # the log-tail Newton from the bracket midpoint needs no bisection stage:
-    # 2 value calls (the bracket ends) and about 6 fused value+slope calls
-    # per abscissa here, against 15 and 3 with a bisection stage
+    # at most 8 fused value+slope calls per abscissa, against 15 value and 3
+    # fused calls with one; the sign check runs only at bracket ends that no
+    # iterate crossed: 0.47 value calls per abscissa, against 2 at both ends
     counts = _counted_sweep(monkeypatch)
     assert counts["abscissae"] >= 1001
-    assert counts["value"] <= 2 * counts["abscissae"]
+    assert counts["value"] <= 1.0 * counts["abscissae"]
     assert counts["slope"] <= 8 * counts["abscissae"]
 
 
