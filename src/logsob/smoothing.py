@@ -134,10 +134,27 @@ def _edge_antiderivatives(z, cdf, pdf):
     return z * cdf + pdf, 0.5 * ((z * z - 1.0) * cdf + z * pdf)
 
 
-def _cdf_gap(u, upper, lower):
-    """Phi(u1) - Phi(u0) per cell via whichever tail avoids cancellation."""
-    right = u[:, :-1] + u[:, 1:] > 0.0
-    return np.where(right, upper[:, :-1] - upper[:, 1:], lower[:, 1:] - lower[:, :-1])
+def _cdf_gap(u, w):
+    """Phi(u1) - Phi(u0) per cell via whichever tail avoids cancellation, from
+    the smaller tail w = Phi(-|u|) at each edge.  Edges before the first cell
+    right of t (u0 + u1 > 0), k, have u <= 0 and edges after k u > 0, so w
+    serves every cell but one at edge k, which takes its larger tail Phi(|u_k|)."""
+    k = np.count_nonzero(u[:, :-1] + u[:, 1:] <= 0.0, axis=1)
+    rows = np.arange(u.shape[0])
+    uk = u[rows, k]
+    near = uk <= 0.0  # w_k is Phi(u_k), so cell k needs Phi(-u_k); else cell k - 1 Phi(u_k)
+    c = k - 1 + near
+    i = rows[(c >= 0) & (c < u.shape[1] - 1)]
+    gap = np.abs(w[:, :-1] - w[:, 1:])  # w0 - w1 right of t, -(w1 - w0) left, bitwise
+    gap[i, c[i]] = ndtr(np.abs(uk[i])) - w[i, c[i] + near[i]]
+    return gap
+
+
+def _reject(x, bad, what):
+    """Raise DomainError naming the first x where ``bad``, if any."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError("%s, got %r at index %d" % (what, float(x[i]), i), index=i)
 
 
 def _side(sf):
@@ -146,10 +163,11 @@ def _side(sf):
 
 
 #: Bytes of one (points x (edges + atoms)) temporary in a blocked evaluator,
-#: whose ~40 elementwise passes then stay in cache.  Fused tail + density, 1001
-#: points of 256 cells, 2-vCPU Xeon, min of 30: 26.7 ms in one block, 20.0/16.4/
-#: 14.1/15.6/22.3 ms at 32/64/128/256/512 KB; log density 18.4 -> 10.8 ms at 128 KB.
-_BLOCK_BYTES = 1 << 17
+#: whose ~40 elementwise passes then stay in cache.  1001 points of 256 cells,
+#: 2-vCPU Xeon, median of 30 interleaved, at 32/64/128/256 KB: fused tail +
+#: density 21.6/18.1/27.6/28.5 ms, density 14.8/12.5/17.4/18.6 ms; mixture-dense
+#: wall_s median 0.925 s at 64 KB against 1.082 s at 128 KB (4 of 4 pairs).
+_BLOCK_BYTES = 1 << 16
 
 
 def _blocked(kernel):
@@ -228,30 +246,29 @@ class SmoothedMeasure:
         return (self._awt * ndtr(-s * z)).sum(axis=1)
 
     def _edge_u(self, t):
-        # u = (edge - t)/sigma; Phi(+-u) and phi(u) serve q, cdf (z = -u) and sf (z = u)
-        return (self._cells[0] - t[:, None]) / self.sigma
+        # u = (edge - t)/sigma (q reads u, cdf z = -u, sf z = u) and lin = alpha + beta*t
+        grid, alpha, beta = self._cells
+        return (grid - t[:, None]) / self.sigma, alpha + beta * t[:, None]
 
-    def _density_edges(self, t, cdf_gap, pdf):
-        _, alpha, beta = self._cells
-        lin = alpha + beta * t[:, None]
-        terms = lin * cdf_gap + beta * self.sigma * (pdf[:, :-1] - pdf[:, 1:])
+    def _density_edges(self, lin, cdf_gap, pdf):
+        terms = lin * cdf_gap + self._cells[2] * self.sigma * (pdf[:, :-1] - pdf[:, 1:])
         return np.maximum(terms.sum(axis=1), 0.0)
 
-    def _tail_edges(self, x, a, b, s):
-        """Cell mass above x (s = 1) or below it (s = -1), from the antiderivatives at z = s*u."""
-        _, alpha, beta = self._cells
-        lin = (alpha + beta * x[:, None]) * s  # -lin * (a1 - a0) == lin * (a0 - a1) bitwise
-        terms = lin * (a[:, 1:] - a[:, :-1]) + beta * self.sigma * (b[:, 1:] - b[:, :-1])
+    def _tail_edges(self, lin, a, b, s):
+        """Cell mass above x (s = 1) or below it (s = -1), from lin and Phi's antiderivatives."""
+        lin = lin * s  # -lin * (a1 - a0) == lin * (a0 - a1) bitwise
+        terms = lin * (a[:, 1:] - a[:, :-1]) + self._cells[2] * self.sigma * (b[:, 1:] - b[:, :-1])
         return self.sigma * np.maximum(terms, 0.0).sum(axis=1)
 
     def _density_cells(self, t):
-        u = self._edge_u(t)
-        return self._density_edges(t, _cdf_gap(u, ndtr(-u), ndtr(u)), _std_pdf(u))
+        u, lin = self._edge_u(t)
+        return self._density_edges(lin, _cdf_gap(u, ndtr(-np.abs(u))), _std_pdf(u))
 
     def _tail_cells(self, x, s):
-        z = s * self._edge_u(x)
+        u, lin = self._edge_u(x)
+        z = s * u
         a, b = _edge_antiderivatives(z, ndtr(z), _std_pdf(z))
-        return self._tail_edges(x, a, b, s)
+        return self._tail_edges(lin, a, b, s)
 
     @_blocked
     def _density_c(self, t):
@@ -291,22 +308,26 @@ class SmoothedMeasure:
 
     @_blocked
     def _tail_density_c(self, y, sf):
-        """(_tail_c, _density_c) at y, bit for bit, from one pass over the cell edges."""
+        """(_tail_c, _density_c) at y, bit for bit, from one pass over the cell edges.
+
+        The tail reads Phi(z) at z = s*u, which is the smaller tail w of the
+        gaps where z <= 0, so only edges beyond y on the tail's side add one."""
         s = _side(sf)
         tail, dens = np.zeros_like(y), np.zeros_like(y)
         if self._aloc.size:
             tail = tail + self._tail_atoms(y, s)
             dens = dens + self._density_atoms(y)
         if self._cells is not None:
-            u = self._edge_u(y)
-            upper, lower = ndtr(-u), ndtr(u)
-            gap = _cdf_gap(u, upper, lower)
-            cdf = np.where(s > 0.0, lower, upper)
+            u, lin = self._edge_u(y)
+            w = ndtr(-np.abs(u))
+            gap = _cdf_gap(u, w)
             u *= s  # z = s*u, and phi(z) == phi(u) bitwise
             pdf = _std_pdf(u)
-            dens = dens + self._density_edges(y, gap, pdf)
-            a, b = _edge_antiderivatives(u, cdf, pdf)
-            tail = tail + self._tail_edges(y, a, b, s)
+            dens = dens + self._density_edges(lin, gap, pdf)
+            up = u > 0.0
+            w[up] = ndtr(u[up])
+            a, b = _edge_antiderivatives(u, w, pdf)
+            tail = tail + self._tail_edges(lin, a, b, s)
         return np.clip(tail, 0.0, 1.0), dens
 
     @_blocked
@@ -348,33 +369,40 @@ class SmoothedMeasure:
 
     # -- public interface (original coordinates) -----------------------
 
-    def _wrap(self, fn, x):
+    def _wrap(self, fn, x, limits):
+        """fn in the centered frame, or ``limits`` (at -inf, at +inf) where x is infinite."""
         arr = np.asarray(x, dtype=float)
         flat = np.atleast_1d(arr).ravel() - self.center
-        out = fn(flat)
+        finite = np.isfinite(flat)
+        if finite.all():
+            out = fn(flat)
+        else:
+            _reject(flat, np.isnan(flat), "abscissa must not be NaN")
+            out = np.where(flat > 0.0, limits[1], limits[0])
+            out[finite] = fn(flat[finite])
         if arr.ndim == 0:
             return float(out[0])
         return out.reshape(arr.shape)
 
     def density(self, t):
         """Smoothed density q(t); strictly positive for all finite t."""
-        return self._wrap(self._density_c, t)
+        return self._wrap(self._density_c, t, (0.0, 0.0))
 
     def log_density(self, t):
-        return self._wrap(self._log_density_c, t)
+        return self._wrap(self._log_density_c, t, (-np.inf, -np.inf))
 
     def cdf(self, x):
-        return self._wrap(self._cdf_c, x)
+        return self._wrap(self._cdf_c, x, (0.0, 1.0))
 
     def sf(self, x):
         """Survival function 1 - cdf, computed directly for tail accuracy."""
-        return self._wrap(self._sf_c, x)
+        return self._wrap(self._sf_c, x, (1.0, 0.0))
 
     def log_cdf(self, x):
-        return self._wrap(lambda v: self._log_tail_c(v, False), x)
+        return self._wrap(lambda v: self._log_tail_c(v, False), x, (-np.inf, 0.0))
 
     def log_sf(self, x):
-        return self._wrap(lambda v: self._log_tail_c(v, True), x)
+        return self._wrap(lambda v: self._log_tail_c(v, True), x, (0.0, -np.inf))
 
     def window(self):
         """Interval outside which the smoothed mass is below cdf_tol."""
@@ -391,8 +419,8 @@ class SmoothedMeasure:
         """
         arr = np.asarray(u, dtype=float)
         flat = np.atleast_1d(arr).ravel()
-        if flat.size and (np.any(flat <= 0.0) | np.any(flat >= 1.0)):
-            raise DomainError("quantile argument must lie strictly inside (0, 1)")
+        inside = (flat > 0.0) & (flat < 1.0)
+        _reject(flat, ~inside, "quantile argument must lie strictly inside (0, 1)")
         x = self.sigma * ndtri(flat)
         reach = self.radius + 1e-9 * self.sigma + 1e-12 * np.abs(x)
         upper = flat > 0.5

@@ -24,6 +24,7 @@ from .measures import pushforward_affine
 from .quadrature import bracketed_newton, golden_section_max
 from .smoothing import (
     SmoothedMeasure,
+    _reject,
     gaussian_cdf,
     gaussian_sf,
     log_gaussian_density,
@@ -126,6 +127,7 @@ class TransportMap:
         its bracket signs after iterating, so a failing pass iterates all its
         points; the whole batch is then solved from midpoints, so that an
         error counts and names the batch's own points."""
+        _reject(xn, ~np.isfinite(xn), "transport abscissa must be finite")  # as x: inf or nan
         xu, inverse = np.unique(xn, return_inverse=True)
         coarse = np.arange(xu.size) % 8 == 0
         coarse[-1:] = True

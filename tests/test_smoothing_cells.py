@@ -9,6 +9,7 @@ that quantiles round-trip through the CDF.
 """
 
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -375,3 +376,125 @@ def test_blocked_fused_kernel_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4e6
+
+
+# -- one Phi value per cell edge ---------------------------------------------
+#
+# A cell reads only the tail on its side of t, and the side flips once along
+# the sorted edges; the kernels evaluate the smaller tail at every edge and
+# one more value per point at the flip.  The two-sided oracle above is pinned
+# bit for bit where the flip is delicate: at edges (u = 0), at cell midpoints
+# (u0 + u1 = 0), one ulp either side of both, and beyond both ends.
+
+FLIP_CASES = [(cells, d) for cells in (1, 2, 3, 8, 64, 256) for d in (5e-4, 0.05, 1.0)]
+
+
+def _flip_points(sm):
+    grid = sm.centered_base.density.grid
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    spots = np.concatenate([grid, mids])
+    beyond = np.array([0.5, 3.0, 40.0]) * sm.sigma
+    ends = np.concatenate([grid[0] - beyond, grid[-1] + beyond, [-sm.cutoff, sm.cutoff]])
+    near = [np.nextafter(spots, -np.inf), np.nextafter(spots, np.inf)]
+    return np.concatenate([spots, *near, ends])
+
+
+@pytest.mark.parametrize("cells, delta", FLIP_CASES, ids=["%d-d%g" % c for c in FLIP_CASES])
+def test_one_sided_kernels_equal_two_sided_oracle_bitwise(cells, delta):
+    rng = np.random.default_rng(cells)
+    mu = L.make_measure(density=_sloped_density(rng, -1.0, 1.0, cells, 1.0))
+    sm = L.SmoothedMeasure(mu, delta)
+    xs = _flip_points(sm)
+    sides = rng.random(xs.size) < 0.5
+    dens = oracle_density_c(sm, xs)
+    tail = np.where(sides, oracle_sf_c(sm, xs), oracle_cdf_c(sm, xs))
+    assert np.array_equal(sm._density_c(xs), dens)
+    got_tail, got_dens = sm._tail_density_c(xs, sides)
+    assert np.array_equal(got_tail, tail)
+    assert np.array_equal(got_dens, dens)
+
+
+def _ndtr_values(monkeypatch, run):
+    """Phi values ``run()`` asks of smoothing.ndtr."""
+    count = [0]
+
+    def counted(x, *args, **kwargs):
+        count[0] += np.size(x)
+        return ndtr(x, *args, **kwargs)
+
+    monkeypatch.setattr(smoothing, "ndtr", counted)
+    run()
+    return count[0]
+
+
+def test_density_kernels_take_one_phi_value_per_edge(monkeypatch):
+    # two per (point, edge) with both tails at every edge
+    sm = L.SmoothedMeasure(_cells256(), 0.05)
+    xs = _centered_points(sm, 1001)
+    edges = xs.size * 257
+    assert _ndtr_values(monkeypatch, lambda: sm._density_c(xs)) <= 1.1 * edges
+    # the fused kernel adds Phi(z) at the edges beyond each point on its tail's
+    # side; the solvers take the nearer tail, which leaves few of them
+    assert _ndtr_values(monkeypatch, lambda: sm._tail_density_c(xs, xs >= 0.0)) <= 1.1 * edges
+
+
+def test_lipschitz_sweep_phi_values_per_abscissa_and_edge(monkeypatch):
+    # 8.1 per (abscissa, edge) with both tails at every edge, 4.41 with one
+    tm = L.TransportMap(L.SmoothedMeasure(_cells256(), 0.05))
+    count = _ndtr_values(monkeypatch, lambda: tm.lipschitz_estimate(grid_points=1001))
+    assert count <= 5.0 * 1001 * 257
+
+
+# -- non-finite abscissae ------------------------------------------------------
+
+#: (evaluator, value at -inf, value at +inf)
+LIMITS = [
+    ("density", 0.0, 0.0),
+    ("log_density", -np.inf, -np.inf),
+    ("cdf", 0.0, 1.0),
+    ("sf", 1.0, 0.0),
+    ("log_cdf", -np.inf, 0.0),
+    ("log_sf", 0.0, -np.inf),
+]
+LIMIT_MEASURES = {n: partial(_bundled, n) for n in ("uniform", "bernoulli")}
+LIMIT_MEASURES["mixed"] = _mixed
+
+
+@pytest.mark.parametrize("x", [-np.inf, np.inf, np.nan], ids=["-inf", "+inf", "nan"])
+@pytest.mark.parametrize("name", list(LIMIT_MEASURES))
+@pytest.mark.parametrize("evaluator, at_minus, at_plus", LIMITS, ids=[e[0] for e in LIMITS])
+def test_evaluators_at_non_finite_abscissae(evaluator, at_minus, at_plus, name, x):
+    sm = L.SmoothedMeasure(LIMIT_MEASURES[name](), 0.25)
+    fn = getattr(sm, evaluator)
+    if np.isnan(x):
+        with pytest.raises(L.DomainError, match="nan"):
+            fn(np.array([0.0, x, 1.0]))
+        return
+    xs = np.array([0.3, x, -0.2, x])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, scalar = fn(xs), fn(x)
+    want = at_minus if x < 0 else at_plus
+    assert scalar == want and got[1] == want and got[3] == want
+    assert np.array_equal(got[[0, 2]], fn(xs[[0, 2]]))
+
+
+@pytest.mark.parametrize("name", list(LIMIT_MEASURES))
+def test_inv_cdf_names_a_nan_argument(name):
+    sm = L.SmoothedMeasure(LIMIT_MEASURES[name](), 0.25)
+    with pytest.raises(L.DomainError, match=r"strictly inside \(0, 1\), got nan at index 1$"):
+        sm.inv_cdf(np.array([0.5, np.nan, 2.0]))
+    with pytest.raises(L.DomainError, match=r"strictly inside \(0, 1\), got 2\.0 at index 1$"):
+        sm.inv_cdf(np.array([0.5, 2.0, np.nan]))
+
+
+@pytest.mark.parametrize("x", [-np.inf, np.inf, np.nan], ids=["-inf", "+inf", "nan"])
+@pytest.mark.parametrize("name", list(LIMIT_MEASURES))
+@pytest.mark.parametrize("method", ["eval", "eval_and_derivative", "derivative"])
+def test_transport_at_non_finite_abscissae_is_a_domain_error(method, name, x):
+    # not a BracketFailure about an underflowing tail, and no RuntimeWarning
+    tm = L.TransportMap(L.SmoothedMeasure(LIMIT_MEASURES[name](), 0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(L.DomainError, match=r"must be finite, got %s at index 2$" % x):
+            getattr(tm, method)(np.array([0.0, 1.0, x, np.nan]))
