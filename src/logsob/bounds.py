@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import logsumexp as _logsumexp
 
 from .errors import DomainError, SupremumNotLocalized
-from .logdomain import MAX_EXP_LOG, LogValue
+from .logdomain import LogValue, _as_log
 from .measures import Measure1D
 from .quadrature import golden_section_max
 from .smoothing import QuadratureConfig, SmoothedMeasure
@@ -101,9 +101,7 @@ class TransportRouteBound:
 
     @property
     def value(self):
-        if self.log > MAX_EXP_LOG:
-            return None
-        return math.exp(self.log)
+        return LogValue(self.log).value
 
     def as_logvalue(self) -> LogValue:
         return LogValue(self.log)
@@ -145,22 +143,12 @@ def bound_transport(radius, delta) -> TransportRouteBound:
 
 
 def bound_pushforward(c_source, lipschitz_norm) -> LogValue:
-    """Constant c * L^2 for the image of a c-measure under an L-Lipschitz map."""
-    if isinstance(lipschitz_norm, LipschitzEstimate):
-        log_l = lipschitz_norm.log_value
-    elif isinstance(lipschitz_norm, LogValue):
-        log_l = lipschitz_norm.log
-    else:
-        lip = float(lipschitz_norm)
-        if lip < 0.0:
-            raise DomainError("Lipschitz norm must be nonnegative")
-        log_l = math.log(lip) if lip > 0.0 else -math.inf
-    c_log = c_source.log if isinstance(c_source, LogValue) else None
-    if c_log is None:
-        c = float(c_source)
-        if c < 0.0:
-            raise DomainError("source constant must be nonnegative")
-        c_log = math.log(c) if c > 0.0 else -math.inf
+    """Constant c * L^2 for the image of a c-measure under an L-Lipschitz map.
+
+    c and L are floats or LogValues, L may also be a LipschitzEstimate."""
+    lip = lipschitz_norm
+    log_l = lip.log_value if isinstance(lip, LipschitzEstimate) else _as_log(lip)
+    c_log = _as_log(c_source)
     if c_log == -math.inf or log_l == -math.inf:
         return LogValue(-math.inf)
     return LogValue(c_log + 2.0 * log_l)

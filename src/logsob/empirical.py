@@ -17,17 +17,18 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EmptyFamily, NonintegrableTestFunction
-from .logdomain import MAX_EXP_LOG, LogValue
+from .logdomain import MAX_EXP_LOG, _as_log
 from .quadrature import adaptive_simpson, golden_section_max
 from .smoothing import SmoothedMeasure
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Nonnegative locally Lipschitz test function with its slope field.
+    """Nonnegative locally Lipschitz test function, given in the log domain.
 
-    ``log_f2`` and ``log_grad2`` are optional overflow-safe evaluators of
-    log(f^2) and log(|grad f|^2); quadratures prefer them when present.
+    ``log_f2`` and ``log_grad2`` evaluate log(f^2) and log(|grad f|^2)
+    (-inf where f or its slope vanishes), so members whose values overflow
+    doubles still integrate against the smoothed density.
     ``window_shift`` marks where the f^2-weighted mass of the smoothed
     measure gets tilted to (rate * delta for exponentials), so integration
     windows can follow it.
@@ -35,10 +36,8 @@ class TestFunction:
 
     family: str
     params: tuple
-    f: Callable
-    grad: Callable
-    log_f2: Callable | None = None
-    log_grad2: Callable | None = None
+    log_f2: Callable
+    log_grad2: Callable
     window_shift: float = 0.0
 
 
@@ -79,8 +78,6 @@ def exponential_family(delta, count=64, rate_min=0.05, rate_max=None) -> ParamFa
         return TestFunction(
             family="exponential",
             params=(rate,),
-            f=lambda x, r=rate: np.exp(0.5 * r * np.asarray(x, dtype=float)),
-            grad=lambda x, r=rate: 0.5 * r * np.exp(0.5 * r * np.asarray(x, dtype=float)),
             log_f2=lambda x, r=rate: r * np.asarray(x, dtype=float),
             log_grad2=lambda x, r=rate: 2.0 * np.log(0.5 * r)
             + r * np.asarray(x, dtype=float),
@@ -105,17 +102,13 @@ def bump_family(radius, delta, centers=5, widths=4) -> ParamFamily:
             z = (np.asarray(x, dtype=float) - a) / s
             return -z * z
 
-        def fval(x, a=a, s=s):
+        def log_grad2(x, a=a, s=s):
+            # |grad f| = |z| / s * exp(-z^2 / 2)
             z = (np.asarray(x, dtype=float) - a) / s
-            return np.exp(-0.5 * z * z)
+            with np.errstate(divide="ignore"):
+                return 2.0 * np.log(np.abs(z) / s) - z * z
 
-        def grad(x, a=a, s=s):
-            xv = np.asarray(x, dtype=float)
-            return np.abs(xv - a) / (s * s) * fval(xv)
-
-        return TestFunction(
-            family="bump", params=(a, s), f=fval, grad=grad, log_f2=log_f2
-        )
+        return TestFunction("bump", (a, s), log_f2, log_grad2)
 
     return ParamFamily("bump", ("center", "scale"), (locs, scales), build)
 
@@ -131,22 +124,17 @@ def step_family(radius, delta, centers=5, widths=4) -> ParamFamily:
     def build(params):
         a, eps = params
 
-        def fval(x, a=a, eps=eps):
-            return np.tanh((np.asarray(x, dtype=float) - a) / eps) + 1.0
-
         def log_f2(x, a=a, eps=eps):
             z = (np.asarray(x, dtype=float) - a) / eps
             # log(1 + tanh z) = log 2 - log(1 + exp(-2z)), stable both ways
             return 2.0 * (math.log(2.0) - np.logaddexp(0.0, -2.0 * z))
 
-        def grad(x, a=a, eps=eps):
+        def log_grad2(x, a=a, eps=eps):
             z = (np.asarray(x, dtype=float) - a) / eps
-            # sech^2(z) / eps without overflow
-            return np.exp(2.0 * math.log(2.0) - 2.0 * np.logaddexp(z, -z)) / eps
+            # grad f = sech^2(z) / eps = 4 / (e^z + e^-z)^2 / eps
+            return 2.0 * (2.0 * math.log(2.0) - 2.0 * np.logaddexp(z, -z) - np.log(eps))
 
-        return TestFunction(
-            family="step", params=(a, eps), f=fval, grad=grad, log_f2=log_f2
-        )
+        return TestFunction("step", (a, eps), log_f2, log_grad2)
 
     return ParamFamily("step", ("center", "width"), (locs, epss), build)
 
@@ -166,26 +154,8 @@ def _window(tf: TestFunction, sm: SmoothedMeasure):
     return lo, hi
 
 
-def _log_f2(tf: TestFunction):
-    if tf.log_f2 is not None:
-        return tf.log_f2
-
-    def fallback(x):
-        with np.errstate(divide="ignore"):
-            return 2.0 * np.log(np.maximum(np.asarray(tf.f(x), dtype=float), 0.0))
-
-    return fallback
-
-
 def _initial_cells(lo, hi, sm):
     return int(min(128, max(8, math.ceil((hi - lo) / sm.sigma))))
-
-
-def _grad2_terms(tf: TestFunction, x, lq):
-    if tf.log_grad2 is not None:
-        return np.exp(tf.log_grad2(x) + lq)
-    g = np.asarray(tf.grad(x), dtype=float)
-    return g * g * np.exp(lq)
 
 
 #: Members integrated in one quadrature pass.  Their pending cells share one
@@ -210,7 +180,7 @@ def _moments(members, stacked, sm: SmoothedMeasure, rtol: float, with_entropy=Tr
     def pair(x, k):
         tf = stacked(k)
         lq = sm.log_density(x)
-        return np.stack([np.exp(_log_f2(tf)(x) + lq), _grad2_terms(tf, x, lq)], axis=-1)
+        return np.stack([np.exp(tf.log_f2(x) + lq), np.exp(tf.log_grad2(x) + lq)], axis=-1)
 
     vals = adaptive_simpson(pair, lo, hi, rtol=rtol, initial_cells=cells)
     mass, en = vals[:, 0], vals[:, 1]
@@ -234,7 +204,7 @@ def _moments(members, stacked, sm: SmoothedMeasure, rtol: float, with_entropy=Tr
     log_mass = np.log(mass)
 
     def integrand(x, k):
-        lf = _log_f2(stacked(k))(x)
+        lf = stacked(k).log_f2(x)
         val = np.exp(lf + sm.log_density(x)) * (lf - log_mass[k])
         return np.where(np.isfinite(lf), val, 0.0)
 
@@ -391,13 +361,7 @@ def verify_lsi(
     Ent - c*Energy; a member passes when it is below
     slack_scale * max(Ent, c*Energy, 1).
     """
-    if isinstance(constant, LogValue):
-        c_log = constant.log
-    else:
-        c = float(constant)
-        if c < 0.0:
-            raise DomainError("constant must be nonnegative")
-        c_log = math.log(c) if c > 0.0 else -math.inf
+    c_log = _as_log(constant)
     if isinstance(families, ParamFamily):
         families = [families]
     entries = []

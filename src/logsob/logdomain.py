@@ -19,11 +19,12 @@ MAX_EXP_LOG = math.log(sys.float_info.max)
 
 
 def _as_log(x) -> float:
+    """log of a LogValue or of a nonnegative number; NaN is a DomainError."""
     if isinstance(x, LogValue):
         return x.log
     x = float(x)
-    if x < 0.0:
-        raise DomainError("log-domain values must be nonnegative")
+    if not x >= 0.0:
+        raise DomainError("log-domain values must be nonnegative, got %r" % x)
     return math.log(x) if x > 0.0 else float("-inf")
 
 
@@ -32,10 +33,6 @@ class LogValue:
     """A nonnegative scalar stored as its natural log (-inf encodes 0)."""
 
     log: float
-
-    @classmethod
-    def from_value(cls, value) -> "LogValue":
-        return cls(_as_log(value))
 
     @property
     def value(self):
@@ -59,14 +56,6 @@ class LogValue:
         return LogValue(hi + math.log1p(math.exp(lo - hi)))
 
     __radd__ = __add__
-
-    def scaled(self, factor) -> "LogValue":
-        """Multiply by a positive linear factor."""
-        return LogValue(self.log + _as_log(factor))
-
-    def le(self, other, log_slack: float = 0.0) -> bool:
-        """self <= other, compared in log domain with additive log slack."""
-        return self.log <= _as_log(other) + log_slack
 
     def to_dict(self) -> dict:
         return {"log_value": self.log, "value": self.value}

@@ -50,7 +50,8 @@ def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=
     components row by row, so any other grouping moves the last bits.
 
     Raises QuadratureFailure when ``max_depth`` rounds of halving cannot
-    reach the tolerance.
+    reach the tolerance, or in the round where a cell estimate turns out
+    not finite, naming its interval.
     """
     batched = np.ndim(a) > 0 or np.ndim(b) > 0
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -82,6 +83,7 @@ def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=
     fhi[last] = first[2 * n :]
     pad = (Ellipsis,) + (None,) * len(out_shape)
     cell = ((hi - lo)[pad] / 6.0) * (flo + 4.0 * fmid + fhi)
+    _require_finite(cell, member, a, b)
     floor = np.zeros((count,) + out_shape)
     np.add.at(floor, member, np.abs(cell))
     floor *= np.finfo(float).eps
@@ -100,6 +102,7 @@ def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=
         s_left = h12 * (flo + 4.0 * flm + fmid)
         s_right = h12 * (fmid + 4.0 * frm + fhi)
         s2 = s_left + s_right
+        _require_finite(s2, member, a, b)
         err = np.abs(s2 - cell)
         tol = 15.0 * (atol[member][pad] + rtol * np.maximum(np.abs(s2), floor[member]))
         # AND the component columns: reducing a short axis costs more per cell
@@ -131,6 +134,18 @@ def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=
         "(%d cells pending in %d of %d intervals)"
         % (rtol, max_depth, lo.size, np.unique(member).size, count)
     )
+
+
+def _require_finite(cell, member, a, b):
+    """Raise QuadratureFailure, naming the interval of the first cell estimate
+    that is not finite: no halving would make such a cell acceptable."""
+    finite = np.isfinite(cell)
+    if not finite.all():
+        i = int(member[np.argmin(finite.reshape(member.size, -1).all(axis=1))])
+        raise QuadratureFailure(
+            "adaptive Simpson integrand is not finite on [%r, %r]" % (float(a[i]), float(b[i])),
+            index=i,
+        )
 
 
 def golden_section_max(f, lo, hi, xtol=1e-8, max_iter=200):

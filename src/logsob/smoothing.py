@@ -47,7 +47,8 @@ def _lse_atoms(a):
     """
     m = np.max(a, axis=0)
     safe = np.where(np.isfinite(m), m, 0.0)
-    out = safe + np.log(np.sum(np.exp(a - safe), axis=0))
+    with np.errstate(divide="ignore"):
+        out = safe + np.log(np.sum(np.exp(a - safe), axis=0))
     return np.where(np.isfinite(m), out, m)
 
 
@@ -80,26 +81,6 @@ def gaussian_cdf(x, delta=1.0):
 def gaussian_sf(x, delta=1.0):
     delta = _check_delta(delta)
     return ndtr(-np.asarray(x, dtype=float) / math.sqrt(delta))
-
-
-def log_gaussian_cdf(x, delta=1.0):
-    delta = _check_delta(delta)
-    return log_ndtr(np.asarray(x, dtype=float) / math.sqrt(delta))
-
-
-def log_gaussian_sf(x, delta=1.0):
-    delta = _check_delta(delta)
-    return log_ndtr(-np.asarray(x, dtype=float) / math.sqrt(delta))
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """Variance of the smoothing Gaussian."""
-
-    delta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta", _check_delta(self.delta))
 
 
 @dataclass(frozen=True)
@@ -211,8 +192,6 @@ class SmoothedMeasure:
     """
 
     def __init__(self, base: Measure1D, delta=1.0, config: QuadratureConfig | None = None):
-        if isinstance(delta, GaussianParams):
-            delta = delta.delta
         self.delta = _check_delta(delta)
         self.sigma = math.sqrt(self.delta)
         self.config = config or QuadratureConfig()
@@ -265,7 +244,10 @@ class SmoothedMeasure:
         return self._density_edges(lin, _cdf_gap(u, ndtr(-np.abs(u))), _std_pdf(u))
 
     def _tail_cells(self, x, s):
-        u, lin = self._edge_u(x)
+        # beyond R + 40 sigma every cell tail and phi is below the smallest
+        # subnormal, while z*z and the antiderivatives' cancellation go astray
+        lim = self.radius + 40.0 * self.sigma
+        u, lin = self._edge_u(np.clip(x, -lim, lim))
         z = s * u
         a, b = _edge_antiderivatives(z, ndtr(z), _std_pdf(z))
         return self._tail_edges(lin, a, b, s)
@@ -444,6 +426,7 @@ class SmoothedMeasure:
         endpoint favored by the tilt, which pins it inside (0, 1] for every x.
         """
         xa = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+        _reject(xa, ~np.isfinite(xa), "mgf argument must be finite")
         s_star = np.where(xa >= 0.0, self.radius, -self.radius)
         shift = xa * s_star
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketFailure, DomainError, LogsobError, QuadratureFailure
-from .logdomain import MAX_EXP_LOG, LogValue
+from .logdomain import LogValue
 from .measures import pushforward_affine
 from .quadrature import bracketed_newton, golden_section_max
 from .smoothing import (
@@ -48,9 +48,7 @@ class LipschitzEstimate:
 
     @property
     def value(self):
-        if self.log_value > MAX_EXP_LOG:
-            return None
-        return math.exp(self.log_value)
+        return LogValue(self.log_value).value
 
 
 def _warm_start(xc, yc, log_slope, x):
@@ -121,27 +119,33 @@ class TransportMap:
             raise
 
     def _eval_unit(self, xn):
-        """:meth:`_solve` on a batch, warm-started: every 8th distinct abscissa
-        in ascending order, and the last, is solved from the bracket midpoint,
-        the others from :func:`_warm_start` through those roots.  A solve checks
-        its bracket signs after iterating, so a failing pass iterates all its
-        points; the whole batch is then solved from midpoints, so that an
-        error counts and names the batch's own points."""
+        """(y, log T') of :meth:`_solve` on a batch, warm-started: every 8th
+        distinct abscissa in ascending order, and the last, is solved from the
+        bracket midpoint, the others, if at least two, from :func:`_warm_start`
+        through those roots and their log T' (one alone would reach the
+        density kernel as one point, whose atom sum takes other bits).  A solve
+        checks its bracket signs after iterating, so a failing pass iterates
+        all its points; the whole batch is then solved from midpoints, so that
+        an error counts and names the batch's own points."""
         _reject(xn, ~np.isfinite(xn), "transport abscissa must be finite")  # as x: inf or nan
         xu, inverse = np.unique(xn, return_inverse=True)
         coarse = np.arange(xu.size) % 8 == 0
         coarse[-1:] = True
-        if coarse.all():
-            return self._solve(xn)
-        try:
-            xc, xf = xu[coarse], xu[~coarse]
-            yc = self._solve(xc)
-            start = _warm_start(xc, yc, self._log_derivative_unit(xc, yc), xf)
-            yu = np.empty_like(xu)
-            yu[coarse], yu[~coarse] = yc, self._solve(xf, start)
-        except LogsobError:
-            return self._solve(xn)
-        return yu[inverse]
+        if np.count_nonzero(~coarse) >= 2:
+            try:
+                xc, xf = xu[coarse], xu[~coarse]
+                yc = self._solve(xc)
+                lc = self._log_derivative_unit(xc, yc)
+                yf = self._solve(xf, _warm_start(xc, yc, lc, xf))
+            except LogsobError:
+                pass
+            else:
+                yu, lu = np.empty_like(xu), np.empty_like(xu)
+                yu[coarse], yu[~coarse] = yc, yf
+                lu[coarse], lu[~coarse] = lc, self._log_derivative_unit(xf, yf)
+                return yu[inverse], lu[inverse]
+        y = self._solve(xn)
+        return y, self._log_derivative_unit(xn, y)
 
     def _log_derivative_unit(self, xn, yn):
         return log_gaussian_density(xn, 1.0) - self.unit._log_density_c(yn)
@@ -152,8 +156,7 @@ class TransportMap:
         """T(x); strictly increasing, with x - R <= T(x) - center <= x + R."""
         arr = np.asarray(x, dtype=float)
         xn = np.atleast_1d(arr).ravel() / self.sigma
-        yn = self._eval_unit(xn)
-        out = self.center + self.sigma * yn
+        out = self.center + self.sigma * self._eval_unit(xn)[0]
         if arr.ndim == 0:
             return float(out[0])
         return out.reshape(arr.shape)
@@ -165,9 +168,9 @@ class TransportMap:
     def eval_and_derivative(self, x):
         arr = np.asarray(x, dtype=float)
         xn = np.atleast_1d(arr).ravel() / self.sigma
-        yn = self._eval_unit(xn)
+        yn, logd = self._eval_unit(xn)
         t = self.center + self.sigma * yn
-        d = np.exp(self._log_derivative_unit(xn, yn))
+        d = np.exp(logd)
         if arr.ndim == 0:
             return float(t[0]), float(d[0])
         return t.reshape(arr.shape), d.reshape(arr.shape)
@@ -193,8 +196,7 @@ class TransportMap:
             raise DomainError("sweep extent must be finite and positive, got %r" % ext)
         rn = self.radius_normalized
         xs = np.linspace(-(2.0 * rn + ext), 2.0 * rn + ext, gp)
-        ys = self._eval_unit(xs)
-        logd = self._log_derivative_unit(xs, ys)
+        ys, logd = self._eval_unit(xs)
         i = int(np.argmax(logd))
         self._samples = (
             self.sigma * xs,

@@ -37,9 +37,8 @@ def test_constant_function_has_zero_entropy_and_energy():
     tf = L.TestFunction(
         family="constant",
         params=(),
-        f=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        grad=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         log_f2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        log_grad2=lambda x: np.full_like(np.asarray(x, dtype=float), -np.inf),
     )
     assert L.entropy(tf, sm) == pytest.approx(0.0, abs=1e-12)
     assert L.energy(tf, sm) == 0.0
@@ -54,8 +53,6 @@ def test_entropy_quadratic_homogeneity():
     scaled = L.TestFunction(
         family="scaled",
         params=(0.8, c),
-        f=lambda x: c * tf.f(x),
-        grad=lambda x: c * tf.grad(x),
         log_f2=lambda x: tf.log_f2(x) + 2.0 * math.log(c),
         log_grad2=lambda x: tf.log_grad2(x) + 2.0 * math.log(c),
         window_shift=tf.window_shift,
@@ -123,9 +120,8 @@ def test_tail_certificate_triggers():
     runaway = L.TestFunction(
         family="runaway",
         params=(10.0,),
-        f=lambda x: np.exp(5.0 * np.asarray(x, dtype=float)),
-        grad=lambda x: 5.0 * np.exp(5.0 * np.asarray(x, dtype=float)),
         log_f2=lambda x: 10.0 * np.asarray(x, dtype=float),
+        log_grad2=lambda x: math.log(25.0) + 10.0 * np.asarray(x, dtype=float),
         window_shift=0.0,
     )
     with pytest.raises(NonintegrableTestFunction):
@@ -162,6 +158,20 @@ def test_verify_huge_log_constant_passes(bernoulli):
     # exp(1000) budget: overflows doubles, must still pass cleanly
     report = L.verify_lsi(sm, L.LogValue(1000.0), [L.exponential_family(sm.delta, count=6)])
     assert report.all_passed
+
+
+def test_nan_in_the_log_domain_is_a_domain_error(bernoulli):
+    # NaN read as 0: a -inf constant, with which verify failed every member
+    sm = L.SmoothedMeasure(bernoulli, 0.25)
+    calls = [
+        lambda: L.bound_pushforward(math.nan, 2.0),
+        lambda: L.bound_pushforward(2.0, math.nan),
+        lambda: L.LogValue(0.0) * math.nan,
+        lambda: L.verify_lsi(sm, math.nan, [L.exponential_family(sm.delta, count=2)]),
+    ]
+    for call in calls:
+        with pytest.raises(L.DomainError, match="nonnegative, got nan$"):
+            call()
 
 
 def test_shipped_families_cover_three_shapes(uniform):

@@ -43,6 +43,22 @@ def test_failure_on_endpoint_singularity():
             adaptive_simpson(lambda x: 1.0 / np.sqrt(np.abs(x)), 0.0, 1.0, max_depth=20)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_integrand_names_its_interval(bad):
+    # such a cell is never accepted: it used to be halved until max_depth
+    # (or memory) ran out; 0.375 is first reached in the second halving, and
+    # inf there must raise before inf - inf
+    def f(x, k):
+        return np.where((k == 1) & (x == 0.375), bad, np.exp(x))
+
+    a, b = np.zeros(3), np.array([2.0, 1.0, 3.0])
+    with pytest.raises(QuadratureFailure, match=r"not finite on \[0\.0, 1\.0\]$") as info:
+        adaptive_simpson(f, a, b, max_depth=8)
+    assert info.value.index == 1
+    with pytest.raises(QuadratureFailure, match=r"not finite on \[0\.0, 1\.0\]$"):
+        adaptive_simpson(lambda x: f(x, 1), 0.0, 1.0, max_depth=8)
+
+
 def _std_pdf(y):
     return np.exp(-0.5 * y * y) / math.sqrt(2 * math.pi)
 

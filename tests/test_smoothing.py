@@ -214,6 +214,16 @@ def test_tail_shift_undefined_at_zero(bernoulli):
         sm.tail_shift(0.0)
 
 
+@pytest.mark.parametrize("x", [-np.inf, np.inf, np.nan], ids=["-inf", "+inf", "nan"])
+@pytest.mark.parametrize("name", ["bernoulli", "uniform"])
+@pytest.mark.parametrize("method", ["log_mgf", "mgf", "tail_shift", "tail_shift_deriv"])
+def test_tilted_moments_reject_non_finite_arguments(method, name, x, request):
+    # atoms returned nan; a density's quadrature refined exp(inf - inf) forever
+    sm = L.SmoothedMeasure(request.getfixturevalue(name), 0.25)
+    with pytest.raises(DomainError, match=r"must be finite, got %s at index 1$" % x):
+        getattr(sm, method)(np.array([0.5, x]))
+
+
 def test_shift_deriv_matches_finite_difference(bernoulli, asymmetric, uniform):
     h = 1e-5
     for mu in (bernoulli, asymmetric, uniform):
@@ -269,10 +279,3 @@ def test_offcenter_measure_centers_internally():
     ref = L.SmoothedMeasure(L.make_discrete([(-1.0, 0.5), (1.0, 0.5)]), 1.0)
     xs = np.linspace(-3, 3, 13)
     assert np.allclose(sm.density(xs + 4.0), ref.density(xs), rtol=1e-13)
-
-
-def test_gaussian_params_wrapper(point_mass):
-    sm = L.SmoothedMeasure(point_mass, L.GaussianParams(2.0))
-    assert sm.delta == 2.0
-    with pytest.raises(DomainError):
-        L.GaussianParams(0.0)

@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr, logsumexp, ndtr
 
 import logsob as L
 import logsob.smoothing as smoothing
@@ -365,7 +365,7 @@ def test_multi_point_calls_never_reach_a_kernel_as_one_point(name, monkeypatch):
 
 def test_blocked_fused_kernel_peak_memory():
     # one (1001 x 257) temporary is 2.06 MB, and one call on all the points
-    # at once peaks at about 16.5 MB; in blocks it peaks near 1.1 MB
+    # at once peaks at about 16.5 MB; in blocks it peaks near 0.80 MB
     sm = L.SmoothedMeasure(_cells256(), 0.05)
     xs = _centered_points(sm, 1001)
     sm._tail_density_c(xs, True)
@@ -477,6 +477,25 @@ def test_evaluators_at_non_finite_abscissae(evaluator, at_minus, at_plus, name, 
     want = at_minus if x < 0 else at_plus
     assert scalar == want and got[1] == want and got[3] == want
     assert np.array_equal(got[[0, 2]], fn(xs[[0, 2]]))
+
+
+@pytest.mark.parametrize("x", [-1e300, -1e154, -1e16, 1e16, 1e154, 1e300])
+@pytest.mark.parametrize("name", ["uniform", "mixed"])
+@pytest.mark.parametrize("evaluator, at_minus, at_plus", LIMITS[2:], ids=[e[0] for e in LIMITS[2:]])
+def test_tails_at_huge_finite_abscissae(evaluator, at_minus, at_plus, name, x):
+    # the cells' tails take their limits (cancellation gave cdf(1e16) = 0 and
+    # z*z overflow NaN from 1e154); the atoms keep their own log tails
+    sm = L.SmoothedMeasure(LIMIT_MEASURES[name](), 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = getattr(sm, evaluator)(np.array([x, 0.3]))
+    want = at_minus if x < 0 else at_plus
+    if want == -np.inf and sm._aloc.size:
+        z = (x - sm.center - sm._aloc) / sm.sigma
+        with np.errstate(divide="ignore"):
+            want = logsumexp(np.log(sm._awt) + log_ndtr(-z if evaluator == "log_sf" else z))
+    assert got[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert got[1] == getattr(sm, evaluator)(0.3)
 
 
 @pytest.mark.parametrize("name", list(LIMIT_MEASURES))

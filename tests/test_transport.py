@@ -284,6 +284,21 @@ def test_warm_start_survives_slopes_beyond_the_doubles():
     assert not np.any(np.isfinite(starts[1:]))
 
 
+def test_table_takes_one_density_value_per_point(bernoulli, monkeypatch):
+    # the coarse points' log T', computed for the warm starts, is reused
+    tm = make_map(bernoulli, 0.25)
+    sizes = []
+    kernel = tm.unit._log_density_c
+
+    def counted(y):
+        sizes.append(y.size)
+        return kernel(y)
+
+    monkeypatch.setattr(tm.unit, "_log_density_c", counted)
+    L.transport_table(tm, points=401)
+    assert sum(sizes) == 401 and min(sizes) >= 2
+
+
 def test_failed_warm_pass_reports_the_whole_batch(bernoulli):
     # the coarse pass fails first; the error must still count the whole sweep
     # (578 of its 2001 source tails underflow) and name its first abscissa
