@@ -11,6 +11,11 @@ logs, the inverse CDF, and the tilted-moment objects (the mgf of mu and the
 induced tail shift) that control how far q's tail sits from the source
 Gaussian's.
 
+The evaluators are log-domain only: the atoms' log density and log tails
+are log-sum-exps of the Gaussian log density and ``log_ndtr``, finite far
+below the smallest double, and the cells' closed-form sums are logged and
+added in.  ``density``, ``cdf`` and ``sf`` are their exponentials.
+
 All evaluation happens in coordinates centered on the support midpoint and
 is translated back at the interface; translations do not move LSI constants.
 For a piecewise-linear density part the convolution and its CDF reduce to
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partialmethod, wraps
+from functools import wraps
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
@@ -37,7 +42,8 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _std_pdf(z):
-    return np.exp(-0.5 * z * z) / _SQRT_2PI
+    with np.errstate(over="ignore"):  # z*z is inf from |z| of about 1e154, and phi there 0
+        return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
 def _lse_atoms(a):
@@ -59,28 +65,11 @@ def _check_delta(delta) -> float:
     return delta
 
 
-def gaussian_density(t, delta=1.0):
-    """Density of the centered Gaussian with variance delta."""
-    delta = _check_delta(delta)
-    t = np.asarray(t, dtype=float)
-    return np.exp(-t * t / (2.0 * delta)) / math.sqrt(2.0 * math.pi * delta)
-
-
 def log_gaussian_density(t, delta=1.0):
+    """log density of the centered Gaussian with variance delta."""
     delta = _check_delta(delta)
     t = np.asarray(t, dtype=float)
     return -t * t / (2.0 * delta) - 0.5 * math.log(delta) - _LOG_SQRT_2PI
-
-
-def gaussian_cdf(x, delta=1.0):
-    """CDF of the centered Gaussian with variance delta."""
-    delta = _check_delta(delta)
-    return ndtr(np.asarray(x, dtype=float) / math.sqrt(delta))
-
-
-def gaussian_sf(x, delta=1.0):
-    delta = _check_delta(delta)
-    return ndtr(-np.asarray(x, dtype=float) / math.sqrt(delta))
 
 
 @dataclass(frozen=True)
@@ -176,10 +165,15 @@ def _blocked(kernel):
     return run
 
 
+def _log_density(v):
+    """log of a density value; -inf at 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(v)
+
+
 def _log_tail(v):
     """log of a tail mass; -inf below the normal doubles, where its precision is gone."""
-    with np.errstate(divide="ignore"):
-        return np.log(np.where(v < np.finfo(float).tiny, 0.0, v))
+    return _log_density(np.where(v < np.finfo(float).tiny, 0.0, v))
 
 
 class SmoothedMeasure:
@@ -216,13 +210,19 @@ class SmoothedMeasure:
 
     # -- centered-frame evaluators -------------------------------------
 
-    def _density_atoms(self, t):
-        z = (t[:, None] - self._aloc) / self.sigma
-        return (self._awt * np.exp(-0.5 * z * z)).sum(axis=1) / (self.sigma * _SQRT_2PI)
+    def _log_density_atoms(self, t):
+        if not self._aloc.size:
+            return np.full(t.shape, -np.inf)
+        z = (t - self._aloc[:, None]) / self.sigma
+        with np.errstate(over="ignore"):  # z*z is inf from |t| of about 1e154, and q there 0
+            la = np.log(self._awt)[:, None] - 0.5 * z * z - math.log(self.sigma) - _LOG_SQRT_2PI
+        return _lse_atoms(la)
 
-    def _tail_atoms(self, x, s):
-        z = (x[:, None] - self._aloc) / self.sigma
-        return (self._awt * ndtr(-s * z)).sum(axis=1)
+    def _log_tail_atoms(self, x, sf):
+        if not self._aloc.size:
+            return np.full(x.shape, -np.inf)
+        z = (x - self._aloc[:, None]) / self.sigma
+        return _lse_atoms(np.log(self._awt)[:, None] + log_ndtr(np.where(sf, -1.0, 1.0) * z))
 
     def _edge_u(self, t):
         # u = (edge - t)/sigma (q reads u, cdf z = -u, sf z = u) and lin = alpha + beta*t
@@ -252,100 +252,72 @@ class SmoothedMeasure:
         a, b = _edge_antiderivatives(z, ndtr(z), _std_pdf(z))
         return self._tail_edges(lin, a, b, s)
 
-    @_blocked
-    def _density_c(self, t):
-        out = np.zeros_like(t)
-        if self._aloc.size:
-            out = out + self._density_atoms(t)
-        if self._cells is not None:
-            out = out + self._density_cells(t)
-        return out
-
-    @_blocked
-    def _log_density_c(self, t):
-        if self._aloc.size:
-            z = (t - self._aloc[:, None]) / self.sigma
-            la = np.log(self._awt)[:, None] - 0.5 * z * z - math.log(self.sigma) - _LOG_SQRT_2PI
-            out = _lse_atoms(la)
-        else:
-            out = np.full(t.shape, -np.inf)
-        if self._cells is not None:
-            with np.errstate(divide="ignore"):
-                out = np.logaddexp(out, np.log(self._density_cells(t)))
-        return out
-
-    @_blocked
-    def _tail_c(self, x, sf):
-        """Mass above x where ``sf`` (a flag, or one per point), below it elsewhere."""
-        s = _side(sf)
-        out = np.zeros_like(x)
-        if self._aloc.size:
-            out = out + self._tail_atoms(x, s)
-        if self._cells is not None:
-            out = out + self._tail_cells(x, s)
-        return np.clip(out, 0.0, 1.0)
-
-    _cdf_c = partialmethod(_tail_c, sf=False)
-    _sf_c = partialmethod(_tail_c, sf=True)
-
-    @_blocked
-    def _tail_density_c(self, y, sf):
-        """(_tail_c, _density_c) at y, bit for bit, from one pass over the cell edges.
+    def _tail_density_cells(self, y, s):
+        """(_tail_cells, _density_cells) at y inside R + 40 sigma, bit for bit,
+        from one pass over the cell edges.
 
         The tail reads Phi(z) at z = s*u, which is the smaller tail w of the
         gaps where z <= 0, so only edges beyond y on the tail's side add one."""
-        s = _side(sf)
-        tail, dens = np.zeros_like(y), np.zeros_like(y)
-        if self._aloc.size:
-            tail = tail + self._tail_atoms(y, s)
-            dens = dens + self._density_atoms(y)
+        u, lin = self._edge_u(y)
+        w = ndtr(-np.abs(u))
+        gap = _cdf_gap(u, w)
+        u *= s  # z = s*u, and phi(z) == phi(u) bitwise
+        pdf = _std_pdf(u)
+        dens = self._density_edges(lin, gap, pdf)
+        up = u > 0.0
+        w[up] = ndtr(u[up])
+        a, b = _edge_antiderivatives(u, w, pdf)
+        return self._tail_edges(lin, a, b, s), dens
+
+    @_blocked
+    def _log_density_c(self, t):
+        out = self._log_density_atoms(t)
         if self._cells is not None:
-            u, lin = self._edge_u(y)
-            w = ndtr(-np.abs(u))
-            gap = _cdf_gap(u, w)
-            u *= s  # z = s*u, and phi(z) == phi(u) bitwise
-            pdf = _std_pdf(u)
-            dens = dens + self._density_edges(lin, gap, pdf)
-            up = u > 0.0
-            w[up] = ndtr(u[up])
-            a, b = _edge_antiderivatives(u, w, pdf)
-            tail = tail + self._tail_edges(lin, a, b, s)
-        return np.clip(tail, 0.0, 1.0), dens
+            out = np.logaddexp(out, _log_density(self._density_cells(t)))
+        return out
 
     @_blocked
     def _log_tail_c(self, x, sf):
-        if self._aloc.size:
-            z = (x - self._aloc[:, None]) / self.sigma
-            out = _lse_atoms(np.log(self._awt)[:, None] + log_ndtr(-z if sf else z))
-        else:
-            out = np.full(x.shape, -np.inf)
+        """log of the mass above x where ``sf`` (a flag, or one per point), below it elsewhere."""
+        out = self._log_tail_atoms(x, sf)
         if self._cells is not None:
-            with np.errstate(divide="ignore"):
-                out = np.logaddexp(out, np.log(self._tail_cells(x, _side(sf))))
+            out = np.logaddexp(out, _log_tail(self._tail_cells(x, _side(sf))))
         return np.minimum(out, 0.0)
 
-    def _tail_residuals(self, target, upper):
+    @_blocked
+    def _log_tail_density_c(self, y, sf):
+        """(_log_tail_c, _log_density_c) at y, bit for bit inside R + 40 sigma,
+        from one pass over the cell edges."""
+        tail, dens = self._log_tail_atoms(y, sf), self._log_density_atoms(y)
+        if self._cells is not None:
+            cell_tail, cell_dens = self._tail_density_cells(y, _side(sf))
+            tail = np.logaddexp(tail, _log_tail(cell_tail))
+            dens = np.logaddexp(dens, _log_density(cell_dens))
+        return np.minimum(tail, 0.0), dens
+
+    def _tail_residuals(self, log_target, upper):
         """``(g, g_slope)`` for :func:`bracketed_newton` in log-tail form.
 
-        Point k solves sf(y) = target[k] where ``upper[k]``, else cdf(y) =
-        target[k], as log tail(y) - log target[k], negated on the sf side so
-        both increase in y; the slope is q / tail.  Far in the tails Newton
-        converges in a few steps where the linear residual crawls.
+        Point k solves log sf(y) = log_target[k] where ``upper[k]``, else
+        log cdf(y) = log_target[k], as log tail(y) - log_target[k], negated
+        on the sf side so both increase in y; the slope is q / tail.  Far in
+        the tails Newton converges in a few steps where the linear residual
+        crawls.  A cell tail below the normal doubles makes the residual
+        -inf, and the solve a BracketFailure.
         """
-        log_target = _log_tail(target)
 
-        def residual(tail, k):
+        def residual(log_tail, k):
             with np.errstate(invalid="ignore"):
-                d = _log_tail(tail) - log_target[k]
+                d = log_tail - log_target[k]
             return np.where(upper[k], -d, d)
 
         def g(y, k):
-            return residual(self._tail_c(y, upper[k]), k)
+            return residual(self._log_tail_c(y, upper[k]), k)
 
         def g_slope(y, k):
-            tail, dens = self._tail_density_c(y, upper[k])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return residual(tail, k), dens / tail
+            log_tail, log_dens = self._log_tail_density_c(y, upper[k])
+            with np.errstate(invalid="ignore", over="ignore"):
+                return residual(log_tail, k), np.exp(log_dens - log_tail)
 
         return g, g_slope
 
@@ -367,18 +339,18 @@ class SmoothedMeasure:
         return out.reshape(arr.shape)
 
     def density(self, t):
-        """Smoothed density q(t); strictly positive for all finite t."""
-        return self._wrap(self._density_c, t, (0.0, 0.0))
+        """Smoothed density q(t) = exp(log_density(t))."""
+        return self._wrap(lambda v: np.exp(self._log_density_c(v)), t, (0.0, 0.0))
 
     def log_density(self, t):
         return self._wrap(self._log_density_c, t, (-np.inf, -np.inf))
 
     def cdf(self, x):
-        return self._wrap(self._cdf_c, x, (0.0, 1.0))
+        return self._wrap(lambda v: np.exp(self._log_tail_c(v, False)), x, (0.0, 1.0))
 
     def sf(self, x):
         """Survival function 1 - cdf, computed directly for tail accuracy."""
-        return self._wrap(self._sf_c, x, (1.0, 0.0))
+        return self._wrap(lambda v: np.exp(self._log_tail_c(v, True)), x, (1.0, 0.0))
 
     def log_cdf(self, x):
         return self._wrap(lambda v: self._log_tail_c(v, False), x, (-np.inf, 0.0))
@@ -396,8 +368,10 @@ class SmoothedMeasure:
         The quantile is the transport image T(sigma * Phi^-1(u)), and the
         transport envelope puts it within the support radius of
         sigma * Phi^-1(u): that interval, padded, brackets Newton on the log
-        of the nearer tail from its midpoint.  Raises BracketFailure, naming
-        the first such u, when a tail 1 - u or u is below the normal doubles.
+        of the nearer tail, log(1 - u) or log u, from its midpoint.  Atoms
+        alone reach every u down to the smallest subnormal; raises
+        BracketFailure, naming the first such u, when the quantile needs a
+        cell tail below the normal doubles.
         """
         arr = np.asarray(u, dtype=float)
         flat = np.atleast_1d(arr).ravel()
@@ -406,7 +380,7 @@ class SmoothedMeasure:
         x = self.sigma * ndtri(flat)
         reach = self.radius + 1e-9 * self.sigma + 1e-12 * np.abs(x)
         upper = flat > 0.5
-        g, g_slope = self._tail_residuals(np.where(upper, 1.0 - flat, flat), upper)
+        g, g_slope = self._tail_residuals(np.log(np.where(upper, 1.0 - flat, flat)), upper)
         try:
             y = bracketed_newton(g, g_slope, x - reach, x + reach, root_tol=self.config.root_tol)
         except (BracketFailure, QuadratureFailure) as exc:

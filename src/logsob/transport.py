@@ -17,18 +17,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import log_ndtr
 
 from .errors import BracketFailure, DomainError, LogsobError, QuadratureFailure
 from .logdomain import LogValue
 from .measures import pushforward_affine
 from .quadrature import bracketed_newton, golden_section_max
-from .smoothing import (
-    SmoothedMeasure,
-    _reject,
-    gaussian_cdf,
-    gaussian_sf,
-    log_gaussian_density,
-)
+from .smoothing import SmoothedMeasure, _reject, log_gaussian_density
 
 
 @dataclass(frozen=True)
@@ -102,15 +97,13 @@ class TransportMap:
 
     def _solve(self, xn, start=None):
         """Solve G(y) = F(x) in the normalized frame, in the envelope, as
-        log F_sf(x) = log G_sf(y) for x >= 0, log G_cdf(y) = log F_cdf(x) below;
-        a tail underflowing (|x| beyond about 37) raises BracketFailure.  An
-        error names its first failed x in original coordinates."""
+        log F_sf(x) = log G_sf(y) for x >= 0, log G_cdf(y) = log F_cdf(x) below,
+        the source side log_ndtr(-|x|); a cell tail of G below the normal
+        doubles raises BracketFailure.  An error names its first failed x in
+        original coordinates."""
         rn = self.radius_normalized
         pad = 1e-9 + 1e-12 * np.abs(xn)
-        right = xn >= 0.0
-        g, g_slope = self.unit._tail_residuals(
-            np.where(right, gaussian_sf(xn), gaussian_cdf(xn)), right
-        )
+        g, g_slope = self.unit._tail_residuals(log_ndtr(-np.abs(xn)), xn >= 0.0)
         lo, hi, tol = xn - rn - pad, xn + rn + pad, self.target.config.root_tol
         try:
             return bracketed_newton(g, g_slope, lo, hi, root_tol=tol, start=start)

@@ -79,7 +79,7 @@ def test_shift_sandwich_suite(kind, radius):
         xs = sign * np.linspace(2 * r, 2 * r + 8, 200)
         k = sm.tail_shift(xs)
         q_shift = sm.density(xs + k)
-        p = L.gaussian_density(xs, 1.0)
+        p = np.exp(L.log_gaussian_density(xs, 1.0))
         upper = math.exp(-r) * p
         lower = math.exp(-2 * r * r - 2 * r - 0.125) * p
         assert np.all(q_shift <= upper * (1 + slack)), "density upper bound violated"

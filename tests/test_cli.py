@@ -333,18 +333,40 @@ def test_malformed_setting_is_input_error(tmp_path, capsys, setting, name):
 @pytest.mark.parametrize("command", ["bounds", "transport", "verify"])
 def test_solver_failure_names_the_pair_and_the_abscissa(tmp_path, capsys, command):
     # delta = 0.002: the sweep and table windows reach normalized |x| of about
-    # 52, where the source Gaussian tail is below the normal doubles
+    # 52, where the smoothed uniform's cell tail is below the normal doubles
+    (tmp_path / "unif.json").write_text(
+        json.dumps({"density": {"grid": [-1.0, 1.0], "values": [0.5, 0.5]}})
+    )
     cfg = write_config(
         tmp_path,
         delta=[0.002],
-        measures=["bern.json"],
+        measures=["unif.json"],
         transport={"points": 1001, "extent": 8.0},
         verify={"families": ["exponential"], "bound": "pushforward"},
     )
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert re.search(
-        r"bern at delta=0\.002: \d+ of \d+ points have a residual that is not finite"
+        r"unif at delta=0\.002: \d+ of \d+ points have a residual that is not finite"
         r".*; first at x = -?\d",
         err,
     )
+
+
+def test_atoms_at_small_delta_pass_bounds_and_transport(tmp_path):
+    # delta = 0.002 (R^2/delta = 500): the sweep and table reach normalized
+    # |x| of about 52, where only the log of the source tail is a double
+    delta = 0.002
+    cfg = write_config(tmp_path, delta=[delta], measures=["bern.json"])
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+    (rec,) = read_jsonl(out / "bounds.jsonl")
+    want = 1.0 / (2.0 * delta)  # log T'(0) = R^2 / (2 delta), the sup of log T'
+    assert abs(rec["lipschitz"]["log_value"] - want) <= 1e-8 * want
+    assert main(["transport", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "transport_bern_d0.002.csv").read_text().splitlines()[1:]
+    data = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert len(data) == 101
+    x, t, lo, hi = data[:, 0], data[:, 1], data[:, 3], data[:, 4]
+    assert np.all((lo <= t) & (t <= hi))
+    assert np.array_equal(lo, x - 1.0) and np.array_equal(hi, x + 1.0)

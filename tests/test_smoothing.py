@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 import logsob as L
 from logsob.errors import BracketFailure, DomainError
@@ -17,31 +18,40 @@ def mp_gaussian_density(t, delta):
         return float(mpmath.exp(-mpmath.mpf(t) ** 2 / (2 * delta)) / mpmath.sqrt(2 * mpmath.pi * delta))
 
 
+def gaussian_density(t, delta):
+    return np.exp(-np.square(t) / (2.0 * delta)) / math.sqrt(2.0 * math.pi * delta)
+
+
+def gaussian_cdf(x, delta):
+    return ndtr(np.asarray(x) / math.sqrt(delta))
+
+
 def test_density_at_zero_unit_variance():
-    assert L.gaussian_density(0.0, 1.0) == pytest.approx(mp_gaussian_density(0, 1), rel=1e-15)
+    want = math.log(mp_gaussian_density(0, 1))
+    assert L.log_gaussian_density(0.0, 1.0) == pytest.approx(want, rel=1e-15)
 
 
 def test_density_at_one():
-    assert L.gaussian_density(1.0, 1.0) == pytest.approx(
-        math.exp(-0.5) / math.sqrt(2 * math.pi), rel=1e-15
-    )
+    want = -0.5 - 0.5 * math.log(2 * math.pi)
+    assert L.log_gaussian_density(1.0, 1.0) == pytest.approx(want, rel=1e-15)
 
 
 def test_density_monotone_tails():
     ts = np.linspace(0.5, 30.0, 60)
-    vals = L.gaussian_density(ts, 2.0)
+    vals = L.log_gaussian_density(ts, 2.0)
     assert np.all(np.diff(vals) < 0)
-    assert np.allclose(L.gaussian_density(-ts, 2.0), vals)
+    assert np.array_equal(L.log_gaussian_density(-ts, 2.0), vals)
 
 
 def test_log_density_matches_log():
     ts = np.linspace(-10, 10, 21)
-    assert np.allclose(L.log_gaussian_density(ts, 0.5), np.log(L.gaussian_density(ts, 0.5)))
+    want = [math.log(mp_gaussian_density(t, 0.5)) for t in ts]
+    assert np.allclose(L.log_gaussian_density(ts, 0.5), want, rtol=1e-14, atol=1e-14)
 
 
 def test_bad_variance_rejected():
     with pytest.raises(DomainError):
-        L.gaussian_density(0.0, 0.0)
+        L.log_gaussian_density(0.0, 0.0)
     with pytest.raises(DomainError):
         L.SmoothedMeasure(L.make_discrete([(0.0, 1.0)]), -1.0)
 
@@ -49,8 +59,8 @@ def test_bad_variance_rejected():
 def test_convolution_with_point_mass_is_gaussian(point_mass):
     sm = L.SmoothedMeasure(point_mass, 1.0)
     ts = np.linspace(-6, 6, 25)
-    assert np.allclose(sm.density(ts), L.gaussian_density(ts, 1.0), rtol=1e-14)
-    assert np.allclose(sm.cdf(ts), L.gaussian_cdf(ts, 1.0), rtol=1e-13)
+    assert np.allclose(sm.density(ts), gaussian_density(ts, 1.0), rtol=1e-14)
+    assert np.allclose(sm.cdf(ts), gaussian_cdf(ts, 1.0), rtol=1e-13)
 
 
 def test_bernoulli_density_at_zero(bernoulli):
@@ -71,7 +81,7 @@ def test_density_matches_quadrature_route(uniform):
     sm = L.SmoothedMeasure(uniform, 0.25)
     ts = np.linspace(-2.5, 4.0, 11)
     direct = np.array(
-        [L.integrate(uniform, lambda s, t=t: L.gaussian_density(t - s, 0.25), rtol=1e-13) for t in ts]
+        [L.integrate(uniform, lambda s, t=t: gaussian_density(t - s, 0.25), rtol=1e-13) for t in ts]
     )
     assert np.allclose(sm.density(ts), direct, rtol=1e-10)
 
@@ -80,13 +90,13 @@ def test_cdf_matches_quadrature_route(uniform):
     sm = L.SmoothedMeasure(uniform, 0.25)
     ts = np.linspace(-2.0, 2.0, 9)
     direct = np.array(
-        [L.integrate(uniform, lambda s, t=t: L.gaussian_cdf(t - s, 0.25), rtol=1e-13) for t in ts]
+        [L.integrate(uniform, lambda s, t=t: gaussian_cdf(t - s, 0.25), rtol=1e-13) for t in ts]
     )
     assert np.allclose(sm.cdf(ts), direct, rtol=1e-11)
 
 
-def test_gaussian_cdf_midpoint():
-    assert L.gaussian_cdf(0.0, 1.0) == 0.5
+def test_gaussian_cdf_midpoint(point_mass):
+    assert L.SmoothedMeasure(point_mass, 1.0).cdf(0.0) == 0.5
 
 
 def test_symmetric_smoothed_cdf_midpoint(bernoulli, uniform):
@@ -130,7 +140,7 @@ def test_quantile_of_symmetric_measure(bernoulli):
 
 def test_quantile_point_mass_matches_normal(point_mass):
     sm = L.SmoothedMeasure(point_mass, 1.0)
-    u = float(L.gaussian_cdf(1.7, 1.0))
+    u = float(ndtr(1.7))
     assert sm.inv_cdf(u) == pytest.approx(1.7, abs=1e-9)
 
 
@@ -153,16 +163,19 @@ def test_quantile_roundtrip_grid(bernoulli, uniform):
         assert np.all(np.abs(back - xs) <= allowed)
 
 
-def test_quantile_rejects_bad_arguments(bernoulli):
+def test_quantile_rejects_bad_arguments(bernoulli, uniform):
     sm = L.SmoothedMeasure(bernoulli, 1.0)
     with pytest.raises(DomainError):
         sm.inv_cdf(0.0)
-    # the envelope brackets quantiles far past the tail cutoff, down to the
-    # normal doubles; a subnormal tail is an underflow
-    for u in (1e-60, 1e-300):
+    # the envelope brackets quantiles far past the tail cutoff; the atoms'
+    # log tails reach down to the smallest subnormal
+    for u in (1e-60, 1e-300, 1e-310, 5e-324):
         assert sm.log_cdf(sm.inv_cdf(u)) == pytest.approx(math.log(u), rel=1e-12)
+    # a cell tail below the normal doubles is an underflow
+    cells = L.SmoothedMeasure(uniform, 1.0)
+    assert cells.log_cdf(cells.inv_cdf(1e-300)) == pytest.approx(math.log(1e-300), rel=1e-12)
     with pytest.raises(BracketFailure, match="first at u = 1e-310"):
-        sm.inv_cdf(1e-310)
+        cells.inv_cdf(1e-310)
 
 
 def test_mgf_point_mass_is_one(point_mass):
@@ -248,7 +261,7 @@ def test_shifted_density_sandwich_spot(bernoulli):
     r = sm.radius
     xs = np.linspace(2 * r, 2 * r + 8, 25)
     q_shift = sm.density(xs + sm.tail_shift(xs))
-    p = L.gaussian_density(xs, 1.0)
+    p = gaussian_density(xs, 1.0)
     assert np.all(q_shift <= math.exp(-r) * p * (1 + 1e-10))
     assert np.all(q_shift >= math.exp(-2 * r * r - 2 * r - 0.125) * p * (1 - 1e-10))
 
@@ -258,17 +271,22 @@ def test_cdf_translation_envelope(asymmetric):
     sm = L.SmoothedMeasure(asymmetric, 1.0)
     r = sm.radius
     xs = np.linspace(-9.0, 9.0, 181)
-    f = L.gaussian_cdf(xs, 1.0)
+    f = gaussian_cdf(xs, 1.0)
     assert np.all(sm.cdf(xs - r) <= f * (1 + 1e-12) + 1e-15)
     assert np.all(f <= sm.cdf(xs + r) * (1 + 1e-12) + 1e-15)
 
 
-def test_log_evaluators_match_linear(uniform):
+def test_log_evaluators_match_quadrature_route(uniform):
+    # independent route: log of the direct integral of the Gaussian kernel
     sm = L.SmoothedMeasure(uniform, 0.5)
     xs = np.linspace(-3.0, 5.0, 17)
-    assert np.allclose(np.exp(sm.log_density(xs)), sm.density(xs), rtol=1e-12)
-    assert np.allclose(np.exp(sm.log_cdf(xs)), sm.cdf(xs), rtol=1e-12)
-    assert np.allclose(np.exp(sm.log_sf(xs)), sm.sf(xs), rtol=1e-12)
+    for got, kernel in (
+        (sm.log_density, lambda d: gaussian_density(d, 0.5)),
+        (sm.log_cdf, lambda d: gaussian_cdf(d, 0.5)),
+        (sm.log_sf, lambda d: gaussian_cdf(-d, 0.5)),
+    ):
+        direct = [L.integrate(uniform, lambda s, x=x: kernel(x - s), rtol=1e-13) for x in xs]
+        assert np.allclose(got(xs), np.log(direct), rtol=0.0, atol=1e-11)
 
 
 def test_offcenter_measure_centers_internally():

@@ -4,8 +4,8 @@ The bundled measures reach the piecewise-linear kernels only through the
 uniform density (4 cells, slope 0), where an edge/cell off-by-one cannot
 show.  These tests use a seeded 64-cell density with nonzero slopes and a
 mixed atoms+cells measure, check them against direct quadrature over the
-base measure, pin the kernels bit for bit to a per-cell oracle, and check
-that quantiles round-trip through the CDF.
+base measure, pin the log kernels bit for bit to a per-cell oracle, and
+check that quantiles round-trip through the CDF.
 """
 
 import tracemalloc
@@ -84,51 +84,34 @@ def _oracle_atoms(sm):
     return aloc, awt
 
 
-def oracle_density_c(sm, t):
-    aloc, awt = _oracle_atoms(sm)
-    out = np.zeros_like(t)
-    if aloc.size:
-        z = (t[:, None] - aloc) / sm.sigma
-        out = out + (awt * np.exp(-0.5 * z * z)).sum(axis=1) / (sm.sigma * _SQRT_2PI)
+def oracle_density_cells(sm, t):
     s0, s1, alpha, beta = _oracle_cells(sm)
     u0 = (s0 - t[:, None]) / sm.sigma
     u1 = (s1 - t[:, None]) / sm.sigma
     cdf_gap = np.where(u0 + u1 > 0.0, ndtr(-u0) - ndtr(-u1), ndtr(u1) - ndtr(u0))
     lin = alpha + beta * t[:, None]
     terms = lin * cdf_gap + beta * sm.sigma * (_oracle_pdf(u0) - _oracle_pdf(u1))
-    return out + np.maximum(terms.sum(axis=1), 0.0)
+    return np.maximum(terms.sum(axis=1), 0.0)
 
 
-def oracle_cdf_c(sm, x):
-    aloc, awt = _oracle_atoms(sm)
-    out = np.zeros_like(x)
-    if aloc.size:
-        z = (x[:, None] - aloc) / sm.sigma
-        out = out + (awt * ndtr(z)).sum(axis=1)
+def oracle_cdf_cells(sm, x):
     s0, s1, alpha, beta = _oracle_cells(sm)
     z0 = (x[:, None] - s0) / sm.sigma
     z1 = (x[:, None] - s1) / sm.sigma
     lin = alpha + beta * x[:, None]
     terms = lin * (_oracle_anti_cdf(z0) - _oracle_anti_cdf(z1))
     terms = terms - beta * sm.sigma * (_oracle_anti_z_cdf(z0) - _oracle_anti_z_cdf(z1))
-    out = out + sm.sigma * np.maximum(terms, 0.0).sum(axis=1)
-    return np.clip(out, 0.0, 1.0)
+    return sm.sigma * np.maximum(terms, 0.0).sum(axis=1)
 
 
-def oracle_sf_c(sm, x):
-    aloc, awt = _oracle_atoms(sm)
-    out = np.zeros_like(x)
-    if aloc.size:
-        z = (x[:, None] - aloc) / sm.sigma
-        out = out + (awt * ndtr(-z)).sum(axis=1)
+def oracle_sf_cells(sm, x):
     s0, s1, alpha, beta = _oracle_cells(sm)
     w0 = (s0 - x[:, None]) / sm.sigma
     w1 = (s1 - x[:, None]) / sm.sigma
     lin = alpha + beta * x[:, None]
     terms = lin * (_oracle_anti_cdf(w1) - _oracle_anti_cdf(w0))
     terms = terms + beta * sm.sigma * (_oracle_anti_z_cdf(w1) - _oracle_anti_z_cdf(w0))
-    out = out + sm.sigma * np.maximum(terms, 0.0).sum(axis=1)
-    return np.clip(out, 0.0, 1.0)
+    return sm.sigma * np.maximum(terms, 0.0).sum(axis=1)
 
 
 def _centered_points(sm, n=241):
@@ -150,15 +133,15 @@ def _direct(mu, kernel, ts):
 def test_density_matches_quadrature_route(case):
     mu, sm = case
     ts = _points(sm)
-    direct = _direct(mu, lambda d: L.gaussian_density(d, sm.delta), ts)
+    direct = _direct(mu, lambda d: _oracle_pdf(d / sm.sigma) / sm.sigma, ts)
     assert np.allclose(sm.density(ts), direct, rtol=1e-10, atol=0.0)
 
 
 def test_cdf_and_sf_match_quadrature_route(case):
     mu, sm = case
     ts = _points(sm)
-    cdf = _direct(mu, lambda d: L.gaussian_cdf(d, sm.delta), ts)
-    sf = _direct(mu, lambda d: L.gaussian_sf(d, sm.delta), ts)
+    cdf = _direct(mu, lambda d: ndtr(d / sm.sigma), ts)
+    sf = _direct(mu, lambda d: ndtr(-d / sm.sigma), ts)
     assert np.allclose(sm.cdf(ts), cdf, rtol=1e-10, atol=0.0)
     assert np.allclose(sm.sf(ts), sf, rtol=1e-10, atol=0.0)
 
@@ -177,9 +160,12 @@ def test_cdf_plus_sf_is_one(case):
 def test_kernels_equal_per_cell_oracle_bitwise(case):
     _, sm = case
     xs = _centered_points(sm)
-    assert np.array_equal(sm._density_c(xs), oracle_density_c(sm, xs))
-    assert np.array_equal(sm._cdf_c(xs), oracle_cdf_c(sm, xs))
-    assert np.array_equal(sm._sf_c(xs), oracle_sf_c(sm, xs))
+    assert np.array_equal(sm._density_cells(xs), oracle_density_cells(sm, xs))
+    assert np.array_equal(sm._tail_cells(xs, -1.0), oracle_cdf_cells(sm, xs))
+    assert np.array_equal(sm._tail_cells(xs, 1.0), oracle_sf_cells(sm, xs))
+    assert np.array_equal(sm._log_density_c(xs), oracle_log_density_c(sm, xs))
+    for sf in (False, True):
+        assert np.array_equal(sm._log_tail_c(xs, sf), oracle_log_tail_c(sm, xs, sf))
 
 
 # -- quantiles -----------------------------------------------------------
@@ -198,10 +184,14 @@ def test_quantiles_round_trip_through_cdf(name):
 def test_fused_tail_and_density_equal_separate_kernels_bitwise(case):
     _, sm = case
     xs = _centered_points(sm)
-    for sf, tail_only in ((True, sm._sf_c), (False, sm._cdf_c)):
-        tail, dens = sm._tail_density_c(xs, sf)
-        assert np.array_equal(tail, tail_only(xs))
-        assert np.array_equal(dens, sm._density_c(xs))
+    sides = np.random.default_rng(5).random(xs.size) < 0.5
+    for sf in (True, False, sides):
+        tail, dens = sm._log_tail_density_c(xs, sf)
+        assert np.array_equal(tail, sm._log_tail_c(xs, sf))
+        assert np.array_equal(dens, sm._log_density_c(xs))
+        cell_tail, cell_dens = sm._tail_density_cells(xs, smoothing._side(sf))
+        assert np.array_equal(cell_tail, sm._tail_cells(xs, smoothing._side(sf)))
+        assert np.array_equal(cell_dens, sm._density_cells(xs))
 
 
 # -- the atom log-sum-exp of the log evaluators ------------------------------
@@ -210,7 +200,8 @@ def test_fused_tail_and_density_equal_separate_kernels_bitwise(case):
 # earlier row-major formula is kept here as the oracle: below 8 atoms numpy
 # sums a row in the same order as the leading-axis pass, so the two agree
 # bit for bit; with more atoms the row sum is pairwise and they differ by a
-# few ulp.
+# few ulp.  The cells add the log of the per-cell oracle's sum, a tail
+# taken as 0 below the normal doubles.
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -223,20 +214,30 @@ def _lse_rows(a):
 
 
 def oracle_log_density_c(sm, t):
-    z = (t[:, None] - sm._aloc) / sm.sigma
-    out = _lse_rows(np.log(sm._awt) - 0.5 * z * z - np.log(sm.sigma) - _LOG_SQRT_2PI)
-    if sm._cells is not None:
-        with np.errstate(divide="ignore"):
-            out = np.logaddexp(out, np.log(sm._density_cells(t)))
+    aloc, awt = _oracle_atoms(sm)
+    out = np.full(t.shape, -np.inf)
+    with np.errstate(divide="ignore"):
+        if aloc.size:
+            z = (t[:, None] - aloc) / sm.sigma
+            out = _lse_rows(np.log(awt) - 0.5 * z * z - np.log(sm.sigma) - _LOG_SQRT_2PI)
+        if sm.centered_base.density is not None:
+            out = np.logaddexp(out, np.log(oracle_density_cells(sm, t)))
     return out
 
 
 def oracle_log_tail_c(sm, x, sf):
-    z = (x[:, None] - sm._aloc) / sm.sigma
-    out = _lse_rows(np.log(sm._awt) + log_ndtr(-z if sf else z))
-    if sm._cells is not None:
-        with np.errstate(divide="ignore"):
-            out = np.logaddexp(out, np.log(sm._tail_cells(x, 1.0 if sf else -1.0)))
+    """log of the mass above x where ``sf``, below it elsewhere, one flag per point."""
+    aloc, awt = _oracle_atoms(sm)
+    sf = np.broadcast_to(sf, x.shape)
+    out = np.full(x.shape, -np.inf)
+    with np.errstate(divide="ignore"):
+        if aloc.size:
+            z = (x[:, None] - aloc) / sm.sigma
+            out = _lse_rows(np.log(awt) + log_ndtr(np.where(sf[:, None], -z, z)))
+        if sm.centered_base.density is not None:
+            cells = np.where(sf, oracle_sf_cells(sm, x), oracle_cdf_cells(sm, x))
+            cells[cells < np.finfo(float).tiny] = 0.0
+            out = np.logaddexp(out, np.log(cells))
     return np.minimum(out, 0.0)
 
 
@@ -301,18 +302,17 @@ def _rows(sm):
 
 def _evaluator_calls(sm, sides):
     """(evaluator name, extra arguments) of every blocked evaluator."""
-    calls = [("_density_c", (), {}), ("_log_density_c", (), {}), ("_tail_c", (sides,), {})]
-    calls += [("_tail_c", (), {"sf": sf}) for sf in (False, True)]  # as _cdf_c, _sf_c
-    calls += [("_tail_density_c", (sides,), {})]
-    return calls + [("_log_tail_c", (sf,), {}) for sf in (True, False)]
+    calls = [("_log_density_c", ()), ("_log_tail_c", (sides,))]
+    calls += [("_log_tail_c", (sf,)) for sf in (False, True)]  # as log_cdf, log_sf
+    return calls + [("_log_tail_density_c", (sides,))]
 
 
 def _blocked_pairs(sm, xs, sides):
     """(blocked, one-block) result pairs of every evaluator at xs."""
-    pairs = [(sm._cdf_c(xs), sm._tail_c(xs, False)), (sm._sf_c(xs), sm._tail_c(xs, True))]
-    for name, args, kwargs in _evaluator_calls(sm, sides):
-        got = getattr(sm, name)(xs, *args, **kwargs)
-        want = getattr(type(sm), name).__wrapped__(sm, xs, *args, **kwargs)
+    pairs = []
+    for name, args in _evaluator_calls(sm, sides):
+        got = getattr(sm, name)(xs, *args)
+        want = getattr(type(sm), name).__wrapped__(sm, xs, *args)
         pairs += zip(got, want) if isinstance(got, tuple) else [(got, want)]
     return pairs
 
@@ -348,30 +348,29 @@ def test_multi_point_calls_never_reach_a_kernel_as_one_point(name, monkeypatch):
         return run
 
     monkeypatch.setattr(smoothing, "_lse_atoms", lse_recorded)
-    for attr in ("_edge_u", "_density_atoms", "_tail_atoms"):
-        monkeypatch.setattr(L.SmoothedMeasure, attr, recorded(getattr(L.SmoothedMeasure, attr)))
+    monkeypatch.setattr(L.SmoothedMeasure, "_edge_u", recorded(L.SmoothedMeasure._edge_u))
     # blocks of 2 or 3 points, where a careless split leaves one point over
     monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 8 * sm._width * 2)
     for n in range(2, 12):
         xs = _centered_points(sm, n)
-        for evaluator, args, kwargs in _evaluator_calls(sm, np.arange(n) % 2 == 0):
+        for evaluator, args in _evaluator_calls(sm, np.arange(n) % 2 == 0):
             sizes.clear()
-            getattr(sm, evaluator)(xs, *args, **kwargs)
+            getattr(sm, evaluator)(xs, *args)
             assert sizes and min(sizes) >= 2 and max(sizes) <= 3
     sizes.clear()
-    sm._density_c(np.zeros(1))
+    sm._log_density_c(np.zeros(1))
     assert set(sizes) == {1}
 
 
 def test_blocked_fused_kernel_peak_memory():
     # one (1001 x 257) temporary is 2.06 MB, and one call on all the points
-    # at once peaks at about 16.5 MB; in blocks it peaks near 0.80 MB
+    # at once peaks at about 23 MB; in blocks it peaks near 0.80 MB
     sm = L.SmoothedMeasure(_cells256(), 0.05)
     xs = _centered_points(sm, 1001)
-    sm._tail_density_c(xs, True)
+    sm._log_tail_density_c(xs, True)
     tracemalloc.start()
     try:
-        sm._tail_density_c(xs, True)
+        sm._log_tail_density_c(xs, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -406,12 +405,17 @@ def test_one_sided_kernels_equal_two_sided_oracle_bitwise(cells, delta):
     sm = L.SmoothedMeasure(mu, delta)
     xs = _flip_points(sm)
     sides = rng.random(xs.size) < 0.5
-    dens = oracle_density_c(sm, xs)
-    tail = np.where(sides, oracle_sf_c(sm, xs), oracle_cdf_c(sm, xs))
-    assert np.array_equal(sm._density_c(xs), dens)
-    got_tail, got_dens = sm._tail_density_c(xs, sides)
+    dens = oracle_density_cells(sm, xs)
+    tail = np.where(sides, oracle_sf_cells(sm, xs), oracle_cdf_cells(sm, xs))
+    assert np.array_equal(sm._density_cells(xs), dens)
+    got_tail, got_dens = sm._tail_density_cells(xs, smoothing._side(sides))
     assert np.array_equal(got_tail, tail)
     assert np.array_equal(got_dens, dens)
+    log_dens = oracle_log_density_c(sm, xs)
+    assert np.array_equal(sm._log_density_c(xs), log_dens)
+    got_tail, got_dens = sm._log_tail_density_c(xs, sides)
+    assert np.array_equal(got_tail, oracle_log_tail_c(sm, xs, sides))
+    assert np.array_equal(got_dens, log_dens)
 
 
 def _ndtr_values(monkeypatch, run):
@@ -432,10 +436,11 @@ def test_density_kernels_take_one_phi_value_per_edge(monkeypatch):
     sm = L.SmoothedMeasure(_cells256(), 0.05)
     xs = _centered_points(sm, 1001)
     edges = xs.size * 257
-    assert _ndtr_values(monkeypatch, lambda: sm._density_c(xs)) <= 1.1 * edges
+    assert _ndtr_values(monkeypatch, lambda: sm._log_density_c(xs)) <= 1.1 * edges
     # the fused kernel adds Phi(z) at the edges beyond each point on its tail's
     # side; the solvers take the nearer tail, which leaves few of them
-    assert _ndtr_values(monkeypatch, lambda: sm._tail_density_c(xs, xs >= 0.0)) <= 1.1 * edges
+    fused = _ndtr_values(monkeypatch, lambda: sm._log_tail_density_c(xs, xs >= 0.0))
+    assert fused <= 1.1 * edges
 
 
 def test_lipschitz_sweep_phi_values_per_abscissa_and_edge(monkeypatch):
@@ -495,6 +500,20 @@ def test_tails_at_huge_finite_abscissae(evaluator, at_minus, at_plus, name, x):
         with np.errstate(divide="ignore"):
             want = logsumexp(np.log(sm._awt) + log_ndtr(-z if evaluator == "log_sf" else z))
     assert got[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert got[1] == getattr(sm, evaluator)(0.3)
+
+
+@pytest.mark.parametrize("x", [-1e300, -1e154, 1e154, 1e300])
+@pytest.mark.parametrize("name", list(LIMIT_MEASURES))
+@pytest.mark.parametrize("evaluator, limit", [("density", 0.0), ("log_density", -np.inf)])
+def test_densities_at_huge_finite_abscissae(evaluator, limit, name, x):
+    # z*z overflows to inf from |t| of about 1e154, which gives the limit;
+    # the overflow must not warn
+    sm = L.SmoothedMeasure(LIMIT_MEASURES[name](), 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = getattr(sm, evaluator)(np.array([x, 0.3]))
+    assert got[0] == limit
     assert got[1] == getattr(sm, evaluator)(0.3)
 
 
