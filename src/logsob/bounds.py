@@ -201,16 +201,19 @@ def _log_inv_density_segment(sm: SmoothedMeasure, a: float, b: float) -> float:
     return m + math.log(float(np.dot(w, np.exp(lv - m))))
 
 
-def _bg_side(sm, med, left, n, tail_mult, refine):
-    half = sm.radius + tail_mult * sm.sigma
-    if left:
-        xs = np.linspace(med - half, med, n)
-    else:
-        xs = np.linspace(med, med + half, n)
-    mids = 0.5 * (xs[:-1] + xs[1:])
+def _bg_side(sm, med, s, n, half):
+    """(log sup, argmax) of tail * log(1/tail) * integral of 1/q from the median,
+    below it for s = -1 (tail = cdf), above it for s = +1 (tail = sf).
+
+    Scans n points outward to the window edge med + s*half, the last node,
+    summing 3-node Simpson cells outward in log domain, and polishes the scan
+    max by golden-section search, with a 9-node rule over its partial cell.
+    """
+    dist = np.linspace(0.0, half, n)
+    xs = med + s * dist
+    h = np.diff(dist)
     linv_nodes = -sm.log_density(xs)
-    linv_mids = -sm.log_density(mids)
-    h = np.diff(xs)
+    linv_mids = -sm.log_density(0.5 * (xs[:-1] + xs[1:]))
     with np.errstate(divide="ignore"):
         cell_log = _logsumexp(
             np.stack(
@@ -222,72 +225,56 @@ def _bg_side(sm, med, left, n, tail_mult, refine):
             ),
             axis=0,
         )
-    if left:
-        # log of the integral of 1/q from xs[j] to the median
-        rc = np.logaddexp.accumulate(cell_log[::-1])[::-1]
-        log_int = np.append(rc, -np.inf)
-        log_tail = sm.log_cdf(xs)
-    else:
-        fc = np.logaddexp.accumulate(cell_log)
-        log_int = np.concatenate([[-np.inf], fc])
-        log_tail = sm.log_sf(xs)
+    # log of the integral of 1/q from the median to xs[j]
+    log_int = np.concatenate([[-np.inf], np.logaddexp.accumulate(cell_log)])
+    log_tail_at = sm.log_sf if s > 0 else sm.log_cdf
+    log_tail = log_tail_at(xs)
     # log of tail * log(1/tail) * integral; 0*inf convention -> 0
     with np.errstate(invalid="ignore"):
         log_h = log_tail + np.log(-log_tail) + log_int
     log_h = np.where(np.isneginf(log_tail), -np.inf, log_h)
     i = int(np.argmax(log_h))
-    at_boundary = (i == 0) if left else (i == n - 1)
-    if at_boundary:
+    if i == n - 1:
         raise SupremumNotLocalized(
             "criterion supremum sits on the scan boundary; widen the scan window"
         )
     best_log, best_x = float(log_h[i]), float(xs[i])
-    if refine and 0 < i < n - 1:
 
-        def exact(x):
-            if left:
-                k = int(np.searchsorted(xs, x, side="right"))
-                k = min(max(k, 1), n - 1)
-                tail = np.logaddexp(
-                    _log_inv_density_segment(sm, x, float(xs[k])), log_int[k]
-                )
-                lt = float(sm.log_cdf(x))
-            else:
-                k = int(np.searchsorted(xs, x, side="left")) - 1
-                k = min(max(k, 0), n - 2)
-                tail = np.logaddexp(
-                    log_int[k], _log_inv_density_segment(sm, float(xs[k]), x)
-                )
-                lt = float(sm.log_sf(x))
-            if lt == -math.inf:
-                return -math.inf
-            return lt + math.log(-lt) + float(tail)
+    def exact(x):
+        # x lies in cell k, from xs[k] out to xs[k + 1], its outer node included
+        k = int(np.searchsorted(dist, s * (x - med), side="left")) - 1
+        k = min(max(k, 0), n - 2)
+        lt = float(log_tail_at(x))
+        if lt == -math.inf:
+            return -math.inf
+        seg = _log_inv_density_segment(sm, *sorted((float(xs[k]), x)))
+        return lt + math.log(-lt) + float(np.logaddexp(log_int[k], seg))
 
-        span = float(xs[i + 1] - xs[i - 1])
-        xr, fr = golden_section_max(
-            exact, float(xs[i - 1]), float(xs[i + 1]), xtol=1e-6 * span
-        )
-        if fr > best_log:
-            best_log, best_x = float(fr), float(xr)
+    # log_h[0] is -inf (integral 0) and log_h[1] is not (tail near 1/2): 0 < i < n - 1
+    lo, hi = xs[i - 1], xs[i + 1]
+    xr, fr = golden_section_max(exact, lo, hi, xtol=1e-6 * abs(hi - lo))
+    if fr > best_log:
+        best_log, best_x = float(fr), float(xr)
     return LogValue(best_log), best_x
 
 
 def bobkov_goetze(
-    sm: SmoothedMeasure, scan_points: int = 1201, tail_mult: float = 10.0, refine: bool = True
+    sm: SmoothedMeasure, scan_points: int = 1201, tail_mult: float = 10.0
 ) -> BobkovGoetzeEstimate:
     """Two-sided constant estimate for the smoothed measure.
 
-    On each side of the median, scans tail * log(1/tail) * integral(1/q),
-    with the reciprocal-density integral accumulated in log domain, then
-    polishes the scan max by golden-section search.  Raises
+    d0 and d1 are the sups of tail * log(1/tail) * integral(1/q) below and
+    above the median, each from :func:`_bg_side` over the window of
+    half-width R + tail_mult*sigma on its side.  Raises
     SupremumNotLocalized when a scan max lands on the window edge.
     """
     n = int(scan_points)
     if n < 8:
         raise DomainError("scan needs at least 8 points")
     med = median(sm)
-    d0, x0 = _bg_side(sm, med, True, n, float(tail_mult), refine)
-    d1, x1 = _bg_side(sm, med, False, n, float(tail_mult), refine)
+    half = sm.radius + float(tail_mult) * sm.sigma
+    d0, x0 = _bg_side(sm, med, -1.0, n, half)
+    d1, x1 = _bg_side(sm, med, 1.0, n, half)
     total = d0 + d1
     return BobkovGoetzeEstimate(
         d0=d0,
@@ -297,7 +284,7 @@ def bobkov_goetze(
         argmax_below=x0,
         argmax_above=x1,
         scan_points=n,
-        scan_halfwidth=sm.radius + float(tail_mult) * sm.sigma,
+        scan_halfwidth=half,
     )
 
 
@@ -362,8 +349,7 @@ def compute_bound_report(
     """Assemble every bound for one (measure, delta) pair, with sanity checks."""
     sm = SmoothedMeasure(measure, delta, config)
     r = sm.radius
-    tm = TransportMap(sm, grid_points=lipschitz_points, extent=lipschitz_extent)
-    lip = tm.lipschitz_estimate()
+    lip = TransportMap(sm).lipschitz_estimate(lipschitz_points, lipschitz_extent)
     hardy, hardy_small = bound_hardy(r, delta)
     multi = None
     if r > 0.0 and delta <= r * r:

@@ -314,8 +314,7 @@ def _resolve_constant(name_or_value, sm: SmoothedMeasure, cfg: SweepConfig):
     if name_or_value == "hardy":
         return bound_hardy(sm.radius, sm.delta)[0], "hardy"
     if name_or_value == "pushforward":
-        tm = TransportMap(sm, grid_points=cfg.lipschitz_points, extent=cfg.lipschitz_extent)
-        lip = tm.lipschitz_estimate()
+        lip = TransportMap(sm).lipschitz_estimate(cfg.lipschitz_points, cfg.lipschitz_extent)
         return bound_pushforward(gaussian_lsi_constant(sm.delta), lip), "pushforward"
     if name_or_value == "bg_upper":
         return bobkov_goetze(sm, scan_points=cfg.bg_points).upper, "bg_upper"

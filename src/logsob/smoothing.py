@@ -213,20 +213,25 @@ class SmoothedMeasure:
     def _log_density_atoms(self, t):
         if not self._aloc.size:
             return np.full(t.shape, -np.inf)
-        z = (t - self._aloc[:, None]) / self.sigma
         with np.errstate(over="ignore"):  # z*z is inf from |t| of about 1e154, and q there 0
+            z = (t - self._aloc[:, None]) / self.sigma
             la = np.log(self._awt)[:, None] - 0.5 * z * z - math.log(self.sigma) - _LOG_SQRT_2PI
         return _lse_atoms(la)
 
     def _log_tail_atoms(self, x, sf):
         if not self._aloc.size:
             return np.full(x.shape, -np.inf)
-        z = (x - self._aloc[:, None]) / self.sigma
+        with np.errstate(over="ignore"):  # z is +-inf near the largest doubles, its tail 0 or 1
+            z = (x - self._aloc[:, None]) / self.sigma
         return _lse_atoms(np.log(self._awt)[:, None] + log_ndtr(np.where(sf, -1.0, 1.0) * z))
 
     def _edge_u(self, t):
-        # u = (edge - t)/sigma (q reads u, cdf z = -u, sf z = u) and lin = alpha + beta*t
+        # u = (edge - t)/sigma (q reads u, cdf z = -u, sf z = u) and lin = alpha + beta*t,
+        # t clamped to R + 40 sigma: beyond it every cell tail and phi is below the
+        # smallest subnormal, while z*z, beta*t and the antiderivatives overflow
         grid, alpha, beta = self._cells
+        lim = self.radius + 40.0 * self.sigma
+        t = np.clip(t, -lim, lim)
         return (grid - t[:, None]) / self.sigma, alpha + beta * t[:, None]
 
     def _density_edges(self, lin, cdf_gap, pdf):
@@ -244,17 +249,13 @@ class SmoothedMeasure:
         return self._density_edges(lin, _cdf_gap(u, ndtr(-np.abs(u))), _std_pdf(u))
 
     def _tail_cells(self, x, s):
-        # beyond R + 40 sigma every cell tail and phi is below the smallest
-        # subnormal, while z*z and the antiderivatives' cancellation go astray
-        lim = self.radius + 40.0 * self.sigma
-        u, lin = self._edge_u(np.clip(x, -lim, lim))
+        u, lin = self._edge_u(x)
         z = s * u
         a, b = _edge_antiderivatives(z, ndtr(z), _std_pdf(z))
         return self._tail_edges(lin, a, b, s)
 
     def _tail_density_cells(self, y, s):
-        """(_tail_cells, _density_cells) at y inside R + 40 sigma, bit for bit,
-        from one pass over the cell edges.
+        """(_tail_cells, _density_cells) at y, bit for bit, from one pass over the cell edges.
 
         The tail reads Phi(z) at z = s*u, which is the smaller tail w of the
         gaps where z <= 0, so only edges beyond y on the tail's side add one."""
@@ -286,8 +287,7 @@ class SmoothedMeasure:
 
     @_blocked
     def _log_tail_density_c(self, y, sf):
-        """(_log_tail_c, _log_density_c) at y, bit for bit inside R + 40 sigma,
-        from one pass over the cell edges."""
+        """(_log_tail_c, _log_density_c) at y, bit for bit, from one pass over the cell edges."""
         tail, dens = self._log_tail_atoms(y, sf), self._log_density_atoms(y)
         if self._cells is not None:
             cell_tail, cell_dens = self._tail_density_cells(y, _side(sf))

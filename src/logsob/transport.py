@@ -73,16 +73,13 @@ def lipschitz_theoretical_bound(radius_normalized) -> LogValue:
 
 
 class TransportMap:
-    """Increasing map pushing gamma_delta onto the smoothed target measure."""
+    """Increasing map pushing gamma_delta onto the smoothed target; no cache, no sweep settings."""
 
-    def __init__(self, target: SmoothedMeasure, grid_points: int = 4001, extent: float = 8.0):
+    def __init__(self, target: SmoothedMeasure):
         self.target = target
-        self.delta = target.delta
         self.sigma = target.sigma
         self.center = target.center
         self.radius = target.radius
-        self.grid_points = int(grid_points)
-        self.extent = float(extent)
         if target.delta == 1.0 and target.center == 0.0:
             self.unit = target
         else:
@@ -91,7 +88,16 @@ class TransportMap:
                 base = pushforward_affine(base, 1.0 / target.sigma)
             self.unit = SmoothedMeasure(base, 1.0, target.config)
         self.radius_normalized = self.radius / self.sigma
-        self._samples = None
+
+    def _grid(self, points, extent):
+        """linspace(-(2R + extent), 2R + extent, points), R the normalized
+        radius; DomainError unless points >= 2 and extent is finite and positive."""
+        if not points >= 2:
+            raise DomainError("sweep needs at least 2 points, got %r" % (points,))
+        if not 0.0 < extent < math.inf:
+            raise DomainError("sweep extent must be finite and positive, got %r" % (extent,))
+        edge = 2.0 * self.radius_normalized + extent
+        return np.linspace(-edge, edge, int(points))
 
     # -- unit-frame solve ------------------------------------------------
 
@@ -173,60 +179,42 @@ class TransportMap:
         arr = np.asarray(x, dtype=float)
         return arr + self.center - self.radius, arr + self.center + self.radius
 
-    def lipschitz_estimate(
-        self, grid_points: int | None = None, extent: float | None = None, refine_xtol: float = 1e-8
-    ) -> LipschitzEstimate:
-        """Sweep max of T' over [-2R-extent, 2R+extent] (normalized), refined.
+    def lipschitz_estimate(self, grid_points: int = 4001, extent: float = 8.0) -> LipschitzEstimate:
+        """Sweep max of T' over ``grid_points`` points of [-2R-extent, 2R+extent]
+        (normalized), refined; these arguments are the only sweep settings.
 
-        The grid max is polished by golden-section search between its
+        The grid max is polished by golden-section search to 1e-8 between its
         neighboring grid points, each solve starting from :func:`_warm_start`
-        through the sweep's samples.  Beyond the window no numerical evaluation
+        through the sweep's roots.  Beyond the window no numerical evaluation
         is attempted; the analytic outer-region bound is reported alongside.
         """
-        gp = int(grid_points) if grid_points else self.grid_points
-        ext = float(extent) if extent else self.extent
-        if not 0.0 < ext < math.inf:
-            raise DomainError("sweep extent must be finite and positive, got %r" % ext)
-        rn = self.radius_normalized
-        xs = np.linspace(-(2.0 * rn + ext), 2.0 * rn + ext, gp)
+        xs = self._grid(grid_points, extent)
         ys, logd = self._eval_unit(xs)
         i = int(np.argmax(logd))
-        self._samples = (
-            self.sigma * xs,
-            self.center + self.sigma * ys,
-            np.exp(logd),
-        )
 
         def logd_at(x):
             xa = np.array([x])
             ya = self._solve(xa, _warm_start(xs, ys, logd, xa))
             return float(self._log_derivative_unit(xa, ya)[0])
 
-        xr, fr = golden_section_max(
-            logd_at, xs[max(i - 1, 0)], xs[min(i + 1, gp - 1)], xtol=refine_xtol
-        )
+        xr, fr = golden_section_max(logd_at, xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)])
         if fr >= logd[i]:
             best_x, best_log = xr, fr
         else:
             best_x, best_log = float(xs[i]), float(logd[i])
+        rn = self.radius_normalized
         return LipschitzEstimate(
             log_value=best_log,
             argmax=self.sigma * best_x,
-            grid_points=gp,
+            grid_points=xs.size,
             window=(self.sigma * float(xs[0]), self.sigma * float(xs[-1])),
             tail_log_bound=2.0 * rn * rn + 2.0 * rn + 0.125,
         )
 
-    @property
-    def samples(self):
-        """(x, T(x), T'(x)) from the last sweep, or None before any sweep."""
-        return self._samples
-
 
 def transport_table(tm: TransportMap, points: int = 1001, extent: float = 8.0):
     """Columns for the transport report: x, T, T', and the hard envelope."""
-    rn = tm.radius_normalized
-    xs = tm.sigma * np.linspace(-(2.0 * rn + extent), 2.0 * rn + extent, int(points))
+    xs = tm.sigma * tm._grid(points, extent)
     t, d = tm.eval_and_derivative(xs)
     env_lo, env_hi = tm.envelope(xs)
     return {"x": xs, "T": t, "T_prime": d, "envelope_lo": env_lo, "envelope_hi": env_hi}

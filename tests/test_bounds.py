@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import logsob as L
+import logsob.bounds as bounds
 from logsob.errors import DomainError, SupremumNotLocalized
 
 from conftest import dense_quantile_oracle
@@ -178,6 +179,44 @@ def test_bg_boundary_guard(point_mass):
     # a scan window too narrow to contain the supremum must raise
     with pytest.raises(SupremumNotLocalized):
         L.bobkov_goetze(L.SmoothedMeasure(point_mass, 1.0), scan_points=101, tail_mult=0.5)
+
+
+def test_bg_boundary_guard_above_the_median(asymmetric):
+    # mirrored asymmetric, delta 0.25, tail_mult 1: the sup above the median
+    # sits near 0.81, beyond the window edge at 0.72, while the side below
+    # the median is localized; bobkov_goetze must raise for the upper side
+    sm = L.SmoothedMeasure(L.pushforward_affine(asymmetric, -1.0), 0.25)
+    med = L.median(sm)
+    half = sm.radius + sm.sigma
+    d0, x0 = bounds._bg_side(sm, med, -1.0, 201, half)
+    assert math.isfinite(d0.log) and med - half < x0 < med
+    with pytest.raises(SupremumNotLocalized):
+        bounds._bg_side(sm, med, 1.0, 201, half)
+    with pytest.raises(SupremumNotLocalized):
+        L.bobkov_goetze(sm, scan_points=201, tail_mult=1.0)
+
+
+def _mixed_measure():
+    grid = np.array([-0.2, 0.4, 1.0])
+    values = np.array([0.2, 0.8, 0.3])
+    values *= 0.5 / L.TabulatedDensity(grid, values).mass
+    return L.make_measure(
+        atoms=[(-1.0, 0.3), (0.4, 0.2)], density=L.TabulatedDensity(grid, values)
+    )
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.25, 1.0])
+@pytest.mark.parametrize("name", ["asymmetric", "mixed"])
+def test_bg_reflection_swaps_the_sides(name, delta, request):
+    # the mirror image x -> -x swaps cdf and sf about the negated median, so
+    # one scan routine must give d0 and d1 of either side the same way
+    mu = _mixed_measure() if name == "mixed" else request.getfixturevalue(name)
+    a = L.bobkov_goetze(L.SmoothedMeasure(mu, delta), scan_points=801)
+    b = L.bobkov_goetze(L.SmoothedMeasure(L.pushforward_affine(mu, -1.0), delta), scan_points=801)
+    assert b.d0.log == pytest.approx(a.d1.log, rel=1e-12)
+    assert b.d1.log == pytest.approx(a.d0.log, rel=1e-12)
+    assert b.argmax_below == pytest.approx(-a.argmax_above, abs=1e-6)
+    assert b.argmax_above == pytest.approx(-a.argmax_below, abs=1e-6)
 
 
 def test_report_assembles_with_checks(bernoulli):

@@ -1,6 +1,9 @@
+import importlib.util
 import json
 import math
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,3 +373,26 @@ def test_atoms_at_small_delta_pass_bounds_and_transport(tmp_path):
     x, t, lo, hi = data[:, 0], data[:, 1], data[:, 3], data[:, 4]
     assert np.all((lo <= t) & (t <= hi))
     assert np.array_equal(lo, x - 1.0) and np.array_equal(hi, x + 1.0)
+
+
+def _perfbench_module(name):
+    """perfbench/<name>.py of this checkout, imported read-only under its own name."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / ("%s.py" % name)
+    spec = importlib.util.spec_from_file_location("perfbench_%s" % name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bundled_sweep_matches_the_stored_reference(tmp_path):
+    # the benchmark's checker against perfbench/reference/bundled-sweep, so
+    # that a report drifting past its tolerances fails here and not only
+    # when the benchmark runs
+    workloads, check = _perfbench_module("workloads"), _perfbench_module("check")
+    plan = workloads.generate("bundled-sweep", 0, tmp_path / "inputs")
+    out = tmp_path / "out"
+    assert main(plan.argv(plan.calls[0], out)) == 0
+    problems = {op: found for op, found in check.check_sweep(plan, out).items() if found}
+    assert problems == {}
+    assert len(plan.ops) == 24

@@ -8,6 +8,7 @@ base measure, pin the log kernels bit for bit to a per-cell oracle, and
 check that quantiles round-trip through the CDF.
 """
 
+import re
 import tracemalloc
 import warnings
 from functools import partial
@@ -182,8 +183,10 @@ def test_quantiles_round_trip_through_cdf(name):
 
 
 def test_fused_tail_and_density_equal_separate_kernels_bitwise(case):
+    # everywhere: every cell kernel clamps its abscissae at R + 40 sigma
     _, sm = case
-    xs = _centered_points(sm)
+    far = sm.radius + np.array([41.0 * sm.sigma, 1e10, 1e155, 1e300])
+    xs = np.concatenate([_centered_points(sm), far, -far])
     sides = np.random.default_rng(5).random(xs.size) < 0.5
     for sf in (True, False, sides):
         tail, dens = sm._log_tail_density_c(xs, sf)
@@ -515,6 +518,40 @@ def test_densities_at_huge_finite_abscissae(evaluator, limit, name, x):
         got = getattr(sm, evaluator)(np.array([x, 0.3]))
     assert got[0] == limit
     assert got[1] == getattr(sm, evaluator)(0.3)
+
+
+def _sloped3():
+    return L.make_measure(
+        density=L.TabulatedDensity(np.array([-1.0, 0.0, 1.0]), np.array([0.2, 0.8, 0.2]))
+    )
+
+
+@pytest.mark.parametrize("x", [-1.7e308, 1.7e308])
+@pytest.mark.parametrize("name", [*LIMIT_MEASURES, "sloped"])
+@pytest.mark.parametrize("evaluator", ["log_density", "log_cdf", "log_sf"])
+def test_evaluators_at_the_largest_doubles_give_their_limits(evaluator, name, x):
+    # (edge - t)/sigma, (t - atom)/sigma and the slope times t overflow there;
+    # the cells clamp t to R + 40 sigma first, and nothing may warn.  The
+    # value is the limit at inf, up to the rounding of the tabulated mass
+    sm = L.SmoothedMeasure(_sloped3() if name == "sloped" else LIMIT_MEASURES[name](), 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = getattr(sm, evaluator)(np.array([x, 0.3]))
+    limit = getattr(sm, evaluator)(np.copysign(np.inf, x))
+    assert got[0] == pytest.approx(limit, abs=1e-12)
+    assert got[1] == getattr(sm, evaluator)(0.3)
+
+
+@pytest.mark.parametrize("x", [-1e155, 1e155])
+def test_transport_beyond_the_cell_clamp_is_a_bracket_failure(x):
+    # the fused tail and density kernel of the solve is clamped like the
+    # others: its cell tail is below the normal doubles, a typed error, and
+    # z*z in the antiderivatives no longer overflows
+    tm = L.TransportMap(L.SmoothedMeasure(L.make_uniform(-1.0, 1.0), 0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(L.BracketFailure, match="first at x = %s$" % re.escape(repr(x))):
+            tm.eval(x)
 
 
 @pytest.mark.parametrize("name", list(LIMIT_MEASURES))

@@ -131,11 +131,21 @@ def test_theoretical_bound_values():
     assert 2 * 0.25**2 + 2 * 0.25 + 0.125 == pytest.approx(12 * 0.25**2)
 
 
+def _sweep_grid(tm, points, extent=8.0):
+    """The sweep's abscissae in original coordinates."""
+    return tm.sigma * tm._grid(points, extent)
+
+
 def test_tail_log_bound_reported(bernoulli):
-    lip = make_map(bernoulli, 1.0).lipschitz_estimate(grid_points=801)
+    tm = make_map(bernoulli, 1.0)
+    lip = tm.lipschitz_estimate(grid_points=801)
     assert lip.tail_log_bound == pytest.approx(2 + 2 + 0.125)
     assert lip.grid_points == 801
-    assert lip.window[0] < 0 < lip.window[1]
+    xs = _sweep_grid(tm, 801)
+    assert lip.window == (xs[0], xs[-1]) and xs[-1] == tm.sigma * (2.0 + 8.0)
+    # T increases and T' is positive along the sweep
+    ts, ds = tm.eval_and_derivative(xs)
+    assert np.all(np.diff(ts) > 0) and np.all(ds > 0)
 
 
 @pytest.mark.parametrize("extent", [-20.0, math.inf, math.nan])
@@ -145,12 +155,27 @@ def test_sweep_extent_must_be_finite_and_positive(bernoulli, extent):
         make_map(bernoulli, 0.25).lipschitz_estimate(extent=extent)
 
 
-def test_sweep_samples_cached(bernoulli):
-    tm = make_map(bernoulli, 1.0)
-    assert tm.samples is None
-    tm.lipschitz_estimate(grid_points=401)
-    xs, ts, ds = tm.samples
-    assert len(xs) == 401 and np.all(np.diff(ts) > 0) and np.all(ds > 0)
+@pytest.mark.parametrize("points", [0, 1, -5])
+def test_sweep_needs_two_points(bernoulli, points):
+    # 0 used to run the 4001-point default, 1 reported log L = 0.0047 for
+    # the closed form 2.0, and -5 raised an untyped ValueError
+    with pytest.raises(L.DomainError, match="at least 2 points"):
+        make_map(bernoulli, 0.25).lipschitz_estimate(grid_points=points)
+
+
+@pytest.mark.parametrize("points, extent, what", [(5, -1.0, "extent"), (-3, 8.0, "2 points")])
+def test_table_arguments_are_checked(bernoulli, points, extent, what):
+    # a negative extent used to shrink the table's window silently
+    with pytest.raises(L.DomainError, match=what):
+        L.transport_table(make_map(bernoulli, 0.25), points=points, extent=extent)
+
+
+def test_map_holds_no_state(asymmetric):
+    tm = make_map(asymmetric, 0.25)
+    before = dict(vars(tm))
+    tm.lipschitz_estimate(grid_points=201)
+    tm.eval(np.linspace(-3.0, 3.0, 7))
+    assert vars(tm) == before
 
 
 def test_transport_table_columns(bernoulli):
@@ -168,7 +193,7 @@ def test_offcenter_point_mass_slope_is_exactly_one(delta):
     # a translation, and the midpoint start lands on it bit for bit
     tm = make_map(L.make_discrete([(2.5, 1.0)]), delta)
     lip = tm.lipschitz_estimate(grid_points=801)
-    xs, ts, ds = tm.samples
+    _, ds = tm.eval_and_derivative(_sweep_grid(tm, 801))
     assert np.all(ds == 1.0)
     assert lip.log_value == 0.0
 
@@ -207,8 +232,8 @@ def test_map_matches_mpmath_oracle_out_to_the_window_edge(name, request):
 
 
 def _sweep_edge(tm):
-    """Right end of the Lipschitz sweep window, in original coordinates."""
-    return tm.sigma * (2.0 * tm.radius_normalized + tm.extent)
+    """Right end of the Lipschitz sweep window at the default extent 8, in original coordinates."""
+    return tm.sigma * (2.0 * tm.radius_normalized + 8.0)
 
 
 @pytest.mark.parametrize("delta", [0.002, 0.0005])
