@@ -17,7 +17,7 @@ from .errors import DomainError, SupremumNotLocalized
 from .logdomain import LogValue, _as_log
 from .measures import Measure1D
 from .quadrature import golden_section_max
-from .smoothing import QuadratureConfig, SmoothedMeasure
+from .smoothing import QuadratureConfig, SmoothedMeasure, _check_delta, _check_radius
 from .transport import LipschitzEstimate, TransportMap, lipschitz_theoretical_bound
 
 # constants of the two-term criterion-route bound
@@ -35,10 +35,7 @@ GAUSSIAN_LSI_FACTOR = 2.0
 
 def gaussian_lsi_constant(delta) -> float:
     """Optimal constant for the centered Gaussian of variance delta."""
-    delta = float(delta)
-    if delta <= 0.0:
-        raise DomainError("variance must be positive")
-    return GAUSSIAN_LSI_FACTOR * delta
+    return GAUSSIAN_LSI_FACTOR * _check_delta(delta)
 
 
 def bound_hardy(radius, delta):
@@ -48,10 +45,7 @@ def bound_hardy(radius, delta):
     available when delta <= radius**2 (None otherwise).  Accepts radius 0 as
     the continuous limit, where the exponential term vanishes.
     """
-    r = float(radius)
-    delta = float(delta)
-    if r < 0.0 or delta <= 0.0:
-        raise DomainError("need radius >= 0 and delta > 0")
+    r, delta = _check_radius(radius), _check_delta(delta)
     if r > 0.0:
         t_exp = (
             math.log(HARDY_COEFF_EXP)
@@ -77,12 +71,11 @@ def bound_hardy(radius, delta):
 
 def bound_multidim(radius, delta, n_dim) -> LogValue:
     """Formula evaluator for the n-dimensional bound; requires delta <= radius**2."""
-    r = float(radius)
-    delta = float(delta)
+    r, delta = _check_radius(radius), _check_delta(delta)
+    if not (float(n_dim).is_integer() and n_dim >= 1):
+        raise DomainError("dimension must be a positive integer, got %r" % (n_dim,))
     n = int(n_dim)
-    if n < 1:
-        raise DomainError("dimension must be a positive integer")
-    if not (r > 0.0 and 0.0 < delta <= r * r):
+    if not delta <= r * r:
         raise DomainError("multidimensional bound needs 0 < delta <= radius**2")
     return LogValue(
         math.log(MULTIDIM_COEFF) + 2.0 * math.log(r) + 20.0 * n + 5.0 * r * r / delta
@@ -122,10 +115,7 @@ def bound_transport(radius, delta) -> TransportRouteBound:
     whenever delta <= 16 R^2 the max is exactly the second (exponential)
     branch.
     """
-    r = float(radius)
-    delta = float(delta)
-    if r < 0.0 or delta <= 0.0:
-        raise DomainError("need radius >= 0 and delta > 0")
+    r, delta = _check_radius(radius), _check_delta(delta)
     base = math.log(2.0 * delta)
     log_moderate = base + 4.0 * r * r / delta + 4.0 * r / math.sqrt(delta) + 0.25
     log_exponential = base + 24.0 * r * r / delta
@@ -271,8 +261,11 @@ def bobkov_goetze(
     n = int(scan_points)
     if n < 8:
         raise DomainError("scan needs at least 8 points")
+    tail_mult = float(tail_mult)
+    if not 0.0 < tail_mult < math.inf:
+        raise DomainError("tail_mult must be finite and positive, got %r" % tail_mult)
     med = median(sm)
-    half = sm.radius + float(tail_mult) * sm.sigma
+    half = sm.radius + tail_mult * sm.sigma
     d0, x0 = _bg_side(sm, med, -1.0, n, half)
     d1, x1 = _bg_side(sm, med, 1.0, n, half)
     total = d0 + d1

@@ -13,8 +13,8 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .bounds import (
@@ -25,9 +25,9 @@ from .bounds import (
     compute_bound_report,
     gaussian_lsi_constant,
 )
-from .empirical import bump_family, exponential_family, step_family, verify_lsi
+from .empirical import shipped_families, verify_lsi
 from .errors import ConfigParseError, LogsobError, MeasureParseError
-from .measures import load_measure
+from .measures import MASS_TOL, load_measure
 from .smoothing import QuadratureConfig, SmoothedMeasure
 from .transport import TransportMap, transport_table
 
@@ -40,17 +40,17 @@ class SweepConfig:
     measures: list
     deltas: list
     quad: QuadratureConfig
-    mass_tol: float = 1e-9
-    dimension: int = 1
-    lipschitz_points: int = 4001
-    lipschitz_extent: float = 8.0
-    transport_points: int = 1001
-    transport_extent: float = 8.0
-    bg_points: int = 1201
-    verify_families: tuple = KNOWN_FAMILIES
-    verify_bound: object = "transport"
-    verify_grid_size: int | None = None
-    out_format: str = "json"
+    mass_tol: float
+    dimension: int
+    lipschitz_points: int
+    lipschitz_extent: float
+    transport_points: int
+    transport_extent: float
+    bg_points: int
+    verify_families: tuple
+    verify_bound: object
+    verify_grid_size: int | None
+    out_format: str
 
 
 def bundled_data_path(name: str = "") -> Path:
@@ -137,18 +137,28 @@ def load_sweep_config(path, overrides=None) -> SweepConfig:
     _require(
         all(0 < d < math.inf for d in deltas), "%s: every delta must be finite and positive" % path
     )
+    # output files name a pair by the measure file's stem and by delta in %g form
+    for what, names in (
+        ("measures", [m.stem for m in measure_paths]),
+        ("deltas", ["%g" % d for d in deltas]),
+    ):
+        clashes = sorted({n for n in names if names.count(n) > 1})
+        _require(
+            not clashes, "%s: two %s share the output name %s" % (path, what, ", ".join(clashes))
+        )
 
     tol = _section(path, raw, "tolerances")
+    default = QuadratureConfig()
     try:
         quad = QuadratureConfig(
-            tail_mult=_number(path, raw.get("tail_mult", 12.0), "tail_mult"),
-            integ_tol=_number(path, tol.get("integ_tol", 1e-10), "tolerances.integ_tol"),
-            cdf_tol=_number(path, tol.get("cdf_tol", 1e-9), "tolerances.cdf_tol"),
-            root_tol=_number(path, tol.get("root_tol", 1e-10), "tolerances.root_tol"),
+            tail_mult=_number(path, raw.get("tail_mult", default.tail_mult), "tail_mult"),
+            integ_tol=_number(path, tol.get("integ_tol", default.integ_tol), "tolerances.integ_tol"),
+            cdf_tol=_number(path, tol.get("cdf_tol", default.cdf_tol), "tolerances.cdf_tol"),
+            root_tol=_number(path, tol.get("root_tol", default.root_tol), "tolerances.root_tol"),
         )
     except LogsobError as exc:
         raise ConfigParseError("%s: %s" % (path, exc)) from exc
-    mass_tol = _number(path, tol.get("mass_tol", 1e-9), "tolerances.mass_tol")
+    mass_tol = _number(path, tol.get("mass_tol", MASS_TOL), "tolerances.mass_tol")
     _require(0 < mass_tol < math.inf, "%s: mass_tol must be finite and positive" % path)
 
     sections = ("lipschitz", "transport", "bg", "verify")
@@ -229,45 +239,47 @@ def _flat_items(obj, prefix=""):
         yield prefix[:-1], obj
 
 
-@contextmanager
-def _naming_pair(measure_path: Path, delta: float):
-    """Prefix a LogsobError raised for one (measure, delta) pair with the pair."""
+def _naming_pair(stage, pair):
+    """``stage(*pair)``; a LogsobError it raises gets the (measure, delta) pair as a prefix."""
     try:
-        yield
+        return stage(*pair)
     except LogsobError as exc:
-        exc.args = ("%s at delta=%r: %s" % (measure_path.stem, delta, exc),)
+        exc.args = ("%s at delta=%r: %s" % (pair[0].stem, pair[1], exc),)
         raise
 
 
-def _bounds_record(measure_path: Path, delta: float, cfg: SweepConfig) -> dict:
-    with _naming_pair(measure_path, delta):
-        measure = load_measure(measure_path, mass_tol=cfg.mass_tol)
-        report = compute_bound_report(
-            measure,
-            delta,
-            n_dim=cfg.dimension,
-            config=cfg.quad,
-            lipschitz_points=cfg.lipschitz_points,
-            lipschitz_extent=cfg.lipschitz_extent,
-            bg_points=cfg.bg_points,
-        )
-    return {"measure": measure_path.stem, "delta": delta, **report.to_dict()}
+def _each_pair(stage, cfg: SweepConfig, jobs: int) -> list:
+    """``stage(path, delta, measure, cfg)`` for every (measure, delta) pair, in input order.
 
-
-def _bounds_worker(payload):
-    measure_path, delta, cfg = payload
-    return _bounds_record(Path(measure_path), delta, cfg)
-
-
-def cmd_bounds(cfg: SweepConfig, out_dir: Path, jobs: int = 1) -> int:
-    pairs = [(m, d) for m in cfg.measures for d in cfg.deltas]
+    Every measure file is read once, before any pair runs, so a file that
+    does not load stops the run before anything is written.
+    """
+    measures = [(path, load_measure(path, mass_tol=cfg.mass_tol)) for path in cfg.measures]
+    pairs = [(path, delta, measure, cfg) for path, measure in measures for delta in cfg.deltas]
+    run = partial(_naming_pair, stage)
     # the pool forks all its workers on the first submit: no more than pairs
     jobs = min(jobs, len(pairs))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_bounds_worker, [(str(m), d, cfg) for m, d in pairs]))
-    else:
-        records = [_bounds_record(m, d, cfg) for m, d in pairs]
+            return list(pool.map(run, pairs))
+    return list(map(run, pairs))
+
+
+def _bounds_record(measure_path: Path, delta: float, measure, cfg: SweepConfig) -> dict:
+    report = compute_bound_report(
+        measure,
+        delta,
+        n_dim=cfg.dimension,
+        config=cfg.quad,
+        lipschitz_points=cfg.lipschitz_points,
+        lipschitz_extent=cfg.lipschitz_extent,
+        bg_points=cfg.bg_points,
+    )
+    return {"measure": measure_path.stem, "delta": delta, **report.to_dict()}
+
+
+def cmd_bounds(cfg: SweepConfig, out_dir: Path, jobs: int = 1) -> int:
+    records = _each_pair(_bounds_record, cfg, jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.out_format == "json":
         text = "".join(_json_line(rec) + "\n" for rec in records)
@@ -284,25 +296,25 @@ def cmd_bounds(cfg: SweepConfig, out_dir: Path, jobs: int = 1) -> int:
     return 0 if ok else 1
 
 
-def cmd_transport(cfg: SweepConfig, out_dir: Path) -> int:
+_TRANSPORT_COLUMNS = ("x", "T", "T_prime", "envelope_lo", "envelope_hi")
+
+
+def _transport_columns(measure_path: Path, delta: float, measure, cfg: SweepConfig):
+    """The output file name and the table's columns in _TRANSPORT_COLUMNS order."""
+    tm = TransportMap(SmoothedMeasure(measure, delta, cfg.quad))
+    table = transport_table(tm, cfg.transport_points, cfg.transport_extent)
+    name = "transport_%s_d%g.csv" % (measure_path.stem, delta)
+    return name, [table[col] for col in _TRANSPORT_COLUMNS]
+
+
+def cmd_transport(cfg: SweepConfig, out_dir: Path, jobs: int = 1) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    for measure_path in cfg.measures:
-        measure = load_measure(measure_path, mass_tol=cfg.mass_tol)
-        for delta in cfg.deltas:
-            with _naming_pair(measure_path, delta):
-                tm = TransportMap(SmoothedMeasure(measure, delta, cfg.quad))
-                table = transport_table(tm, cfg.transport_points, cfg.transport_extent)
-            name = "transport_%s_d%g.csv" % (measure_path.stem, delta)
-            with (out_dir / name).open("w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["x", "T", "T_prime", "envelope_lo", "envelope_hi"])
-                for k in range(len(table["x"])):
-                    writer.writerow(
-                        [
-                            repr(float(table[col][k]))
-                            for col in ("x", "T", "T_prime", "envelope_lo", "envelope_hi")
-                        ]
-                    )
+    for name, columns in _each_pair(_transport_columns, cfg, jobs):
+        with (out_dir / name).open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(_TRANSPORT_COLUMNS)
+            for row in zip(*columns):
+                writer.writerow([repr(float(v)) for v in row])
     return 0
 
 
@@ -321,62 +333,45 @@ def _resolve_constant(name_or_value, sm: SmoothedMeasure, cfg: SweepConfig):
     raise ConfigParseError("unknown bound name %r" % name_or_value)
 
 
-def _family_by_name(name: str, sm: SmoothedMeasure, grid_size=None):
-    if name == "exponential":
-        return exponential_family(sm.delta, count=grid_size or 64)
-    if name == "bump":
-        return bump_family(sm.radius, sm.delta, centers=grid_size or 5)
-    if name == "step":
-        return step_family(sm.radius, sm.delta, centers=grid_size or 5)
-    raise ConfigParseError("unknown family %r" % name)
+def _verify_record(measure_path: Path, delta: float, measure, cfg: SweepConfig) -> dict:
+    sm = SmoothedMeasure(measure, delta, cfg.quad)
+    constant, label = _resolve_constant(cfg.verify_bound, sm, cfg)
+    families = shipped_families(sm, cfg.verify_grid_size)
+    report = verify_lsi(sm, constant, [families[name] for name in cfg.verify_families])
+    return {
+        "measure": measure_path.stem,
+        "delta": delta,
+        "bound": label,
+        "constant_log": report.constant_log,
+        "all_passed": report.all_passed,
+        "worst_margin": report.worst_margin,
+        "members": [
+            {
+                "family": e.family,
+                "params": list(e.params),
+                "entropy": e.entropy_value,
+                "energy": e.energy_value,
+                "ratio": e.ratio,
+                "margin": e.margin,
+                "passed": e.passed,
+            }
+            for e in report.entries
+        ],
+    }
 
 
-def cmd_verify(cfg: SweepConfig, out_dir: Path) -> int:
+def cmd_verify(cfg: SweepConfig, out_dir: Path, jobs: int = 1) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    all_ok = True
-    lines = []
-    for measure_path in cfg.measures:
-        measure = load_measure(measure_path, mass_tol=cfg.mass_tol)
-        for delta in cfg.deltas:
-            with _naming_pair(measure_path, delta):
-                sm = SmoothedMeasure(measure, delta, cfg.quad)
-                constant, label = _resolve_constant(cfg.verify_bound, sm, cfg)
-                families = [
-                    _family_by_name(n, sm, cfg.verify_grid_size) for n in cfg.verify_families
-                ]
-                report = verify_lsi(sm, constant, families)
-            all_ok = all_ok and report.all_passed
-            lines.append(
-                {
-                    "measure": measure_path.stem,
-                    "delta": delta,
-                    "bound": label,
-                    "constant_log": report.constant_log,
-                    "all_passed": report.all_passed,
-                    "worst_margin": report.worst_margin,
-                    "members": [
-                        {
-                            "family": e.family,
-                            "params": list(e.params),
-                            "entropy": e.entropy_value,
-                            "energy": e.energy_value,
-                            "ratio": e.ratio,
-                            "margin": e.margin,
-                            "passed": e.passed,
-                        }
-                        for e in report.entries
-                    ],
-                }
-            )
-    text = "".join(_json_line(rec) + "\n" for rec in lines)
+    records = _each_pair(_verify_record, cfg, jobs)
+    text = "".join(_json_line(rec) + "\n" for rec in records)
     (out_dir / "verify.jsonl").write_text(text, encoding="utf-8")
-    return 0 if all_ok else 1
+    return 0 if all(rec["all_passed"] for rec in records) else 1
 
 
 def cmd_sweep(cfg: SweepConfig, out_dir: Path, jobs: int = 1) -> int:
     status = cmd_bounds(cfg, out_dir, jobs=jobs)
-    status = max(status, cmd_transport(cfg, out_dir))
-    return max(status, cmd_verify(cfg, out_dir))
+    status = max(status, cmd_transport(cfg, out_dir, jobs=jobs))
+    return max(status, cmd_verify(cfg, out_dir, jobs=jobs))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,9 +427,9 @@ def main(argv=None) -> int:
         if args.command == "bounds":
             return cmd_bounds(cfg, out_dir, jobs=args.jobs)
         if args.command == "transport":
-            return cmd_transport(cfg, out_dir)
+            return cmd_transport(cfg, out_dir, jobs=args.jobs)
         if args.command == "verify":
-            return cmd_verify(cfg, out_dir)
+            return cmd_verify(cfg, out_dir, jobs=args.jobs)
         return cmd_sweep(cfg, out_dir, jobs=args.jobs)
     except (ConfigParseError, MeasureParseError) as exc:
         print("error: %s" % exc, file=sys.stderr)

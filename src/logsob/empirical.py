@@ -139,11 +139,12 @@ def step_family(radius, delta, centers=5, widths=4) -> ParamFamily:
     return ParamFamily("step", ("center", "width"), (locs, epss), build)
 
 
-def shipped_families(sm: SmoothedMeasure) -> dict:
+def shipped_families(sm: SmoothedMeasure, grid_size=None) -> dict:
+    """The three shipped families by name; ``grid_size`` replaces the 64 rates and 5 centers."""
     return {
-        "exponential": exponential_family(sm.delta),
-        "bump": bump_family(sm.radius, sm.delta),
-        "step": step_family(sm.radius, sm.delta),
+        "exponential": exponential_family(sm.delta, count=grid_size or 64),
+        "bump": bump_family(sm.radius, sm.delta, centers=grid_size or 5),
+        "step": step_family(sm.radius, sm.delta, centers=grid_size or 5),
     }
 
 

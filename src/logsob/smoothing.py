@@ -60,9 +60,16 @@ def _lse_atoms(a):
 
 def _check_delta(delta) -> float:
     delta = float(delta)
-    if not delta > 0.0:
-        raise DomainError("variance delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise DomainError("variance delta must be finite and positive, got %r" % delta)
     return delta
+
+
+def _check_radius(radius) -> float:
+    radius = float(radius)
+    if not 0.0 <= radius < math.inf:
+        raise DomainError("radius must be finite and nonnegative, got %r" % radius)
+    return radius
 
 
 def log_gaussian_density(t, delta=1.0):

@@ -23,7 +23,7 @@ from .errors import BracketFailure, DomainError, LogsobError, QuadratureFailure
 from .logdomain import LogValue
 from .measures import pushforward_affine
 from .quadrature import bracketed_newton, golden_section_max
-from .smoothing import SmoothedMeasure, _reject, log_gaussian_density
+from .smoothing import SmoothedMeasure, _check_radius, _reject, log_gaussian_density
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,7 @@ def lipschitz_theoretical_bound(radius_normalized) -> LogValue:
     max(exp(2R^2 + 2R + 1/8), exp(12R^2)): the first branch covers the outer
     regions |x| >= 2R, the second the middle band.
     """
-    r = float(radius_normalized)
-    if r < 0.0:
-        raise ValueError("normalized radius must be nonnegative")
+    r = _check_radius(radius_normalized)
     return LogValue(max(2.0 * r * r + 2.0 * r + 0.125, 12.0 * r * r))
 
 

@@ -73,6 +73,33 @@ def test_multidim_rejects_large_delta():
         L.bound_multidim(1.0, 1.0, 0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda mu: L.SmoothedMeasure(mu, math.inf), "delta"),
+        (lambda mu: L.gaussian_lsi_constant(math.nan), "delta"),
+        (lambda mu: L.bound_transport(1.0, math.nan), "delta"),
+        (lambda mu: L.bound_transport(math.inf, 1.0), "radius"),
+        (lambda mu: L.bound_hardy(1.0, math.nan), "delta"),
+        (lambda mu: L.bound_hardy(math.nan, 1.0), "radius"),
+        (lambda mu: L.lipschitz_theoretical_bound(math.nan), "radius"),
+        (lambda mu: L.lipschitz_theoretical_bound(-1.0), "radius"),
+        (lambda mu: L.bound_multidim(1.0, 0.5, math.nan), "dimension"),
+        (lambda mu: L.bound_multidim(1.0, 0.5, 2.5), "dimension"),
+        (lambda mu: L.bobkov_goetze(L.SmoothedMeasure(mu, 0.25), tail_mult=math.inf), "tail_mult"),
+        (lambda mu: L.bobkov_goetze(L.SmoothedMeasure(mu, 0.25), tail_mult=-1.0), "tail_mult"),
+    ],
+    ids=["sm-inf-delta", "gaussian-nan", "transport-nan-delta", "transport-inf-radius",
+         "hardy-nan-delta", "hardy-nan-radius", "lipschitz-nan", "lipschitz-negative",
+         "multidim-nan-dim", "multidim-fractional-dim", "bg-inf-tail", "bg-negative-tail"],
+)
+def test_nonfinite_closed_form_input_is_a_domain_error(bernoulli, call, what):
+    # each used to return NaN, warn, or raise an untyped or misleading error
+    with pytest.raises(DomainError, match=what):
+        call(bernoulli)
+
+
 def test_transport_route_unit_value():
     tr = L.bound_transport(1.0, 1.0)
     assert tr.log == pytest.approx(math.log(2.0) + 24.0, abs=1e-12)

@@ -168,12 +168,17 @@ def test_sweep_deterministic(tmp_path):
         assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_jobs_flag_preserves_output(tmp_path):
+def _files(root):
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+@pytest.mark.parametrize("command", ["bounds", "transport", "verify", "sweep"])
+def test_jobs_flag_preserves_output(tmp_path, command):
     cfg = write_config(tmp_path, delta=[1.0])
     out1, out2 = tmp_path / "j1", tmp_path / "j2"
-    assert main(["bounds", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert main(["bounds", "--config", str(cfg), "--out", str(out2), "--jobs", "2"]) == 0
-    assert (out1 / "bounds.jsonl").read_bytes() == (out2 / "bounds.jsonl").read_bytes()
+    assert main([command, "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main([command, "--config", str(cfg), "--out", str(out2), "--jobs", "2"]) == 0
+    assert _files(out1) and _files(out1) == _files(out2)
 
 
 def test_log_range_delta_grid(tmp_path):
@@ -268,13 +273,56 @@ def serial_pool(monkeypatch):
     return _SerialPool.made
 
 
-@pytest.mark.parametrize("jobs, deltas, workers", [("500", [0.5, 1.0], [2]), ("500", [1.0], [])])
-def test_jobs_capped_at_pair_count(tmp_path, serial_pool, jobs, deltas, workers):
+@pytest.mark.parametrize("command", ["bounds", "transport", "verify", "sweep"])
+@pytest.mark.parametrize("deltas, workers", [([0.5, 1.0], 2), ([1.0], None)], ids=["2", "1"])
+def test_jobs_capped_at_pair_count(tmp_path, serial_pool, command, deltas, workers):
+    # one pool per subcommand, of no more workers than pairs; none for one pair
     cfg = write_config(tmp_path, delta=deltas, measures=["pm.json"])
     out = tmp_path / "out"
-    assert main(["bounds", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 0
-    assert serial_pool == workers
-    assert len(read_jsonl(out / "bounds.jsonl")) == len(deltas)
+    assert main([command, "--config", str(cfg), "--out", str(out), "--jobs", "500"]) == 0
+    pools = 3 if command == "sweep" else 1
+    assert serial_pool == ([workers] * pools if workers else [])
+    if command in ("bounds", "sweep"):
+        assert len(read_jsonl(out / "bounds.jsonl")) == len(deltas)
+    if command in ("verify", "sweep"):
+        assert len(read_jsonl(out / "verify.jsonl")) == len(deltas)
+    if command in ("transport", "sweep"):
+        assert len(list(out.glob("transport_pm_d*.csv"))) == len(deltas)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", ["bounds", "transport", "verify", "sweep"])
+def test_bad_second_measure_file_exits_before_any_output(tmp_path, capsys, command, jobs):
+    # every measure file is read before any pair runs; transport used to
+    # write the first measure's tables before it read the second file
+    (tmp_path / "short.json").write_text(json.dumps({"atoms": [{"x": 0.0, "w": 0.9}]}))
+    cfg = write_config(tmp_path, measures=["pm.json", "short.json"])
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert "short.json" in err and "at delta=" not in err
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize(
+    "measures, delta, clash",
+    [
+        (["pm.json"], {"log_range": [0.5, 0.5000001, 3]}, "deltas share the output name 0.5"),
+        (["pm.json", "sub/pm.json"], [1.0], "measures share the output name pm"),
+    ],
+    ids=["delta", "measure-stem"],
+)
+def test_pairs_sharing_an_output_name_are_input_errors(tmp_path, capsys, measures, delta, clash):
+    # both used to exit 0 with one transport table overwriting another
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "pm.json").write_text(json.dumps({"atoms": [{"x": 1.0, "w": 1.0}]}))
+    cfg = write_config(tmp_path, measures=measures, delta=delta)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert clash in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigParseError, match=clash):
+        load_sweep_config(cfg)
 
 
 @pytest.mark.parametrize("command", ["bounds", "sweep"])
@@ -385,14 +433,17 @@ def _perfbench_module(name):
     return module
 
 
-def test_bundled_sweep_matches_the_stored_reference(tmp_path):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bundled_sweep_matches_the_stored_reference(tmp_path, jobs):
     # the benchmark's checker against perfbench/reference/bundled-sweep, so
     # that a report drifting past its tolerances fails here and not only
     # when the benchmark runs
     workloads, check = _perfbench_module("workloads"), _perfbench_module("check")
     plan = workloads.generate("bundled-sweep", 0, tmp_path / "inputs")
     out = tmp_path / "out"
-    assert main(plan.argv(plan.calls[0], out)) == 0
+    argv = plan.argv(plan.calls[0], out)
+    assert argv[-2:] == ["--jobs", "1"]
+    assert main(argv[:-1] + [jobs]) == 0
     problems = {op: found for op, found in check.check_sweep(plan, out).items() if found}
     assert problems == {}
     assert len(plan.ops) == 24
