@@ -18,7 +18,8 @@ from .logdomain import LogValue, _as_log
 from .measures import Measure1D
 from .quadrature import golden_section_max
 from .smoothing import QuadratureConfig, SmoothedMeasure, _check_delta, _check_radius
-from .transport import LipschitzEstimate, TransportMap, lipschitz_theoretical_bound
+from .transport import LIPSCHITZ_EXTENT, LIPSCHITZ_POINTS, LipschitzEstimate, TransportMap
+from .transport import lipschitz_theoretical_bound
 
 # constants of the two-term criterion-route bound
 HARDY_COEFF_EXP = 6905.0
@@ -29,6 +30,7 @@ MULTIDIM_COEFF = 289.0
 # two-sided Hardy-criterion factors
 BG_LOWER_DIVISOR = 150.0
 BG_UPPER_FACTOR = 468.0
+BG_SCAN_POINTS = 1201  # default scan points of the two-sided estimate
 # the unit-variance Gaussian satisfies the inequality with constant 2
 GAUSSIAN_LSI_FACTOR = 2.0
 
@@ -249,7 +251,7 @@ def _bg_side(sm, med, s, n, half):
 
 
 def bobkov_goetze(
-    sm: SmoothedMeasure, scan_points: int = 1201, tail_mult: float = 10.0
+    sm: SmoothedMeasure, scan_points: int = BG_SCAN_POINTS, tail_mult: float = 10.0
 ) -> BobkovGoetzeEstimate:
     """Two-sided constant estimate for the smoothed measure.
 
@@ -335,9 +337,9 @@ def compute_bound_report(
     delta: float,
     n_dim: int = 1,
     config: QuadratureConfig | None = None,
-    lipschitz_points: int = 4001,
-    lipschitz_extent: float = 8.0,
-    bg_points: int = 1201,
+    lipschitz_points: int = LIPSCHITZ_POINTS,
+    lipschitz_extent: float = LIPSCHITZ_EXTENT,
+    bg_points: int = BG_SCAN_POINTS,
 ) -> BoundReport:
     """Assemble every bound for one (measure, delta) pair, with sanity checks."""
     sm = SmoothedMeasure(measure, delta, config)

@@ -18,6 +18,7 @@ from functools import partial
 from pathlib import Path
 
 from .bounds import (
+    BG_SCAN_POINTS,
     bobkov_goetze,
     bound_transport,
     bound_hardy,
@@ -29,6 +30,7 @@ from .empirical import shipped_families, verify_lsi
 from .errors import ConfigParseError, LogsobError, MeasureParseError
 from .measures import MASS_TOL, load_measure
 from .smoothing import QuadratureConfig, SmoothedMeasure
+from .transport import LIPSCHITZ_EXTENT, LIPSCHITZ_POINTS, TABLE_EXTENT, TABLE_POINTS
 from .transport import TransportMap, transport_table
 
 KNOWN_FAMILIES = ("exponential", "bump", "step")
@@ -188,11 +190,11 @@ def load_sweep_config(path, overrides=None) -> SweepConfig:
         quad=quad,
         mass_tol=mass_tol,
         dimension=_integer(path, raw.get("dimension", 1), "dimension"),
-        lipschitz_points=_integer(path, lip.get("points", 4001), "lipschitz.points"),
-        lipschitz_extent=_number(path, lip.get("extent", 8.0), "lipschitz.extent"),
-        transport_points=_integer(path, tra.get("points", 1001), "transport.points"),
-        transport_extent=_number(path, tra.get("extent", 8.0), "transport.extent"),
-        bg_points=_integer(path, bg.get("points", 1201), "bg.points"),
+        lipschitz_points=_integer(path, lip.get("points", LIPSCHITZ_POINTS), "lipschitz.points"),
+        lipschitz_extent=_number(path, lip.get("extent", LIPSCHITZ_EXTENT), "lipschitz.extent"),
+        transport_points=_integer(path, tra.get("points", TABLE_POINTS), "transport.points"),
+        transport_extent=_number(path, tra.get("extent", TABLE_EXTENT), "transport.extent"),
+        bg_points=_integer(path, bg.get("points", BG_SCAN_POINTS), "bg.points"),
         verify_families=tuple(families),
         verify_bound=bound,
         verify_grid_size=(
@@ -308,8 +310,9 @@ def _transport_columns(measure_path: Path, delta: float, measure, cfg: SweepConf
 
 
 def cmd_transport(cfg: SweepConfig, out_dir: Path, jobs: int = 1) -> int:
+    tables = _each_pair(_transport_columns, cfg, jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, columns in _each_pair(_transport_columns, cfg, jobs):
+    for name, columns in tables:
         with (out_dir / name).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(_TRANSPORT_COLUMNS)
@@ -361,8 +364,8 @@ def _verify_record(measure_path: Path, delta: float, measure, cfg: SweepConfig) 
 
 
 def cmd_verify(cfg: SweepConfig, out_dir: Path, jobs: int = 1) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
     records = _each_pair(_verify_record, cfg, jobs)
+    out_dir.mkdir(parents=True, exist_ok=True)
     text = "".join(_json_line(rec) + "\n" for rec in records)
     (out_dir / "verify.jsonl").write_text(text, encoding="utf-8")
     return 0 if all(rec["all_passed"] for rec in records) else 1

@@ -17,13 +17,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtri_exp
 
 from .errors import BracketFailure, DomainError, LogsobError, QuadratureFailure
 from .logdomain import LogValue
 from .measures import pushforward_affine
 from .quadrature import bracketed_newton, golden_section_max
 from .smoothing import SmoothedMeasure, _check_radius, _reject, log_gaussian_density
+
+LIPSCHITZ_POINTS, LIPSCHITZ_EXTENT = 4001, 8.0  # default Lipschitz sweep
+TABLE_POINTS, TABLE_EXTENT = 1001, 8.0  # default transport table
 
 
 @dataclass(frozen=True)
@@ -177,40 +180,42 @@ class TransportMap:
         arr = np.asarray(x, dtype=float)
         return arr + self.center - self.radius, arr + self.center + self.radius
 
-    def lipschitz_estimate(self, grid_points: int = 4001, extent: float = 8.0) -> LipschitzEstimate:
-        """Sweep max of T' over ``grid_points`` points of [-2R-extent, 2R+extent]
-        (normalized), refined; these arguments are the only sweep settings.
+    def lipschitz_estimate(
+        self, grid_points: int = LIPSCHITZ_POINTS, extent: float = LIPSCHITZ_EXTENT
+    ) -> LipschitzEstimate:
+        """Max of T' over the image y = T(x) of x in [-2R-extent, 2R+extent]
+        (normalized); these arguments are the only sweep settings.
 
-        The grid max is polished by golden-section search to 1e-8 between its
-        neighboring grid points, each solve starting from :func:`_warm_start`
-        through the sweep's roots.  Beyond the window no numerical evaluation
-        is attempted; the analytic outer-region bound is reported alongside.
+        Only the window ends and T(0) are root solves.  On ``grid_points`` equal
+        steps of y, T'(S(y)) = p(S(y)) / q(y) with S = Phi^-1(G) by ndtri_exp of
+        G's tail on y's side of T(0), at most 1/2: one fused kernel pass.  A
+        golden-section search in y polishes the max to 1e-8; ``argmax`` is sigma*S
+        there.  R = 0 makes T a translation: log T' = 0, first at the left end.
         """
         xs = self._grid(grid_points, extent)
-        ys, logd = self._eval_unit(xs)
-        i = int(np.argmax(logd))
-
-        def logd_at(x):
-            xa = np.array([x])
-            ya = self._solve(xa, _warm_start(xs, ys, logd, xa))
-            return float(self._log_derivative_unit(xa, ya)[0])
-
-        xr, fr = golden_section_max(logd_at, xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)])
-        if fr >= logd[i]:
-            best_x, best_log = xr, fr
-        else:
-            best_x, best_log = float(xs[i]), float(logd[i])
         rn = self.radius_normalized
-        return LipschitzEstimate(
-            log_value=best_log,
-            argmax=self.sigma * best_x,
-            grid_points=xs.size,
-            window=(self.sigma * float(xs[0]), self.sigma * float(xs[-1])),
-            tail_log_bound=2.0 * rn * rn + 2.0 * rn + 0.125,
-        )
+        window = (self.sigma * float(xs[0]), self.sigma * float(xs[-1]))
+        tail = 2.0 * rn * rn + 2.0 * rn + 0.125
+        if rn == 0.0:
+            return LipschitzEstimate(0.0, window[0], xs.size, window, tail)
+        y_lo, y_mid, y_hi = self._solve(np.array([xs[0], 0.0, xs[-1]]))
+
+        def source_and_log_slope(y):
+            log_tail, log_q = self.unit._log_tail_density_c(y, y >= y_mid)
+            s = np.where(y >= y_mid, -1.0, 1.0) * ndtri_exp(log_tail)
+            return s, log_gaussian_density(s, 1.0) - log_q
+
+        ys = np.linspace(y_lo, y_hi, xs.size)
+        s, logd = source_and_log_slope(ys)
+        i = int(np.argmax(logd))
+        lo, hi = ys[max(i - 1, 0)], ys[min(i + 1, ys.size - 1)]
+        yr, fr = golden_section_max(lambda y: source_and_log_slope(np.array([y]))[1][0], lo, hi)
+        if fr >= logd[i]:
+            s[i], logd[i] = source_and_log_slope(np.array([yr]))[0][0], fr
+        return LipschitzEstimate(float(logd[i]), float(self.sigma * s[i]), xs.size, window, tail)
 
 
-def transport_table(tm: TransportMap, points: int = 1001, extent: float = 8.0):
+def transport_table(tm: TransportMap, points: int = TABLE_POINTS, extent: float = TABLE_EXTENT):
     """Columns for the transport report: x, T, T', and the hard envelope."""
     xs = tm.sigma * tm._grid(points, extent)
     t, d = tm.eval_and_derivative(xs)

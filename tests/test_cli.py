@@ -381,20 +381,24 @@ def test_malformed_setting_is_input_error(tmp_path, capsys, setting, name):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["bounds", "transport", "verify"])
-def test_solver_failure_names_the_pair_and_the_abscissa(tmp_path, capsys, command):
-    # delta = 0.002: the sweep and table windows reach normalized |x| of about
-    # 52, where the smoothed uniform's cell tail is below the normal doubles
+def _underflowing_config(tmp_path):
+    """Uniform at delta = 0.002: the sweep and table windows reach normalized |x|
+    of about 52, where the smoothed uniform's cell tail is below the normal doubles."""
     (tmp_path / "unif.json").write_text(
         json.dumps({"density": {"grid": [-1.0, 1.0], "values": [0.5, 0.5]}})
     )
-    cfg = write_config(
+    return write_config(
         tmp_path,
         delta=[0.002],
         measures=["unif.json"],
         transport={"points": 1001, "extent": 8.0},
         verify={"families": ["exponential"], "bound": "pushforward"},
     )
+
+
+@pytest.mark.parametrize("command", ["bounds", "transport", "verify"])
+def test_solver_failure_names_the_pair_and_the_abscissa(tmp_path, capsys, command):
+    cfg = _underflowing_config(tmp_path)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert re.search(
@@ -402,6 +406,14 @@ def test_solver_failure_names_the_pair_and_the_abscissa(tmp_path, capsys, comman
         r".*; first at x = -?\d",
         err,
     )
+
+
+@pytest.mark.parametrize("command", ["bounds", "transport", "verify", "sweep"])
+def test_failed_pair_leaves_no_output_directory(tmp_path, command):
+    # transport and verify used to create --out before any pair ran
+    out = tmp_path / "out"
+    assert main([command, "--config", str(_underflowing_config(tmp_path)), "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_atoms_at_small_delta_pass_bounds_and_transport(tmp_path):

@@ -103,8 +103,11 @@ def test_offcenter_target_shifts_map():
 
 
 def test_lipschitz_point_mass_is_one(point_mass):
+    # T is the identity: the closed form, first reached at the window's left
+    # end, as np.argmax reads a flat sweep; a y sweep there reads only rounding
     lip = make_map(point_mass, 1.0).lipschitz_estimate(grid_points=801)
-    assert lip.value == pytest.approx(1.0, abs=1e-6)
+    assert lip.log_value == 0.0 and lip.value == 1.0
+    assert lip.argmax == lip.window[0]
 
 
 def test_lipschitz_finite_and_below_closed_form(bernoulli):
@@ -195,7 +198,64 @@ def test_offcenter_point_mass_slope_is_exactly_one(delta):
     lip = tm.lipschitz_estimate(grid_points=801)
     _, ds = tm.eval_and_derivative(_sweep_grid(tm, 801))
     assert np.all(ds == 1.0)
-    assert lip.log_value == 0.0
+    assert lip.log_value == 0.0 and lip.argmax == lip.window[0] == _sweep_grid(tm, 801)[0]
+
+
+@pytest.mark.parametrize("delta", [0.25, 0.05, 0.01, 0.002, 0.0005])
+def test_bernoulli_lipschitz_is_the_closed_form(bernoulli, delta):
+    # sup T' = T'(0) = exp(R^2/(2 delta)) for atoms at +-1; at delta = 0.0005 the
+    # old x sweep read 250.69 on the plateau around x = 0
+    lip = make_map(bernoulli, delta).lipschitz_estimate()
+    assert lip.log_value == pytest.approx(1.0 / (2.0 * delta), rel=1e-12)
+
+
+def _oracle_log_slope_sup(mu, delta, dps=40):
+    """sup over y in the support hull of log p(S(y)) - log q(y), S(y) = sigma Phi^-1(G(y)),
+    from a 201-point scan and mpmath findroot on the closed-form derivative."""
+    with mpmath.workdps(dps):
+        atoms = [(mpmath.mpf(a), mpmath.mpf(w)) for a, w in mu.atoms]
+        var = mpmath.mpf(delta)
+        sigma = mpmath.sqrt(var)
+
+        def parts(y):
+            # standardized S(y), q(y), q'(y)
+            g = sum(w * mpmath.ncdf((y - a) / sigma) for a, w in atoms)
+            q = sum(w * mpmath.npdf(y, a, sigma) for a, w in atoms)
+            dq = sum(-w * (y - a) / var * mpmath.npdf(y, a, sigma) for a, w in atoms)
+            return mpmath.sqrt(2) * mpmath.erfinv(2 * g - 1), q, dq
+
+        def f(y):
+            s, q, _ = parts(y)
+            return mpmath.log(mpmath.npdf(s) / sigma) - mpmath.log(q)
+
+        def df(y):
+            s, q, dq = parts(y)
+            return -s * q / mpmath.npdf(s) - dq / q
+
+        lo, hi = min(a for a, _ in atoms), max(a for a, _ in atoms)
+        ys = [lo + (hi - lo) * k / 200 for k in range(201)]
+        k = max(range(1, 200), key=lambda j: f(ys[j]))
+        root = mpmath.findroot(df, (ys[k - 1], ys[k + 1]), solver="anderson")
+        return float(f(root))
+
+
+@pytest.mark.parametrize("delta", [0.25, 0.05, 0.01, 0.002])
+def test_asymmetric_lipschitz_matches_mpmath_sup(asymmetric, delta):
+    # the spike at S = sigma Phi^-1(1/4), x-width about 1/L: the old x sweep
+    # read 20.47 at delta = 0.01, against 49.92
+    lip = make_map(asymmetric, delta).lipschitz_estimate()
+    assert lip.log_value == pytest.approx(_oracle_log_slope_sup(asymmetric, delta), rel=1e-10)
+
+
+def test_underflowing_window_end_names_the_left_end(uniform):
+    # the window ends bound every tail the sweep reads, so their solve is the
+    # only one that can underflow; both ends do at delta = 0.002
+    tm = make_map(uniform, 0.002)
+    lo = float(_sweep_grid(tm, 3)[0])
+    with pytest.raises(
+        L.BracketFailure, match=r"^2 of 3 points .*; first at x = %s$" % re.escape(repr(lo))
+    ):
+        tm.lipschitz_estimate()
 
 
 def _oracle_map(mu, delta, x, dps=40):
@@ -292,8 +352,9 @@ def test_underflowing_tail_is_a_bracket_failure(uniform):
     assert np.all((lo <= t) & (t <= hi))
 
 
-def _counted_sweep(monkeypatch):
-    """Solver call counts of the 1001-point sweep of a seeded 256-cell density, delta 0.05."""
+def _counted_table(monkeypatch):
+    """Solver call counts of the 1001-point transport table of a seeded 256-cell
+    density, delta 0.05, on the Lipschitz sweep's window."""
     rng = np.random.default_rng(3)
     grid = np.linspace(-1.0, 1.0, 257)
     values = rng.uniform(0.3, 1.3, 257)
@@ -316,25 +377,25 @@ def _counted_sweep(monkeypatch):
         return solve(g_counted, g_slope_counted, lo, hi, **kw)
 
     monkeypatch.setattr(transport, "bracketed_newton", counted)
-    make_map(mu, 0.05).lipschitz_estimate(grid_points=1001)
+    L.transport_table(make_map(mu, 0.05), points=1001)
     return counts
 
 
-def test_newton_evaluations_per_abscissa_in_the_sweep(monkeypatch):
+def test_newton_evaluations_per_abscissa_in_the_table(monkeypatch):
     # the log-tail Newton from the bracket midpoint needs no bisection stage:
     # at most 8 fused value+slope calls per abscissa, against 15 value and 3
     # fused calls with one; the sign check runs only at bracket ends that no
-    # iterate crossed: 0.47 value calls per abscissa, against 2 at both ends
-    counts = _counted_sweep(monkeypatch)
+    # iterate crossed: 0.46 value calls per abscissa, against 2 at both ends
+    counts = _counted_table(monkeypatch)
     assert counts["abscissae"] >= 1001
     assert counts["value"] <= 1.0 * counts["abscissae"]
     assert counts["slope"] <= 8 * counts["abscissae"]
 
 
-def test_warm_start_cuts_fused_evaluations_in_the_sweep(monkeypatch):
-    # from midpoints every point takes about 5.9 fused calls; warm-started,
-    # the coarse eighth still does, the rest about 2
-    counts = _counted_sweep(monkeypatch)
+def test_warm_start_cuts_fused_evaluations_in_the_table(monkeypatch):
+    # from midpoints every point takes about 6.0 fused calls; warm-started,
+    # the coarse eighth still does, the rest about 2: 2.57 in all
+    counts = _counted_table(monkeypatch)
     assert counts["slope"] <= 4.5 * counts["abscissae"]
 
 
@@ -380,7 +441,7 @@ def test_table_takes_one_density_value_per_point(bernoulli, monkeypatch):
 
 
 def test_failed_warm_pass_reports_the_whole_batch(uniform):
-    # the coarse pass fails first; the error must still count the whole sweep
+    # the coarse pass fails first; the error must still count the whole table
     # (582 of its 2001 points need a cell tail below the normal doubles) and
     # name its first abscissa
     tm = make_map(uniform, 0.002)
@@ -388,4 +449,4 @@ def test_failed_warm_pass_reports_the_whole_batch(uniform):
     with pytest.raises(
         L.BracketFailure, match=r"^582 of 2001 points .*; first at x = %s$" % re.escape(repr(lo))
     ):
-        tm.lipschitz_estimate(grid_points=2001)
+        L.transport_table(tm, points=2001)
