@@ -193,19 +193,29 @@ def _log_inv_density_segment(sm: SmoothedMeasure, a: float, b: float) -> float:
     return m + math.log(float(np.dot(w, np.exp(lv - m))))
 
 
-def _bg_side(sm, med, s, n, half):
-    """(log sup, argmax) of tail * log(1/tail) * integral of 1/q from the median,
-    below it for s = -1 (tail = cdf), above it for s = +1 (tail = sf).
+def _bg_scan(sm, med, dist):
+    """Per side, below then above the median: (log tail, log 1/q) at the nodes
+    med -+ dist, from one fused pass (cdf below, sf above), and log 1/q at their
+    cell midpoints, from one more; bit for bit the public evaluators' values."""
+    xs = med + np.array([[-1.0], [1.0]]) * dist
+    upper = np.repeat([False, True], dist.size)
+    log_tail, log_q = sm._log_tail_density_c(xs.ravel() - sm.center, upper)
+    log_q_mid = sm._log_density_c((0.5 * (xs[:, :-1] + xs[:, 1:])).ravel() - sm.center)
+    return zip(log_tail.reshape(2, -1), -log_q.reshape(2, -1), -log_q_mid.reshape(2, -1))
 
-    Scans n points outward to the window edge med + s*half, the last node,
+
+def _bg_side(sm, med, s, dist, log_tail, linv_nodes, linv_mids):
+    """(log sup, argmax) of tail * log(1/tail) * integral of 1/q from the median,
+    below it for s = -1 (tail = cdf), above it for s = +1 (tail = sf), from
+    that side's slices of :func:`_bg_scan`.
+
+    Scans the nodes med + s*dist outward to the window edge, the last node,
     summing 3-node Simpson cells outward in log domain, and polishes the scan
-    max by golden-section search, with a 9-node rule over its partial cell.
+    max by Brent's method, with a 9-node rule over its partial cell.
     """
-    dist = np.linspace(0.0, half, n)
+    n = dist.size
     xs = med + s * dist
     h = np.diff(dist)
-    linv_nodes = -sm.log_density(xs)
-    linv_mids = -sm.log_density(0.5 * (xs[:-1] + xs[1:]))
     with np.errstate(divide="ignore"):
         cell_log = _logsumexp(
             np.stack(
@@ -220,7 +230,6 @@ def _bg_side(sm, med, s, n, half):
     # log of the integral of 1/q from the median to xs[j]
     log_int = np.concatenate([[-np.inf], np.logaddexp.accumulate(cell_log)])
     log_tail_at = sm.log_sf if s > 0 else sm.log_cdf
-    log_tail = log_tail_at(xs)
     # log of tail * log(1/tail) * integral; 0*inf convention -> 0
     with np.errstate(invalid="ignore"):
         log_h = log_tail + np.log(-log_tail) + log_int
@@ -257,8 +266,8 @@ def bobkov_goetze(
 
     d0 and d1 are the sups of tail * log(1/tail) * integral(1/q) below and
     above the median, each from :func:`_bg_side` over the window of
-    half-width R + tail_mult*sigma on its side.  Raises
-    SupremumNotLocalized when a scan max lands on the window edge.
+    half-width R + tail_mult*sigma on its side, both from one :func:`_bg_scan`.
+    Raises SupremumNotLocalized when a scan max lands on the window edge.
     """
     n = int(scan_points)
     if n < 8:
@@ -268,8 +277,10 @@ def bobkov_goetze(
         raise DomainError("tail_mult must be finite and positive, got %r" % tail_mult)
     med = median(sm)
     half = sm.radius + tail_mult * sm.sigma
-    d0, x0 = _bg_side(sm, med, -1.0, n, half)
-    d1, x1 = _bg_side(sm, med, 1.0, n, half)
+    dist = np.linspace(0.0, half, n)
+    (d0, x0), (d1, x1) = (
+        _bg_side(sm, med, s, dist, *side) for s, side in zip((-1.0, 1.0), _bg_scan(sm, med, dist))
+    )
     total = d0 + d1
     return BobkovGoetzeEstimate(
         d0=d0,

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import BracketFailure, QuadratureFailure
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of the larger part
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=1):
@@ -149,28 +150,51 @@ def _require_finite(cell, member, a, b):
 
 
 def golden_section_max(f, lo, hi, xtol=1e-8, max_iter=200):
-    """Maximize a unimodal scalar function on [lo, hi]; returns (x, f(x))."""
-    lo = float(lo)
-    hi = float(hi)
-    if hi < lo:
-        lo, hi = hi, lo
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1 = f(x1)
-    f2 = f(x2)
+    """Maximize a unimodal scalar function on [lo, hi] to xtol; returns (x, f(x)).
+
+    Brent's method (1973, ch. 5): step to the vertex of the parabola through
+    the three best points, or golden-section into the larger part of the
+    bracket when the vertex leaves it or the step is not below half the one
+    before last.  A unimodal f, even with jumps, keeps its max in the bracket.
+    Stops once the bracket lies within 2*tol of the best point x, tol =
+    sqrt(eps)*|x| + xtol/3, so x is within xtol of the max where sqrt(eps)*|x|
+    <= xtol/6.  The ends are never evaluated.
+    """
+    a, b = sorted((float(lo), float(hi)))
+    x = w = v = a + _CGOLD * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
     for _ in range(max_iter):
-        if hi - lo <= xtol:
+        m = 0.5 * (a + b)
+        tol = _SQRT_EPS * abs(x) + xtol / 3.0
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
             break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = f(x2)
+        p = q = 0.0
+        if abs(e) > tol:  # vertex x + p/q of the parabola through x, w, v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - w) * r - (x - v) * q
+            q = 2.0 * (q - r)
+            p, q = (-p, -q) if q < 0.0 else (p, q)
+        if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if min(x + d - a, b - x - d) < 2.0 * tol:
+                d = math.copysign(tol, m - x)
         else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = f(x1)
-    xm = 0.5 * (lo + hi)
-    return xm, f(xm)
+            e = (a if x >= m else b) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu >= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v in (x, w):
+                v, fv = u, fu
+    return x, fx
 
 
 def bracketed_newton(g, g_slope, lo, hi, root_tol=1e-10, max_iter=200, start=None):

@@ -188,8 +188,8 @@ class TransportMap:
 
         Only the window ends and T(0) are root solves.  On ``grid_points`` equal
         steps of y, T'(S(y)) = p(S(y)) / q(y) with S = Phi^-1(G) by ndtri_exp of
-        G's tail on y's side of T(0), at most 1/2: one fused kernel pass.  A
-        golden-section search in y polishes the max to 1e-8; ``argmax`` is sigma*S
+        G's tail on y's side of T(0), at most 1/2: one fused kernel pass.
+        Brent's method in y polishes the max to xtol 1e-8; ``argmax`` is sigma*S
         there.  R = 0 makes T a translation: log T' = 0, first at the left end.
         """
         xs = self._grid(grid_points, extent)

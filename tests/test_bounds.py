@@ -215,10 +215,12 @@ def test_bg_boundary_guard_above_the_median(asymmetric):
     sm = L.SmoothedMeasure(L.pushforward_affine(asymmetric, -1.0), 0.25)
     med = L.median(sm)
     half = sm.radius + sm.sigma
-    d0, x0 = bounds._bg_side(sm, med, -1.0, 201, half)
+    dist = np.linspace(0.0, half, 201)
+    below, above = bounds._bg_scan(sm, med, dist)
+    d0, x0 = bounds._bg_side(sm, med, -1.0, dist, *below)
     assert math.isfinite(d0.log) and med - half < x0 < med
     with pytest.raises(SupremumNotLocalized):
-        bounds._bg_side(sm, med, 1.0, 201, half)
+        bounds._bg_side(sm, med, 1.0, dist, *above)
     with pytest.raises(SupremumNotLocalized):
         L.bobkov_goetze(sm, scan_points=201, tail_mult=1.0)
 
@@ -244,6 +246,105 @@ def test_bg_reflection_swaps_the_sides(name, delta, request):
     assert b.d1.log == pytest.approx(a.d0.log, rel=1e-12)
     assert b.argmax_below == pytest.approx(-a.argmax_above, abs=1e-6)
     assert b.argmax_above == pytest.approx(-a.argmax_below, abs=1e-6)
+
+
+def _scan_measure(name):
+    if name == "mixed":
+        return _mixed_measure()
+    if name == "atoms":  # 12 atoms: the atom log-sum-exp sums pairwise from 8 terms
+        x = np.linspace(-1.0, 1.5, 12) + 0.05 * np.sin(np.arange(12.0))
+        w = 1.0 + np.cos(np.arange(12.0)) ** 2
+        return L.make_discrete(list(zip(x, w / w.sum())))
+    grid = np.linspace(-1.0, 1.2, 12)
+    values = 0.3 + np.abs(np.sin(3.0 * grid))
+    values /= L.TabulatedDensity(grid, values).mass
+    return L.make_measure(density=L.TabulatedDensity(grid, values))
+
+
+def _per_side_bg(sm, n, tail_mult):
+    """(d0, x0), (d1, x1) from the per-side scan: log_cdf or log_sf and two
+    log_density calls on each side, the oracle of the fused :func:`bounds._bg_scan`."""
+    med = L.median(sm)
+    dist = np.linspace(0.0, sm.radius + tail_mult * sm.sigma, n)
+    out = []
+    for s in (-1.0, 1.0):
+        xs = med + s * dist
+        log_tail = (sm.log_sf if s > 0 else sm.log_cdf)(xs)
+        linv_mids = -sm.log_density(0.5 * (xs[:-1] + xs[1:]))
+        out.append(bounds._bg_side(sm, med, s, dist, log_tail, -sm.log_density(xs), linv_mids))
+    return out
+
+
+@pytest.mark.parametrize("tail_mult", [10.0, 1.0, 0.5])
+@pytest.mark.parametrize("delta", [0.05, 0.25, 1.0])
+@pytest.mark.parametrize("name", ["atoms", "cells", "mixed"])
+def test_fused_scan_matches_the_per_side_scan(name, delta, tail_mult):
+    sm = L.SmoothedMeasure(_scan_measure(name), delta)
+    try:
+        (d0, x0), (d1, x1) = _per_side_bg(sm, 401, tail_mult)
+    except SupremumNotLocalized:
+        with pytest.raises(SupremumNotLocalized):
+            L.bobkov_goetze(sm, scan_points=401, tail_mult=tail_mult)
+        return
+    bg = L.bobkov_goetze(sm, scan_points=401, tail_mult=tail_mult)
+    assert bg.d0.log == pytest.approx(d0.log, rel=1e-13, abs=0.0)
+    assert bg.d1.log == pytest.approx(d1.log, rel=1e-13, abs=0.0)
+    assert bg.argmax_below == pytest.approx(x0, abs=1e-6)
+    assert bg.argmax_above == pytest.approx(x1, abs=1e-6)
+
+
+def _oracle_bg_below(mu, delta, tail_mult=10.0, dps=25, nodes=16):
+    """(sup, argmax) over the scan window below the median of
+    log(cdf * log(1/cdf) * integral of 1/q from x to the median), in mpmath:
+    the median by findroot, the integral by quad over ``nodes`` panels of the
+    window, and the sup by findroot on the closed-form derivative, bracketed
+    by the first panel edge outward where it turns positive."""
+    with mpmath.workdps(dps):
+        atoms = [(mpmath.mpf(a), mpmath.mpf(w)) for a, w in mu.atoms]
+        sigma = mpmath.sqrt(mpmath.mpf(delta))
+        lo, hi = min(a for a, _ in atoms), max(a for a, _ in atoms)
+
+        def cdf(x):
+            return sum(w * mpmath.ncdf((x - a) / sigma) for a, w in atoms)
+
+        def inv_q(t):
+            return 1 / sum(w * mpmath.npdf(t, a, sigma) for a, w in atoms)
+
+        def slope(x, integral):  # d/dx of the log functional
+            c = cdf(x)
+            return (1 + 1 / mpmath.log(c)) / (c * inv_q(x)) - inv_q(x) / integral
+
+        med = mpmath.findroot(lambda x: cdf(x) - 0.5, (lo, hi), solver="anderson")
+        edge = med - (hi - lo) / 2 - tail_mult * sigma
+        xs = [med - (med - edge) * k / nodes for k in range(nodes + 1)]
+        ints = [mpmath.mpf(0)]
+        for a, b in zip(xs[1:], xs[:-1]):
+            ints.append(ints[-1] + mpmath.quad(inv_q, [a, b]))
+        k = next(j for j in range(2, nodes + 1) if slope(xs[j], ints[j]) > 0)
+
+        def integral(x):
+            return ints[k - 1] + mpmath.quad(inv_q, [x, xs[k - 1]])
+
+        x = mpmath.findroot(lambda x: slope(x, integral(x)), (xs[k], xs[k - 1]), solver="anderson")
+        c = cdf(x)
+        return float(mpmath.log(c) + mpmath.log(-mpmath.log(c)) + mpmath.log(integral(x))), float(x)
+
+
+@pytest.mark.parametrize(
+    "delta, rtol",
+    # measured scan errors 9.8e-13, 1.3e-13 and 3.1e-10 relative (1201 points);
+    # each bound is about ten times that
+    [(0.25, 1e-11), (0.05, 1e-11), (0.002, 3e-9)],
+)
+def test_bg_d0_matches_mpmath_sup(asymmetric, delta, rtol):
+    sm = L.SmoothedMeasure(asymmetric, delta)
+    bg = L.bobkov_goetze(sm)
+    value, argmax = _oracle_bg_below(asymmetric, delta)
+    assert bg.d0.log == pytest.approx(value, rel=rtol)
+    med = L.median(sm)
+    assert med - bg.scan_halfwidth < bg.argmax_below < med
+    if delta >= 0.05:  # at 0.002 the functional is flat to 1e-15 across the gap
+        assert bg.argmax_below == pytest.approx(argmax, abs=1e-6)
 
 
 def test_report_assembles_with_checks(bernoulli):

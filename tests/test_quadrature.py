@@ -275,6 +275,48 @@ def test_golden_section_max_quadratic():
     assert fx == pytest.approx(0.0, abs=1e-15)
 
 
+def test_maximizer_converges_superlinearly_on_a_smooth_peak():
+    # golden section alone needs log(4e6)/log(1.618), about 32 evaluations
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return t * math.exp(-t)
+
+    x, fx = golden_section_max(f, 0.0, 4.0, xtol=1e-6)
+    assert len(calls) <= 15
+    assert abs(x - 1.0) <= 1e-6 and fx == x * math.exp(-x)
+
+
+@pytest.mark.parametrize(
+    "jump, peak",
+    # a step up before the peak, a step down after it, and a peak on the step
+    [(1e-7, 0.52), (-1e-7, 0.48), (-1e-7, 0.5)],
+)
+def test_maximizer_finds_a_peak_next_to_a_jump(jump, peak):
+    # like the BG polish, whose partial-cell integral steps at a scan node
+    x, _ = golden_section_max(
+        lambda t: -math.cosh(t - peak) + (jump if t > 0.5 else 0.0), 0.0, 1.0, xtol=1e-6
+    )
+    assert abs(x - peak) <= 1e-6
+
+
+@pytest.mark.parametrize("slope", [1.0, -1.0])
+def test_maximizer_of_a_monotone_function_is_the_bracket_end(slope):
+    x, fx = golden_section_max(lambda t: slope * t, 2.0, 3.0, xtol=1e-6)
+    assert x == pytest.approx(3.0 if slope > 0 else 2.0, abs=1e-6)
+    assert fx == slope * x
+
+
+def test_maximizer_ignores_the_order_of_the_bracket_ends():
+    def f(t):
+        return math.sin(t) - 0.1 * t * t
+
+    assert golden_section_max(f, 3.0, -1.0, xtol=1e-9) == golden_section_max(
+        f, -1.0, 3.0, xtol=1e-9
+    )
+
+
 def test_scale_floor_keeps_wide_gaussian_within_rtol():
     # most of [-40, 40] holds cells far below eps * rtol of the integral;
     # leaving them unrefined must not cost the rtol budget
