@@ -181,18 +181,6 @@ class BobkovGoetzeEstimate:
         }
 
 
-def _log_inv_density_segment(sm: SmoothedMeasure, a: float, b: float) -> float:
-    """log of the integral of 1/q over [a, b], 9-node composite Simpson."""
-    if b <= a:
-        return -math.inf
-    nodes = np.linspace(a, b, 9)
-    lv = -sm.log_density(nodes)
-    h = (b - a) / 8.0
-    w = h / 3.0 * np.array([1, 4, 2, 4, 2, 4, 2, 4, 1], dtype=float)
-    m = float(lv.max())
-    return m + math.log(float(np.dot(w, np.exp(lv - m))))
-
-
 def _bg_scan(sm, med, dist):
     """Per side, below then above the median: (log tail, log 1/q) at the nodes
     med -+ dist, from one fused pass (cdf below, sf above), and log 1/q at their
@@ -211,7 +199,8 @@ def _bg_side(sm, med, s, dist, log_tail, linv_nodes, linv_mids):
 
     Scans the nodes med + s*dist outward to the window edge, the last node,
     summing 3-node Simpson cells outward in log domain, and polishes the scan
-    max by Brent's method, with a 9-node rule over its partial cell.
+    max by Brent's method, each step one fused kernel call over the 9 Simpson
+    nodes of x's partial cell, whose end node at x gives the tail at x.
     """
     n = dist.size
     xs = med + s * dist
@@ -229,7 +218,6 @@ def _bg_side(sm, med, s, dist, log_tail, linv_nodes, linv_mids):
         )
     # log of the integral of 1/q from the median to xs[j]
     log_int = np.concatenate([[-np.inf], np.logaddexp.accumulate(cell_log)])
-    log_tail_at = sm.log_sf if s > 0 else sm.log_cdf
     # log of tail * log(1/tail) * integral; 0*inf convention -> 0
     with np.errstate(invalid="ignore"):
         log_h = log_tail + np.log(-log_tail) + log_int
@@ -245,10 +233,17 @@ def _bg_side(sm, med, s, dist, log_tail, linv_nodes, linv_mids):
         # x lies in cell k, from xs[k] out to xs[k + 1], its outer node included
         k = int(np.searchsorted(dist, s * (x - med), side="left")) - 1
         k = min(max(k, 0), n - 2)
-        lt = float(log_tail_at(x))
+        a, b = sorted((float(xs[k]), x))
+        tail, log_q = sm._log_tail_density_c(np.linspace(a, b, 9) - sm.center, s > 0)
+        lt = float(tail[-1] if b == x else tail[0])
         if lt == -math.inf:
             return -math.inf
-        seg = _log_inv_density_segment(sm, *sorted((float(xs[k]), x)))
+        seg = -math.inf  # log of the integral of 1/q over [a, b], 9-node Simpson
+        if b > a:
+            h = (b - a) / 8.0
+            w = h / 3.0 * np.array([1, 4, 2, 4, 2, 4, 2, 4, 1], dtype=float)
+            m = float(-log_q.min())
+            seg = m + math.log(float(np.dot(w, np.exp(-log_q - m))))
         return lt + math.log(-lt) + float(np.logaddexp(log_int[k], seg))
 
     # log_h[0] is -inf (integral 0) and log_h[1] is not (tail near 1/2): 0 < i < n - 1
@@ -311,10 +306,6 @@ class BoundReport:
     bg: BobkovGoetzeEstimate
     checks: dict
     quadrature: dict
-
-    @property
-    def all_checks_pass(self) -> bool:
-        return all(self.checks.values())
 
     def to_dict(self) -> dict:
         return {

@@ -1,9 +1,10 @@
 """Compactly supported probability measures on the real line.
 
 A measure is a finite list of atoms plus an optional tabulated density,
-interpolated linearly between its grid nodes.  Everything downstream goes
-through :func:`integrate`, which is exact over atoms and adaptive-Simpson
-over density cells.
+interpolated linearly between its grid nodes.  :func:`integrate`, exact
+over atoms and adaptive-Simpson over density cells, is the generic
+reference route that tests and benchmark checks compare the closed-form
+smoothed evaluators against; no computation in the package calls it.
 """
 
 from __future__ import annotations

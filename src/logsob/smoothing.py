@@ -7,9 +7,7 @@ the smoothed measure mu * gamma_delta has density
 
 which is smooth and strictly positive, so its CDF has a well-defined smooth
 inverse.  This module evaluates q, the CDF and survival function, their
-logs, the inverse CDF, and the tilted-moment objects (the mgf of mu and the
-induced tail shift) that control how far q's tail sits from the source
-Gaussian's.
+logs, and the inverse CDF.
 
 The evaluators are log-domain only: the atoms' log density and log tails
 are log-sum-exps of the Gaussian log density and ``log_ndtr``, finite far
@@ -19,9 +17,9 @@ added in.  ``density``, ``cdf`` and ``sf`` are their exponentials.
 All evaluation happens in coordinates centered on the support midpoint and
 is translated back at the interface; translations do not move LSI constants.
 For a piecewise-linear density part the convolution and its CDF reduce to
-closed forms in phi and Phi, which keeps dense sweeps cheap; the generic
-quadrature route stays available through :func:`logsob.measures.integrate`
-and is used by the tests as an independent cross-check.
+closed forms in phi and Phi, which keeps dense sweeps cheap.  No evaluator
+integrates numerically: the generic quadrature route,
+:func:`logsob.measures.integrate`, is the tests' independent cross-check.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import BracketFailure, DomainError, QuadratureFailure
-from .measures import Measure1D, centered, integrate
+from .measures import Measure1D, centered
 from .quadrature import bracketed_newton
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -86,7 +84,8 @@ class QuadratureConfig:
     Integrals over the whole line are truncated to the support hull padded by
     ``tail_mult`` standard deviations; the neglected Gaussian mass is below
     ndtr(-tail_mult), which must stay under ``cdf_tol``.  Every field must be
-    finite and positive.
+    finite and positive.  No computation reads ``integ_tol``: no evaluator
+    integrates numerically, so it is only validated and echoed into reports.
     """
 
     tail_mult: float = 12.0
@@ -397,60 +396,3 @@ class SmoothedMeasure:
         if arr.ndim == 0:
             return float(y[0])
         return y.reshape(arr.shape)
-
-    # -- tilted moments of the centered base measure --------------------
-
-    def _tilted_stats(self, x):
-        """(log mgf, tilted mean) of the centered base, overflow-shifted.
-
-        The integrand is rescaled by exp(-x * s_star) with s_star the support
-        endpoint favored by the tilt, which pins it inside (0, 1] for every x.
-        """
-        xa = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-        _reject(xa, ~np.isfinite(xa), "mgf argument must be finite")
-        s_star = np.where(xa >= 0.0, self.radius, -self.radius)
-        shift = xa * s_star
-
-        def g(s):
-            e = np.exp(np.multiply.outer(s, xa) - shift)
-            return np.stack([e, s[:, None] * e], axis=1)
-
-        vals = integrate(self.centered_base, g, rtol=self.config.integ_tol, atol=1e-16)
-        vals = np.asarray(vals, dtype=float)
-        base = np.maximum(vals[0], np.finfo(float).tiny)
-        return shift + np.log(base), vals[1] / base
-
-    def log_mgf(self, x):
-        """log of the base measure's moment generating function."""
-        arr = np.asarray(x, dtype=float)
-        out = self._tilted_stats(arr)[0]
-        if arr.ndim == 0:
-            return float(out[0])
-        return out.reshape(arr.shape)
-
-    def mgf(self, x):
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_mgf(x))
-
-    def tail_shift(self, x):
-        """Shift K with q(x + K(x)) comparable to the source density at x.
-
-        Defined for x != 0; the sandwich bounds hold on |x| >= 2*radius.
-        """
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr == 0.0):
-            raise DomainError("tail shift is undefined at 0")
-        lm = self._tilted_stats(arr)[0].reshape(arr.shape)
-        out = (lm + self.radius) / arr
-        return float(out) if arr.ndim == 0 else out
-
-    def tail_shift_deriv(self, x):
-        """Derivative of the tail shift; bounded by radius on |x| >= 2*radius."""
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr == 0.0):
-            raise DomainError("tail shift is undefined at 0")
-        lm, tm = self._tilted_stats(arr)
-        lm = lm.reshape(arr.shape)
-        tm = tm.reshape(arr.shape)
-        out = tm / arr - lm / (arr * arr) - self.radius / (arr * arr)
-        return float(out) if arr.ndim == 0 else out

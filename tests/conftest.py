@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -48,3 +49,44 @@ def dense_quantile_oracle(sm, u, lo, hi, tol=1e-9):
 
 def central_difference(fn, x, h):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
+
+def _moment_antiderivatives(x, s):
+    """Antiderivatives in s of e^{xs}, s e^{xs} and s^2 e^{xs}, at s (x != 0)."""
+    e = mpmath.exp(x * s)
+    return e / x, e * (s / x - 1 / x**2), e * (s**2 / x - 2 * s / x**2 + 2 / x**3)
+
+
+def tail_shift_oracle(mu, xs, dps=30):
+    """(K, K') of mu's tail shift at xs (nonzero), in mpmath, as float arrays.
+
+    With mu centered on its support midpoint, R its support radius, M its
+    moment generating function and m = M'/M its tilted mean,
+    K(x) = (log M(x) + R)/x and K'(x) = m(x)/x - (log M(x) + R)/x^2.  Atoms
+    are exact sums; a linear cell alpha + beta*s integrates against 1 and s
+    in closed form from the antiderivatives of s^j e^{xs} at its edges.
+    """
+    xs = np.asarray(xs, dtype=float)
+    with mpmath.workdps(dps):
+        lo, hi = (mpmath.mpf(v) for v in mu.support)
+        c, r = (lo + hi) / 2, (hi - lo) / 2
+        atoms = [(mpmath.mpf(s) - c, mpmath.mpf(w)) for s, w in mu.atoms]
+        grid, vals = [], []
+        if mu.density is not None:
+            grid = [mpmath.mpf(g) - c for g in mu.density.grid]
+            vals = [mpmath.mpf(v) for v in mu.density.values]
+        ks, dks = [], []
+        for x in map(mpmath.mpf, xs.ravel()):
+            m0 = mpmath.fsum(w * mpmath.exp(x * s) for s, w in atoms)
+            m1 = mpmath.fsum(w * s * mpmath.exp(x * s) for s, w in atoms)
+            prims = [_moment_antiderivatives(x, g) for g in grid]
+            for j in range(len(grid) - 1):
+                beta = (vals[j + 1] - vals[j]) / (grid[j + 1] - grid[j])
+                alpha = vals[j] - beta * grid[j]
+                d0, d1, d2 = (b - a for a, b in zip(prims[j], prims[j + 1]))
+                m0 += alpha * d0 + beta * d1
+                m1 += alpha * d1 + beta * d2
+            shift = (mpmath.log(m0) + r) / x
+            ks.append(float(shift))
+            dks.append(float(m1 / m0 / x - shift / x))
+    return np.reshape(ks, xs.shape), np.reshape(dks, xs.shape)

@@ -437,8 +437,8 @@ def _recorded(shape, calls):
 
     Peaks of different widths and an oscillating factor spread the accepted
     cells over many rounds and magnitudes, so the summation order shows in
-    the last bits; the (2, 3) shape is the (value, s * value) stack of
-    ``SmoothedMeasure._tilted_stats``.
+    the last bits; the (2, 3) shape stacks value and s * value, each under
+    three exponential tilts, a batch of vector integrands in one call.
     """
 
     def f(x, k=None):

@@ -3,14 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import logsob as L
 from logsob.errors import BracketFailure, DomainError
 
-from conftest import central_difference, dense_quantile_oracle
+from conftest import central_difference, dense_quantile_oracle, tail_shift_oracle
 
 
 def mp_gaussian_density(t, delta):
@@ -178,81 +176,39 @@ def test_quantile_rejects_bad_arguments(bernoulli, uniform):
         cells.inv_cdf(1e-310)
 
 
-def test_mgf_point_mass_is_one(point_mass):
-    sm = L.SmoothedMeasure(point_mass, 1.0)
-    xs = np.linspace(-5, 5, 11)
-    assert np.allclose(sm.mgf(xs), 1.0)
-
-
-def test_mgf_bernoulli_is_cosh(bernoulli):
-    sm = L.SmoothedMeasure(bernoulli, 1.0)
-    xs = np.linspace(-4, 4, 17)
-    assert np.allclose(sm.mgf(xs), np.cosh(xs), rtol=1e-13)
-
-
-@given(x=st.floats(min_value=-20.0, max_value=20.0))
-def test_mgf_bounded_by_support_exponential(x):
-    mu = L.make_discrete([(-0.75, 0.3), (0.25, 0.4), (0.75, 0.3)])
-    sm = L.SmoothedMeasure(mu, 1.0)
-    r = sm.radius
-    lm = sm.log_mgf(x)
-    assert -r * abs(x) - 1e-9 <= lm <= r * abs(x) + 1e-9
-
-
-def test_tail_shift_point_mass_is_zero(point_mass):
-    sm = L.SmoothedMeasure(point_mass, 1.0)
-    assert sm.tail_shift(3.0) == pytest.approx(0.0, abs=1e-14)
-    assert sm.tail_shift_deriv(3.0) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_tail_shift_bernoulli_closed_form(bernoulli):
-    sm = L.SmoothedMeasure(bernoulli, 1.0)
-    xs = np.array([2.0, 3.0, 5.0, -2.0, -4.0])
-    want = (np.log(np.cosh(xs)) + 1.0) / xs
-    assert np.allclose(sm.tail_shift(xs), want, rtol=1e-12)
+def test_tail_shift_oracle_closed_forms(point_mass, bernoulli):
+    # pins the lemma tests' mpmath oracle: K = (log M + R)/x with M = 1, cosh x,
+    # and 2 (cosh x - 1)/x^2 for the triangular density on [-1, 1], whose cells
+    # have slopes; K' against a central difference of K
+    tent = L.TabulatedDensity(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
+    tri = L.make_measure(density=tent)
+    xs = np.array([-5.0, -2.0, 0.5, 3.0, 7.0])
+    for mu, log_m, r in (
+        (point_mass, np.zeros_like(xs), 0.0),
+        (bernoulli, np.log(np.cosh(xs)), 1.0),
+        (tri, np.log(2.0 * (np.cosh(xs) - 1.0) / xs**2), 1.0),
+    ):
+        k, dk = tail_shift_oracle(mu, xs)
+        assert k == pytest.approx((log_m + r) / xs, rel=1e-13, abs=1e-15)
+        fd = central_difference(lambda v: tail_shift_oracle(mu, v)[0], xs, 1e-5)
+        assert dk == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
 
 def test_tail_shift_within_envelope(asymmetric):
     sm = L.SmoothedMeasure(asymmetric, 1.0)
     r = sm.radius
     xs = np.linspace(2 * r, 2 * r + 8, 50)
-    k = sm.tail_shift(xs)
+    k = tail_shift_oracle(asymmetric, xs)[0]
     assert np.all(k >= -r + r / xs - 1e-12)
     assert np.all(k <= r + r / xs + 1e-12)
-
-
-def test_tail_shift_undefined_at_zero(bernoulli):
-    sm = L.SmoothedMeasure(bernoulli, 1.0)
-    with pytest.raises(DomainError):
-        sm.tail_shift(0.0)
-
-
-@pytest.mark.parametrize("x", [-np.inf, np.inf, np.nan], ids=["-inf", "+inf", "nan"])
-@pytest.mark.parametrize("name", ["bernoulli", "uniform"])
-@pytest.mark.parametrize("method", ["log_mgf", "mgf", "tail_shift", "tail_shift_deriv"])
-def test_tilted_moments_reject_non_finite_arguments(method, name, x, request):
-    # atoms returned nan; a density's quadrature refined exp(inf - inf) forever
-    sm = L.SmoothedMeasure(request.getfixturevalue(name), 0.25)
-    with pytest.raises(DomainError, match=r"must be finite, got %s at index 1$" % x):
-        getattr(sm, method)(np.array([0.5, x]))
-
-
-def test_shift_deriv_matches_finite_difference(bernoulli, asymmetric, uniform):
-    h = 1e-5
-    for mu in (bernoulli, asymmetric, uniform):
-        sm = L.SmoothedMeasure(mu, 1.0)
-        for x in (2.0, 3.5, 6.0, -2.0, -5.0):
-            fd = central_difference(sm.tail_shift, x, h)
-            got = sm.tail_shift_deriv(x)
-            assert got == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
 def test_shift_deriv_bounded_at_double_radius(bernoulli):
     sm = L.SmoothedMeasure(bernoulli, 1.0)
     x = 2.0 * sm.radius
-    fd = central_difference(sm.tail_shift, x, 1e-5)
+    fd = central_difference(lambda v: tail_shift_oracle(bernoulli, v)[0], x, 1e-5)
     assert fd <= sm.radius
-    assert sm.tail_shift_deriv(x) <= sm.radius
+    assert tail_shift_oracle(bernoulli, x)[1] <= sm.radius
 
 
 def test_shifted_density_sandwich_spot(bernoulli):
@@ -260,7 +216,7 @@ def test_shifted_density_sandwich_spot(bernoulli):
     sm = L.SmoothedMeasure(bernoulli, 1.0)
     r = sm.radius
     xs = np.linspace(2 * r, 2 * r + 8, 25)
-    q_shift = sm.density(xs + sm.tail_shift(xs))
+    q_shift = sm.density(xs + tail_shift_oracle(bernoulli, xs)[0])
     p = gaussian_density(xs, 1.0)
     assert np.all(q_shift <= math.exp(-r) * p * (1 + 1e-10))
     assert np.all(q_shift >= math.exp(-2 * r * r - 2 * r - 0.125) * p * (1 - 1e-10))
