@@ -57,35 +57,53 @@ def _moment_antiderivatives(x, s):
     return e / x, e * (s / x - 1 / x**2), e * (s**2 / x - 2 * s / x**2 + 2 / x**3)
 
 
+def _tilted_moments(mu, c, x):
+    """mpmath (M, M1): the integrals of e^{x(s - c)} and (s - c) e^{x(s - c)}
+    against mu, x != 0.  Atoms are exact sums; a linear cell alpha + beta*s
+    integrates against 1 and s in closed form from the antiderivatives of
+    s^j e^{xs} at its edges."""
+    atoms = [(mpmath.mpf(s) - c, mpmath.mpf(w)) for s, w in mu.atoms]
+    grid, vals = [], []
+    if mu.density is not None:
+        grid = [mpmath.mpf(g) - c for g in mu.density.grid]
+        vals = [mpmath.mpf(v) for v in mu.density.values]
+    m0 = mpmath.fsum(w * mpmath.exp(x * s) for s, w in atoms)
+    m1 = mpmath.fsum(w * s * mpmath.exp(x * s) for s, w in atoms)
+    prims = [_moment_antiderivatives(x, g) for g in grid]
+    for j in range(len(grid) - 1):
+        beta = (vals[j + 1] - vals[j]) / (grid[j + 1] - grid[j])
+        alpha = vals[j] - beta * grid[j]
+        d0, d1, d2 = (b - a for a, b in zip(prims[j], prims[j + 1]))
+        m0 += alpha * d0 + beta * d1
+        m1 += alpha * d1 + beta * d2
+    return m0, m1
+
+
+def tilted_moments_oracle(mu, xs, center, dps=30):
+    """(M, M1) of mu about center at xs (nonzero), in mpmath, as float arrays:
+    the integrals of e^{x(s - center)} and (s - center) e^{x(s - center)}."""
+    xs = np.asarray(xs, dtype=float)
+    with mpmath.workdps(dps):
+        c = mpmath.mpf(center)
+        moments = [_tilted_moments(mu, c, x) for x in map(mpmath.mpf, xs.ravel())]
+        m0, m1 = ([float(m[j]) for m in moments] for j in (0, 1))
+    return np.reshape(m0, xs.shape), np.reshape(m1, xs.shape)
+
+
 def tail_shift_oracle(mu, xs, dps=30):
     """(K, K') of mu's tail shift at xs (nonzero), in mpmath, as float arrays.
 
     With mu centered on its support midpoint, R its support radius, M its
     moment generating function and m = M'/M its tilted mean,
-    K(x) = (log M(x) + R)/x and K'(x) = m(x)/x - (log M(x) + R)/x^2.  Atoms
-    are exact sums; a linear cell alpha + beta*s integrates against 1 and s
-    in closed form from the antiderivatives of s^j e^{xs} at its edges.
+    K(x) = (log M(x) + R)/x and K'(x) = m(x)/x - (log M(x) + R)/x^2.
     """
     xs = np.asarray(xs, dtype=float)
     with mpmath.workdps(dps):
         lo, hi = (mpmath.mpf(v) for v in mu.support)
         c, r = (lo + hi) / 2, (hi - lo) / 2
-        atoms = [(mpmath.mpf(s) - c, mpmath.mpf(w)) for s, w in mu.atoms]
-        grid, vals = [], []
-        if mu.density is not None:
-            grid = [mpmath.mpf(g) - c for g in mu.density.grid]
-            vals = [mpmath.mpf(v) for v in mu.density.values]
         ks, dks = [], []
         for x in map(mpmath.mpf, xs.ravel()):
-            m0 = mpmath.fsum(w * mpmath.exp(x * s) for s, w in atoms)
-            m1 = mpmath.fsum(w * s * mpmath.exp(x * s) for s, w in atoms)
-            prims = [_moment_antiderivatives(x, g) for g in grid]
-            for j in range(len(grid) - 1):
-                beta = (vals[j + 1] - vals[j]) / (grid[j + 1] - grid[j])
-                alpha = vals[j] - beta * grid[j]
-                d0, d1, d2 = (b - a for a, b in zip(prims[j], prims[j + 1]))
-                m0 += alpha * d0 + beta * d1
-                m1 += alpha * d1 + beta * d2
+            m0, m1 = _tilted_moments(mu, c, x)
             shift = (mpmath.log(m0) + r) / x
             ks.append(float(shift))
             dks.append(float(m1 / m0 / x - shift / x))

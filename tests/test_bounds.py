@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
 import logsob as L
@@ -337,6 +338,48 @@ def test_bg_matches_the_public_evaluator_route(name, delta, tail_mult, monkeypat
     assert bg.d1.log == pytest.approx(d1, rel=1e-13, abs=0.0)
     assert bg.argmax_below == pytest.approx(x0, abs=1e-6)
     assert bg.argmax_above == pytest.approx(x1, abs=1e-6)
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _bg_functional(sm, med, s):
+    """log of tail * log(1/tail) * integral of 1/q from the median to x, on side
+    s, the integral by 16-node Gauss-Legendre on 64 equal panels."""
+    log_tail_at = sm.log_sf if s > 0 else sm.log_cdf
+
+    def f(x):
+        edges = np.linspace(med, x, 65)
+        half = 0.5 * np.diff(edges)
+        t = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * _GL_NODES
+        integral = abs(float(np.sum(half[:, None] * _GL_WEIGHTS * np.exp(-sm.log_density(t)))))
+        lt = float(log_tail_at(x))
+        return lt + math.log(-lt) + math.log(integral)
+
+    return f
+
+
+@pytest.mark.parametrize("scan_points", [101, 401])
+@pytest.mark.parametrize("delta", [0.05, 0.25, 1.0])
+@pytest.mark.parametrize("name", ["atoms", "cells", "mixed"])
+def test_bg_polish_reaches_the_supremum_between_scan_nodes(name, delta, scan_points):
+    # the grid max misses the sup by up to 1e-3 in log; the polish leaves only
+    # the scan's Simpson error, of order h^4 in the scan step h
+    sm = L.SmoothedMeasure(_scan_measure(name), delta)
+    bg = L.bobkov_goetze(sm, scan_points=scan_points)
+    med = L.median(sm)
+    h = bg.scan_halfwidth / (scan_points - 1)
+    tol = 1e-6 * (100.0 / (scan_points - 1)) ** 4
+    for s, d, x in ((-1.0, bg.d0, bg.argmax_below), (1.0, bg.d1, bg.argmax_above)):
+        f = _bg_functional(sm, med, s)
+        best = minimize_scalar(
+            lambda v: -f(v),
+            bounds=(x - 2 * h, x + 2 * h),
+            method="bounded",
+            options={"xatol": 1e-10},
+        )
+        assert d.log == pytest.approx(-best.fun, rel=0.0, abs=tol)
+        assert x == pytest.approx(best.x, abs=0.01 * h)
 
 
 def _oracle_bg_below(mu, delta, tail_mult=10.0, dps=25, nodes=16):

@@ -14,6 +14,8 @@ from logsob.errors import (
     ZeroScale,
 )
 
+from conftest import tilted_moments_oracle
+
 
 def test_point_mass_has_zero_radius():
     mu = L.make_discrete([(0.0, 1.0)])
@@ -69,6 +71,93 @@ def test_integrate_vector_output():
     mu = L.make_discrete([(-1.0, 0.5), (1.0, 0.5)])
     out = L.integrate(mu, lambda s: np.stack([s, s * s], axis=-1))
     assert np.allclose(out, [0.0, 1.0])
+
+
+def _tilt_measure(name):
+    if name == "point_mass":
+        return L.make_discrete([(0.0, 1.0)])
+    if name == "bernoulli":
+        return L.make_discrete([(-1.0, 0.5), (1.0, 0.5)])
+    if name == "offcenter_atoms":
+        return L.make_discrete([(0.5, 0.25), (2.5, 0.75)])
+    if name == "twelve_atoms":
+        x = np.linspace(-1.0, 1.5, 12) + 0.05 * np.sin(np.arange(12.0))
+        w = 1.0 + np.cos(np.arange(12.0)) ** 2
+        return L.make_discrete(list(zip(x, w / w.sum())))
+    if name == "uniform":
+        return L.make_uniform(-1.0, 1.0)
+    if name == "offcenter_uniform":
+        return L.make_uniform(1.0, 3.0)
+    if name == "tent":
+        tent = L.TabulatedDensity(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
+        return L.make_measure(density=tent)
+    grid = np.linspace(-1.0, 1.2, 12)
+    values = 0.3 + np.abs(np.sin(3.0 * grid))
+    if name == "sloped_cells":
+        values /= L.TabulatedDensity(grid, values).mass
+        return L.make_measure(density=L.TabulatedDensity(grid, values))
+    if name == "mixed":
+        values *= 0.5 / L.TabulatedDensity(grid, values).mass
+        return L.make_measure(
+            atoms=[(-1.5, 0.3), (0.4, 0.2)], density=L.TabulatedDensity(grid, values)
+        )
+    assert name == "wide_uniform"
+    return L.make_uniform(-2.0, 2.0)
+
+
+TILT_MEASURES = [
+    "point_mass",
+    "bernoulli",
+    "offcenter_atoms",
+    "twelve_atoms",
+    "uniform",
+    "offcenter_uniform",
+    "tent",
+    "sloped_cells",
+    "mixed",
+    "wide_uniform",
+]
+
+
+def _tilts(mu, xs):
+    """(center, radius, g): g batches e^{x(s - c) - R|x|}, each in (0, 1], and
+    (s - c) times it into one (points, 2, tilts) integrand."""
+    lo, hi = mu.support
+    c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    xs = np.asarray(xs, dtype=float)
+
+    def g(s):
+        e = np.exp(np.multiply.outer(s - c, xs) - r * np.abs(xs))
+        return np.stack([e, (s - c)[:, None] * e], axis=1)
+
+    return c, r, g
+
+
+@pytest.mark.parametrize("name", TILT_MEASURES)
+def test_integrate_batches_exponential_tilts(name):
+    # the tilted moments of the base measure through the reference route, one
+    # batched call for all tilts, against closed forms: exact atom sums and
+    # linear cells integrated against 1 and s in mpmath
+    mu = _tilt_measure(name)
+    xs = np.array([-9.0, -2.5, -0.3, 0.7, 4.0, 11.0])
+    c, r, g = _tilts(mu, xs)
+    got = L.integrate(mu, g, atol=1e-16)
+    m0, m1 = tilted_moments_oracle(mu, xs, c)
+    scale = np.exp(-r * np.abs(xs))
+    assert got.shape == (2, xs.size)
+    assert got[0] == pytest.approx(m0 * scale, rel=1e-9, abs=1e-15)
+    assert got[1] == pytest.approx(m1 * scale, rel=1e-9, abs=1e-15)
+
+
+@given(x=st.floats(min_value=-20.0, max_value=20.0))
+@pytest.mark.parametrize("name", ["offcenter_atoms", "tent", "mixed"])
+def test_integrate_tilts_within_the_support_exponential(name, x):
+    # |log M(x)| <= R|x| about the support midpoint: the shifted tilt lies in
+    # [e^{-2R|x|}, 1] wherever the measure puts its mass
+    mu = _tilt_measure(name)
+    _, r, g = _tilts(mu, [x])
+    log_m = math.log(L.integrate(mu, g, atol=1e-16)[0, 0])
+    assert -2.0 * r * abs(x) - 1e-9 <= log_m <= 1e-9
 
 
 def test_pushforward_identity():
