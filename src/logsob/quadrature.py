@@ -197,7 +197,7 @@ def golden_section_max(f, lo, hi, xtol=1e-8, max_iter=200):
     return x, fx
 
 
-def bracketed_newton(g, g_slope, lo, hi, root_tol=1e-10, max_iter=200, start=None):
+def bracketed_newton(g_slope, lo, hi, root_tol=1e-10, max_iter=200, start=None):
     """Elementwise root of an increasing residual on [lo, hi], safeguarded Newton.
 
     ``g_slope(y, k) -> (residual, slope)`` is called on the live points only.
@@ -206,11 +206,11 @@ def bracketed_newton(g, g_slope, lo, hi, root_tol=1e-10, max_iter=200, start=Non
     live bracket falls back to its midpoint.  A point is done once its step
     or its bracket width is at most ``root_tol``.
 
-    The residual ``g(y, k)`` checks the sign change at the bracket ends after
-    the loop.  An end that an iterate replaced (residual < 0 replaces lo,
-    >= 0 hi) has the right sign, as g increases, and is evaluated only when
-    the other end has the wrong one.  Every root lies between ends of the
-    right signs, and no iterate reads the end residuals.
+    The sign change at the bracket ends is checked after the loop, on the
+    residual of ``g_slope``.  An end that an iterate replaced (residual < 0
+    replaces lo, >= 0 hi) has the right sign, as the residual increases, and
+    is evaluated only when the other end has the wrong one.  Every root lies
+    between ends of the right signs, and no iterate reads the end residuals.
 
     Raises BracketFailure, with the count of points, when an endpoint pair
     does not straddle zero or, next, when a residual is not finite (a tail
@@ -246,7 +246,7 @@ def bracketed_newton(g, g_slope, lo, hi, root_tol=1e-10, max_iter=200, start=Non
     todo = ~crossed
     for _ in range(2):
         if todo.any():
-            resid[todo] = g(ends[todo], np.nonzero(todo)[1])
+            resid[todo] = g_slope(ends[todo], np.nonzero(todo)[1])[0]
         unsigned = ~((resid[0] <= 0.0) & (resid[1] >= 0.0))
         todo = crossed & unsigned
     # a wrong sign at a non-finite residual is an underflow, reported below

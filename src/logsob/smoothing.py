@@ -12,7 +12,10 @@ logs, and the inverse CDF.
 The evaluators are log-domain only: the atoms' log density and log tails
 are log-sum-exps of the Gaussian log density and ``log_ndtr``, finite far
 below the smallest double, and the cells' closed-form sums are logged and
-added in.  ``density``, ``cdf`` and ``sf`` are their exponentials.
+added in.  ``density``, ``cdf`` and ``sf`` are their exponentials.  One
+kernel reads every tail, with log q from the same pass over the cell
+edges, and one Newton solve on it, ``SmoothedMeasure._solve_c``, gives
+both the quantiles and the transport map of :mod:`logsob.transport`.
 
 All evaluation happens in coordinates centered on the support midpoint and
 is translated back at the interface; translations do not move LSI constants.
@@ -86,6 +89,9 @@ class QuadratureConfig:
     ndtr(-tail_mult), which must stay under ``cdf_tol``.  Every field must be
     finite and positive.  No computation reads ``integ_tol``: no evaluator
     integrates numerically, so it is only validated and echoed into reports.
+    A root solve stops within ``root_tol`` in the frame it runs in: quantiles
+    in x; transport values, the Lipschitz window ends and T(0) in x/sigma,
+    which is sigma * ``root_tol`` in x.
     """
 
     tail_mult: float = 12.0
@@ -244,24 +250,13 @@ class SmoothedMeasure:
         terms = lin * cdf_gap + self._cells[2] * self.sigma * (pdf[:, :-1] - pdf[:, 1:])
         return np.maximum(terms.sum(axis=1), 0.0)
 
-    def _tail_edges(self, lin, a, b, s):
-        """Cell mass above x (s = 1) or below it (s = -1), from lin and Phi's antiderivatives."""
-        lin = lin * s  # -lin * (a1 - a0) == lin * (a0 - a1) bitwise
-        terms = lin * (a[:, 1:] - a[:, :-1]) + self._cells[2] * self.sigma * (b[:, 1:] - b[:, :-1])
-        return self.sigma * np.maximum(terms, 0.0).sum(axis=1)
-
     def _density_cells(self, t):
         u, lin = self._edge_u(t)
         return self._density_edges(lin, _cdf_gap(u, ndtr(-np.abs(u))), _std_pdf(u))
 
-    def _tail_cells(self, x, s):
-        u, lin = self._edge_u(x)
-        z = s * u
-        a, b = _edge_antiderivatives(z, ndtr(z), _std_pdf(z))
-        return self._tail_edges(lin, a, b, s)
-
     def _tail_density_cells(self, y, s):
-        """(_tail_cells, _density_cells) at y, bit for bit, from one pass over the cell edges.
+        """Cell mass above y (s = 1) or below it (s = -1), and _density_cells at y
+        bit for bit, from one pass over the cell edges and Phi's antiderivatives.
 
         The tail reads Phi(z) at z = s*u, which is the smaller tail w of the
         gaps where z <= 0, so only edges beyond y on the tail's side add one."""
@@ -274,7 +269,9 @@ class SmoothedMeasure:
         up = u > 0.0
         w[up] = ndtr(u[up])
         a, b = _edge_antiderivatives(u, w, pdf)
-        return self._tail_edges(lin, a, b, s), dens
+        lin = lin * s  # -lin * (a1 - a0) == lin * (a0 - a1) bitwise
+        terms = lin * (a[:, 1:] - a[:, :-1]) + self._cells[2] * self.sigma * (b[:, 1:] - b[:, :-1])
+        return self.sigma * np.maximum(terms, 0.0).sum(axis=1), dens
 
     @_blocked
     def _log_density_c(self, t):
@@ -284,16 +281,10 @@ class SmoothedMeasure:
         return out
 
     @_blocked
-    def _log_tail_c(self, x, sf):
-        """log of the mass above x where ``sf`` (a flag, or one per point), below it elsewhere."""
-        out = self._log_tail_atoms(x, sf)
-        if self._cells is not None:
-            out = np.logaddexp(out, _log_tail(self._tail_cells(x, _side(sf))))
-        return np.minimum(out, 0.0)
-
-    @_blocked
     def _log_tail_density_c(self, y, sf):
-        """(_log_tail_c, _log_density_c) at y, bit for bit, from one pass over the cell edges."""
+        """(log tail, log q) at y from one pass over the cell edges: the mass above y
+        where ``sf`` (a flag, or one per point), below it elsewhere, and _log_density_c
+        bit for bit.  Every tail of this module is read here."""
         tail, dens = self._log_tail_atoms(y, sf), self._log_density_atoms(y)
         if self._cells is not None:
             cell_tail, cell_dens = self._tail_density_cells(y, _side(sf))
@@ -301,31 +292,27 @@ class SmoothedMeasure:
             dens = np.logaddexp(dens, _log_density(cell_dens))
         return np.minimum(tail, 0.0), dens
 
-    def _tail_residuals(self, log_target, upper):
-        """``(g, g_slope)`` for :func:`bracketed_newton` in log-tail form.
+    def _solve_c(self, x, log_target, upper, start=None):
+        """Centered-frame y with log sf(y) = ``log_target`` where ``upper``, else
+        log cdf(y) = ``log_target``, by safeguarded Newton to ``root_tol`` in y.
 
-        Point k solves log sf(y) = log_target[k] where ``upper[k]``, else
-        log cdf(y) = log_target[k], as log tail(y) - log_target[k], negated
-        on the sf side so both increase in y; the slope is q / tail.  Far in
-        the tails Newton converges in a few steps where the linear residual
-        crawls.  A cell tail below the normal doubles makes the residual
-        -inf, and the solve a BracketFailure.
+        x is sigma * Phi^-1 of the target mass, within R of the root by the
+        transport envelope, which brackets each point as x -+ (R + pad).  The
+        residual log tail(y) - log_target, negated on the sf side to increase
+        in y, has slope q / tail and converges in a few steps far in the tails.
+        A cell tail below the normal doubles makes it -inf, and the solve a
+        BracketFailure; errors carry the ``index`` of the first failed point.
         """
-
-        def residual(log_tail, k):
-            with np.errstate(invalid="ignore"):
-                d = log_tail - log_target[k]
-            return np.where(upper[k], -d, d)
-
-        def g(y, k):
-            return residual(self._log_tail_c(y, upper[k]), k)
+        reach = self.radius + 1e-9 * self.sigma + 1e-12 * np.abs(x)
 
         def g_slope(y, k):
             log_tail, log_dens = self._log_tail_density_c(y, upper[k])
             with np.errstate(invalid="ignore", over="ignore"):
-                return residual(log_tail, k), np.exp(log_dens - log_tail)
+                d = log_tail - log_target[k]
+                return np.where(upper[k], -d, d), np.exp(log_dens - log_tail)
 
-        return g, g_slope
+        tol = self.config.root_tol
+        return bracketed_newton(g_slope, x - reach, x + reach, root_tol=tol, start=start)
 
     # -- public interface (original coordinates) -----------------------
 
@@ -352,17 +339,17 @@ class SmoothedMeasure:
         return self._wrap(self._log_density_c, t, (-np.inf, -np.inf))
 
     def cdf(self, x):
-        return self._wrap(lambda v: np.exp(self._log_tail_c(v, False)), x, (0.0, 1.0))
+        return self._wrap(lambda v: np.exp(self._log_tail_density_c(v, False)[0]), x, (0.0, 1.0))
 
     def sf(self, x):
         """Survival function 1 - cdf, computed directly for tail accuracy."""
-        return self._wrap(lambda v: np.exp(self._log_tail_c(v, True)), x, (1.0, 0.0))
+        return self._wrap(lambda v: np.exp(self._log_tail_density_c(v, True)[0]), x, (1.0, 0.0))
 
     def log_cdf(self, x):
-        return self._wrap(lambda v: self._log_tail_c(v, False), x, (-np.inf, 0.0))
+        return self._wrap(lambda v: self._log_tail_density_c(v, False)[0], x, (-np.inf, 0.0))
 
     def log_sf(self, x):
-        return self._wrap(lambda v: self._log_tail_c(v, True), x, (0.0, -np.inf))
+        return self._wrap(lambda v: self._log_tail_density_c(v, True)[0], x, (0.0, -np.inf))
 
     def window(self):
         """Interval outside which the smoothed mass is below cdf_tol."""
@@ -371,10 +358,9 @@ class SmoothedMeasure:
     def inv_cdf(self, u):
         """Quantile: x with cdf(x) = u, root_tol-accurate in x.
 
-        The quantile is the transport image T(sigma * Phi^-1(u)), and the
-        transport envelope puts it within the support radius of
-        sigma * Phi^-1(u): that interval, padded, brackets Newton on the log
-        of the nearer tail, log(1 - u) or log u, from its midpoint.  Atoms
+        The quantile is the transport image T(sigma * Phi^-1(u)), and
+        :meth:`_solve_c`, which also gives T, finds it from there on the log
+        of the nearer tail, log(1 - u) or log u.  Atoms
         alone reach every u down to the smallest subnormal; raises
         BracketFailure, naming the first such u, when the quantile needs a
         cell tail below the normal doubles.
@@ -383,12 +369,10 @@ class SmoothedMeasure:
         flat = np.atleast_1d(arr).ravel()
         inside = (flat > 0.0) & (flat < 1.0)
         _reject(flat, ~inside, "quantile argument must lie strictly inside (0, 1)")
-        x = self.sigma * ndtri(flat)
-        reach = self.radius + 1e-9 * self.sigma + 1e-12 * np.abs(x)
         upper = flat > 0.5
-        g, g_slope = self._tail_residuals(np.log(np.where(upper, 1.0 - flat, flat)), upper)
+        log_target = np.log(np.where(upper, 1.0 - flat, flat))
         try:
-            y = bracketed_newton(g, g_slope, x - reach, x + reach, root_tol=self.config.root_tol)
+            y = self._solve_c(self.sigma * ndtri(flat), log_target, upper)
         except (BracketFailure, QuadratureFailure) as exc:
             exc.args = ("%s; first at u = %r" % (exc, float(flat[exc.index])),)
             raise

@@ -9,6 +9,8 @@ numerical sup of T' over a sweep window and the closed-form slope bound.
 Computation runs in the unit-variance normalized frame (push the centered
 base through x -> x/sqrt(delta), smooth with variance 1) and maps back
 affinely; the conjugation leaves T' and hence the Lipschitz norm unchanged.
+T is the quantile solve of the normalized measure,
+``SmoothedMeasure._solve_c``, at the source tail of each abscissa.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from scipy.special import log_ndtr, ndtri_exp
 from .errors import BracketFailure, DomainError, LogsobError, QuadratureFailure
 from .logdomain import LogValue
 from .measures import pushforward_affine
-from .quadrature import bracketed_newton, golden_section_max
+from .quadrature import bracketed_newton  # noqa: F401  unused; perfbench/tracer.py wraps it by name
+from .quadrature import golden_section_max
 from .smoothing import SmoothedMeasure, _check_radius, _reject, log_gaussian_density
 
 LIPSCHITZ_POINTS, LIPSCHITZ_EXTENT = 4001, 8.0  # default Lipschitz sweep
@@ -81,13 +84,8 @@ class TransportMap:
         self.sigma = target.sigma
         self.center = target.center
         self.radius = target.radius
-        if target.delta == 1.0 and target.center == 0.0:
-            self.unit = target
-        else:
-            base = target.centered_base
-            if target.delta != 1.0:
-                base = pushforward_affine(base, 1.0 / target.sigma)
-            self.unit = SmoothedMeasure(base, 1.0, target.config)
+        unit_base = pushforward_affine(target.centered_base, 1.0 / target.sigma)
+        self.unit = SmoothedMeasure(unit_base, 1.0, target.config)
         self.radius_normalized = self.radius / self.sigma
 
     def _grid(self, points, extent):
@@ -103,17 +101,13 @@ class TransportMap:
     # -- unit-frame solve ------------------------------------------------
 
     def _solve(self, xn, start=None):
-        """Solve G(y) = F(x) in the normalized frame, in the envelope, as
-        log F_sf(x) = log G_sf(y) for x >= 0, log G_cdf(y) = log F_cdf(x) below,
-        the source side log_ndtr(-|x|); a cell tail of G below the normal
-        doubles raises BracketFailure.  An error names its first failed x in
-        original coordinates."""
-        rn = self.radius_normalized
-        pad = 1e-9 + 1e-12 * np.abs(xn)
-        g, g_slope = self.unit._tail_residuals(log_ndtr(-np.abs(xn)), xn >= 0.0)
-        lo, hi, tol = xn - rn - pad, xn + rn + pad, self.target.config.root_tol
+        """T in the normalized frame: the unit measure's ``_solve_c`` of
+        log G_sf(y) = log F_sf(x) for x >= 0, log G_cdf(y) = log F_cdf(x) below,
+        the source side log_ndtr(-|x|), bracketed by the envelope, to root_tol
+        in y (sigma * root_tol in original coordinates).  An error names its
+        first failed x in original coordinates."""
         try:
-            return bracketed_newton(g, g_slope, lo, hi, root_tol=tol, start=start)
+            return self.unit._solve_c(xn, log_ndtr(-np.abs(xn)), xn >= 0.0, start)
         except (BracketFailure, QuadratureFailure) as exc:
             exc.args = ("%s; first at x = %r" % (exc, float(self.sigma * xn[exc.index])),)
             raise

@@ -68,10 +68,7 @@ def test_bracketed_newton_solves_cdf():
 
     u = np.array([0.1, 0.5, 0.9, 0.999])
     root = bracketed_newton(
-        lambda y, k: ndtr(y) - u[k],
-        lambda y, k: (ndtr(y) - u[k], _std_pdf(y)),
-        np.full(4, -10.0),
-        np.full(4, 10.0),
+        lambda y, k: (ndtr(y) - u[k], _std_pdf(y)), np.full(4, -10.0), np.full(4, 10.0)
     )
     assert np.allclose(root, ndtri(u), atol=1e-9)
 
@@ -79,26 +76,17 @@ def test_bracketed_newton_solves_cdf():
 def test_bracketed_newton_rejects_bad_bracket():
     with pytest.raises(BracketFailure):
         bracketed_newton(
-            lambda y, k: y + 5.0,
-            lambda y, k: (y + 5.0, np.ones_like(y)),
-            np.array([0.0]),
-            np.array([1.0]),
+            lambda y, k: (y + 5.0, np.ones_like(y)), np.array([0.0]), np.array([1.0])
         )
 
 
 def test_bracketed_newton_steps_live_points_only():
-    from scipy.special import ndtr
-
     # u = 1/2 has its root at the bracket midpoint and converges on the
     # first step; the others need several
     u = np.array([0.5, 0.1, 0.999, 0.6])
-    calls = []
-
-    def g_slope(y, k):
-        calls.append(k.copy())
-        return ndtr(y) - u[k], _std_pdf(y)
-
-    bracketed_newton(lambda y, k: ndtr(y) - u[k], g_slope, np.full(4, -10.0), np.full(4, 10.0))
+    g_slope, _, steps = _logged(u, -10.0, 10.0)
+    bracketed_newton(g_slope, np.full(4, -10.0), np.full(4, 10.0))
+    calls = [k for k, _ in steps]
     assert np.array_equal(calls[0], np.arange(4))
     assert len(calls) > 2
     assert all(0 not in k for k in calls[1:])
@@ -115,13 +103,12 @@ def test_bracketed_newton_log_tail_residual_deep_quantiles():
     steps = []
 
     def g_slope(y, k):
-        steps.append(y.size)
+        if not np.all((y == -13.0) | (y == 1.0)):  # not the sign check at the bracket ends
+            steps.append(y.size)
         log_cdf = log_ndtr(y)
         return log_cdf - log_u[k], np.exp(-0.5 * y * y - 0.5 * math.log(2 * math.pi) - log_cdf)
 
-    root = bracketed_newton(
-        lambda y, k: log_ndtr(y) - log_u[k], g_slope, np.full(6, -13.0), np.full(6, 1.0)
-    )
+    root = bracketed_newton(g_slope, np.full(6, -13.0), np.full(6, 1.0))
     assert np.all(np.abs(root - ndtri(u)) <= 1e-10)
     assert len(steps) <= 12
 
@@ -132,7 +119,6 @@ def test_bracketed_newton_exhausted_iterations_raise():
     u = np.array([0.1, 0.999])
     with pytest.raises(QuadratureFailure, match="left 2 points unconverged"):
         bracketed_newton(
-            lambda y, k: ndtr(y) - u[k],
             lambda y, k: (ndtr(y) - u[k], _std_pdf(y)),
             np.full(2, -10.0),
             np.full(2, 10.0),
@@ -155,9 +141,7 @@ def test_bracketed_newton_non_finite_residual_is_a_bracket_failure():
             return log_target[k] - np.log(sf), _std_pdf(y) / sf
 
     with pytest.raises(BracketFailure, match="2 of 4 points"):
-        bracketed_newton(
-            lambda y, k: g_slope(y, k)[0], g_slope, np.full(4, 0.0), np.full(4, 60.0)
-        )
+        bracketed_newton(g_slope, np.full(4, 0.0), np.full(4, 60.0))
 
 
 def test_bracketed_newton_starts_from_start_only_inside_the_bracket():
@@ -173,9 +157,7 @@ def test_bracketed_newton_starts_from_start_only_inside_the_bracket():
 
     # a non-finite or out-of-bracket start falls back to the midpoint, 0
     start = np.array([ndtri(0.1) + 1e-3, np.nan, np.inf, 25.0, ndtri(0.3)])
-    root = bracketed_newton(
-        lambda y, k: ndtr(y) - u[k], g_slope, np.full(5, -10.0), np.full(5, 10.0), start=start
-    )
+    root = bracketed_newton(g_slope, np.full(5, -10.0), np.full(5, 10.0), start=start)
     assert np.array_equal(firsts[0], [start[0], 0.0, 0.0, 0.0, start[4]])
     assert np.allclose(root, ndtri(u), atol=1e-9)
 
@@ -184,30 +166,28 @@ def test_bracketed_newton_failure_carries_the_first_failed_index():
     shift = np.array([0.5, 5.0, 0.5, 7.0])
     with pytest.raises(BracketFailure, match="2 of 4 points") as info:
         bracketed_newton(
-            lambda y, k: y + shift[k] - 1.0,
-            lambda y, k: (y + shift[k] - 1.0, np.ones_like(y)),
-            np.zeros(4),
-            np.ones(4),
+            lambda y, k: (y + shift[k] - 1.0, np.ones_like(y)), np.zeros(4), np.ones(4)
         )
     assert info.value.index == 1
 
 
-def _logged(u):
-    """ndtr(y) - u[k] as (g, g_slope), logging the points and residuals each sees."""
+def _logged(u, lo, hi):
+    """ndtr(y) - u[k] as g_slope on the bracket [lo, hi], logging its calls:
+    (y, k) of the sign checks, calls at the bracket ends only, and (k,
+    residual) of the Newton steps."""
     from scipy.special import ndtr
 
     ends, steps = [], []
 
-    def g(y, k):
-        ends.append((y.copy(), k.copy()))
-        return ndtr(y) - u[k]
-
     def g_slope(y, k):
         r = ndtr(y) - u[k]
-        steps.append((k.copy(), r))
+        if np.all((y == lo) | (y == hi)):
+            ends.append((y.copy(), k.copy()))
+        else:
+            steps.append((k.copy(), r))
         return r, _std_pdf(y)
 
-    return g, g_slope, ends, steps
+    return g_slope, ends, steps
 
 
 def test_bracketed_newton_checks_only_ends_no_iterate_crossed():
@@ -217,8 +197,8 @@ def test_bracketed_newton_checks_only_ends_no_iterate_crossed():
     lo, hi = np.full(6, -10.0), np.full(6, 10.0)
     # a start just left of a root where ndtr is convex overshoots it
     start = np.where(u < 0.5, ndtri(u) - 1e-2, np.nan)
-    g, g_slope, ends, steps = _logged(u)
-    root = bracketed_newton(g, g_slope, lo, hi, start=start)
+    g_slope, ends, steps = _logged(u, -10.0, 10.0)
+    root = bracketed_newton(g_slope, lo, hi, start=start)
     assert np.allclose(root, ndtri(u), atol=1e-9)
     below, above = np.zeros(6, dtype=bool), np.zeros(6, dtype=bool)
     for k, r in steps:
@@ -237,35 +217,29 @@ def test_bracketed_newton_no_sign_change_after_crossing_keeps_count_and_index():
     # checked only once hi shows the wrong sign, which makes it an underflow
     shift = np.array([5.0, -0.5, -6.0, 4.0, -0.5])
 
-    def g(y, k):
-        return np.where((k == 2) & (y == 0.0), -np.inf, 0.0) + y + shift[k]
-
     def g_slope(y, k):
-        return y + shift[k], np.ones_like(y)
+        return np.where((k == 2) & (y == 0.0), -np.inf, 0.0) + y + shift[k], np.ones_like(y)
 
     args = (np.zeros(5), np.ones(5))
     with pytest.raises(BracketFailure, match="^2 of 5 points have no sign change") as info:
-        bracketed_newton(g, g_slope, *args)
+        bracketed_newton(g_slope, *args)
     assert info.value.index == 0
     shift[[0, 3]] = -0.5
     underflow = "^1 of 5 points have a residual that is not finite"
     with pytest.raises(BracketFailure, match=underflow) as info:
-        bracketed_newton(g, g_slope, *args)
+        bracketed_newton(g_slope, *args)
     assert info.value.index == 2
 
 
 def test_bracketed_newton_uncrossed_non_finite_end_is_an_underflow():
     # point 1's residual is +inf at lo and positive inside: no iterate
     # crosses lo, so it is checked, and its wrong sign is not finite
-    def g(y, k):
-        return np.where((k == 1) & (y == 0.0), np.inf, y - 0.5 + k)
-
     def g_slope(y, k):
-        return y - 0.5 + k, np.ones_like(y)
+        return np.where((k == 1) & (y == 0.0), np.inf, y - 0.5 + k), np.ones_like(y)
 
     underflow = "^1 of 3 points have a residual that is not finite"
     with pytest.raises(BracketFailure, match=underflow) as info:
-        bracketed_newton(g, g_slope, np.array([0.0, 0.0, -3.0]), np.ones(3))
+        bracketed_newton(g_slope, np.array([0.0, 0.0, -3.0]), np.ones(3))
     assert info.value.index == 1
 
 

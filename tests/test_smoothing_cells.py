@@ -162,11 +162,11 @@ def test_kernels_equal_per_cell_oracle_bitwise(case):
     _, sm = case
     xs = _centered_points(sm)
     assert np.array_equal(sm._density_cells(xs), oracle_density_cells(sm, xs))
-    assert np.array_equal(sm._tail_cells(xs, -1.0), oracle_cdf_cells(sm, xs))
-    assert np.array_equal(sm._tail_cells(xs, 1.0), oracle_sf_cells(sm, xs))
+    assert np.array_equal(sm._tail_density_cells(xs, -1.0)[0], oracle_cdf_cells(sm, xs))
+    assert np.array_equal(sm._tail_density_cells(xs, 1.0)[0], oracle_sf_cells(sm, xs))
     assert np.array_equal(sm._log_density_c(xs), oracle_log_density_c(sm, xs))
     for sf in (False, True):
-        assert np.array_equal(sm._log_tail_c(xs, sf), oracle_log_tail_c(sm, xs, sf))
+        assert np.array_equal(sm._log_tail_density_c(xs, sf)[0], oracle_log_tail_c(sm, xs, sf))
 
 
 # -- quantiles -----------------------------------------------------------
@@ -179,21 +179,27 @@ def test_quantiles_round_trip_through_cdf(name):
     assert np.allclose(sm.cdf(sm.inv_cdf(us)), us, rtol=1e-8, atol=1e-12)
 
 
-# -- the fused tail + density evaluator of the Newton solves ----------------
+# -- the fused tail + density evaluator, the only tail route ----------------
 
 
-def test_fused_tail_and_density_equal_separate_kernels_bitwise(case):
-    # everywhere: every cell kernel clamps its abscissae at R + 40 sigma
+def test_fused_tail_and_density_equal_per_cell_oracle_bitwise(case):
+    # everywhere: every cell kernel clamps its abscissae at R + 40 sigma, so
+    # beyond it the cell tail is the oracle's, which does not clamp, at the clamp
     _, sm = case
+    lim = sm.radius + 40.0 * sm.sigma
     far = sm.radius + np.array([41.0 * sm.sigma, 1e10, 1e155, 1e300])
     xs = np.concatenate([_centered_points(sm), far, -far])
+    inside = np.abs(xs) <= lim
+    clamped = np.clip(xs, -lim, lim)
     sides = np.random.default_rng(5).random(xs.size) < 0.5
     for sf in (True, False, sides):
         tail, dens = sm._log_tail_density_c(xs, sf)
-        assert np.array_equal(tail, sm._log_tail_c(xs, sf))
+        want = oracle_log_tail_c(sm, xs[inside], np.broadcast_to(sf, xs.shape)[inside])
+        assert np.array_equal(tail[inside], want)
         assert np.array_equal(dens, sm._log_density_c(xs))
         cell_tail, cell_dens = sm._tail_density_cells(xs, smoothing._side(sf))
-        assert np.array_equal(cell_tail, sm._tail_cells(xs, smoothing._side(sf)))
+        want = np.where(sf, oracle_sf_cells(sm, clamped), oracle_cdf_cells(sm, clamped))
+        assert np.array_equal(cell_tail, want)
         assert np.array_equal(cell_dens, sm._density_cells(xs))
 
 
@@ -274,7 +280,8 @@ def test_log_evaluators_equal_row_major_oracle(name, delta):
     sm = L.SmoothedMeasure(ATOM_MEASURES[name](), delta)
     xs = _centered_points(sm, n=401)
     pairs = [(sm._log_density_c(xs), oracle_log_density_c(sm, xs))]
-    pairs += [(sm._log_tail_c(xs, sf), oracle_log_tail_c(sm, xs, sf)) for sf in (True, False)]
+    for sf in (True, False):
+        pairs.append((sm._log_tail_density_c(xs, sf)[0], oracle_log_tail_c(sm, xs, sf)))
     for got, want in pairs:
         if sm._aloc.size < 8:
             assert np.array_equal(got, want)
@@ -305,9 +312,8 @@ def _rows(sm):
 
 def _evaluator_calls(sm, sides):
     """(evaluator name, extra arguments) of every blocked evaluator."""
-    calls = [("_log_density_c", ()), ("_log_tail_c", (sides,))]
-    calls += [("_log_tail_c", (sf,)) for sf in (False, True)]  # as log_cdf, log_sf
-    return calls + [("_log_tail_density_c", (sides,))]
+    calls = [("_log_density_c", ()), ("_log_tail_density_c", (sides,))]
+    return calls + [("_log_tail_density_c", (sf,)) for sf in (False, True)]  # as log_cdf, log_sf
 
 
 def _blocked_pairs(sm, xs, sides):

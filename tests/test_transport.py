@@ -7,6 +7,7 @@ import pytest
 from scipy.special import ndtri
 
 import logsob as L
+import logsob.smoothing as smoothing
 import logsob.transport as transport
 
 from conftest import central_difference, tail_shift_oracle
@@ -354,29 +355,29 @@ def test_underflowing_tail_is_a_bracket_failure(uniform):
 
 def _counted_table(monkeypatch):
     """Solver call counts of the 1001-point transport table of a seeded 256-cell
-    density, delta 0.05, on the Lipschitz sweep's window."""
+    density, delta 0.05, on the Lipschitz sweep's window: points sent to the
+    residual at an initial bracket end (the deferred sign check) and elsewhere
+    (the Newton steps)."""
     rng = np.random.default_rng(3)
     grid = np.linspace(-1.0, 1.0, 257)
     values = rng.uniform(0.3, 1.3, 257)
     values /= L.TabulatedDensity(grid, values).mass
     mu = L.make_measure(density=L.TabulatedDensity(grid, values))
-    counts = {"abscissae": 0, "value": 0, "slope": 0}
-    solve = transport.bracketed_newton
+    counts = {"abscissae": 0, "ends": 0, "steps": 0}
+    solve = smoothing.bracketed_newton
 
-    def counted(g, g_slope, lo, hi, **kw):
+    def counted(g_slope, lo, hi, **kw):
         counts["abscissae"] += np.size(lo)
 
-        def g_counted(y, k):
-            counts["value"] += y.size
-            return g(y, k)
-
         def g_slope_counted(y, k):
-            counts["slope"] += y.size
+            ends = np.count_nonzero((y == lo[k]) | (y == hi[k]))
+            counts["ends"] += ends
+            counts["steps"] += y.size - ends
             return g_slope(y, k)
 
-        return solve(g_counted, g_slope_counted, lo, hi, **kw)
+        return solve(g_slope_counted, lo, hi, **kw)
 
-    monkeypatch.setattr(transport, "bracketed_newton", counted)
+    monkeypatch.setattr(smoothing, "bracketed_newton", counted)
     L.transport_table(make_map(mu, 0.05), points=1001)
     return counts
 
@@ -385,18 +386,18 @@ def test_newton_evaluations_per_abscissa_in_the_table(monkeypatch):
     # the log-tail Newton from the bracket midpoint needs no bisection stage:
     # at most 8 fused value+slope calls per abscissa, against 15 value and 3
     # fused calls with one; the sign check runs only at bracket ends that no
-    # iterate crossed: 0.46 value calls per abscissa, against 2 at both ends
+    # iterate crossed: 0.47 fused evaluations per abscissa, against 2 at both ends
     counts = _counted_table(monkeypatch)
     assert counts["abscissae"] >= 1001
-    assert counts["value"] <= 1.0 * counts["abscissae"]
-    assert counts["slope"] <= 8 * counts["abscissae"]
+    assert counts["ends"] <= 1.0 * counts["abscissae"]
+    assert counts["steps"] <= 8 * counts["abscissae"]
 
 
 def test_warm_start_cuts_fused_evaluations_in_the_table(monkeypatch):
     # from midpoints every point takes about 6.0 fused calls; warm-started,
     # the coarse eighth still does, the rest about 2: 2.57 in all
     counts = _counted_table(monkeypatch)
-    assert counts["slope"] <= 4.5 * counts["abscissae"]
+    assert counts["steps"] <= 4.5 * counts["abscissae"]
 
 
 @pytest.mark.parametrize("name", ["bernoulli", "asymmetric", "uniform"])
@@ -450,3 +451,27 @@ def test_failed_warm_pass_reports_the_whole_batch(uniform):
         L.BracketFailure, match=r"^582 of 2001 points .*; first at x = %s$" % re.escape(repr(lo))
     ):
         L.transport_table(tm, points=2001)
+
+
+QUANTILE_MEASURES = {
+    "bernoulli": lambda: L.make_discrete([(-1.0, 0.5), (1.0, 0.5)]),
+    "off_center": lambda: L.make_discrete([(2.0, 0.25), (4.0, 0.75)]),
+    "uniform": lambda: L.make_uniform(-1.0, 1.0),
+    "mixed": lambda: L.make_measure(
+        atoms=[(-0.5, 0.3), (1.5, 0.2)],
+        density=L.TabulatedDensity(np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.8, 0.2])),
+    ),
+}
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.25, 1.0, 4.0])
+@pytest.mark.parametrize("name", list(QUANTILE_MEASURES))
+def test_quantiles_are_transport_values(name, delta):
+    # the quantile at u is T(sigma * Phi^-1(u)), to root_tol in x for the
+    # quantile and sigma * root_tol for T; u = 1/2 is left out, where the
+    # median and T(0) take opposite tails (ROADMAP item 1's plateau)
+    sm = L.SmoothedMeasure(QUANTILE_MEASURES[name](), delta)
+    u = np.geomspace(1e-12, 0.4, 45)
+    u = np.concatenate([u, 1.0 - u])
+    gap = np.abs(sm.inv_cdf(u) - L.TransportMap(sm).eval(sm.sigma * ndtri(u)))
+    assert gap.max() <= max(1.0, sm.sigma) * sm.config.root_tol
