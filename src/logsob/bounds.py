@@ -356,6 +356,8 @@ def compute_bound_report(
     bg = bobkov_goetze(sm, scan_points=bg_points)
     log_slack = 1e-6
     upper_logs = [troute.log, push.log, hardy.log, bg.upper.log]
+    if multi is not None:
+        upper_logs.append(multi.log)
     checks = {
         "lower_below_all_uppers": bg.lower.log <= min(upper_logs) + log_slack,
         "bg_ordered": bg.lower.log <= bg.upper.log + log_slack,

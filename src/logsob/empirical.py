@@ -66,12 +66,11 @@ class ParamFamily:
             object.__setattr__(self, "grid", pts)
 
 
-def exponential_family(delta, count=64, rate_min=0.05, rate_max=None) -> ParamFamily:
-    """f = exp(rate*x/2) over a log-spaced rate grid; ratio 2*delta on a Gaussian."""
+def exponential_family(delta, count=64) -> ParamFamily:
+    """f = exp(rate*x/2) over ``count`` rates log-spaced from 0.05 to 4/sqrt(delta);
+    ratio 2*delta on a Gaussian."""
     delta = float(delta)
-    if rate_max is None:
-        rate_max = 4.0 / math.sqrt(delta)
-    rates = np.geomspace(float(rate_min), float(rate_max), int(count))
+    rates = np.geomspace(0.05, 4.0 / math.sqrt(delta), int(count))
 
     def build(params):
         (rate,) = params
@@ -87,13 +86,14 @@ def exponential_family(delta, count=64, rate_min=0.05, rate_max=None) -> ParamFa
     return ParamFamily("exponential", ("rate",), (rates,), build)
 
 
-def bump_family(radius, delta, centers=5, widths=4) -> ParamFamily:
-    """Translated Gaussian bumps exp(-(x-a)^2 / (2 s^2))."""
+def bump_family(radius, delta, centers=5) -> ParamFamily:
+    """Translated Gaussian bumps exp(-(x-a)^2 / (2 s^2)): ``centers`` values of a
+    across +-(R + sigma), 4 scales s log-spaced from 0.3 sigma to max(R, sigma) + sigma."""
     r = float(radius)
     sigma = math.sqrt(float(delta))
     span = r + sigma
     locs = np.linspace(-span, span, int(centers))
-    scales = np.geomspace(0.3 * sigma, max(r, sigma) + sigma, int(widths))
+    scales = np.geomspace(0.3 * sigma, max(r, sigma) + sigma, 4)
 
     def build(params):
         a, s = params
@@ -113,13 +113,14 @@ def bump_family(radius, delta, centers=5, widths=4) -> ParamFamily:
     return ParamFamily("bump", ("center", "scale"), (locs, scales), build)
 
 
-def step_family(radius, delta, centers=5, widths=4) -> ParamFamily:
-    """Smoothed steps tanh((x-a)/eps) + 1; these split bimodal mass."""
+def step_family(radius, delta, centers=5) -> ParamFamily:
+    """Smoothed steps tanh((x-a)/eps) + 1, which split bimodal mass: ``centers``
+    values of a across +-(R + sigma/2), 4 widths eps log-spaced from 0.1 sigma to sigma."""
     r = float(radius)
     sigma = math.sqrt(float(delta))
     span = r + 0.5 * sigma
     locs = np.linspace(-span, span, int(centers))
-    epss = np.geomspace(0.1 * sigma, sigma, int(widths))
+    epss = np.geomspace(0.1 * sigma, sigma, 4)
 
     def build(params):
         a, eps = params
@@ -140,19 +141,20 @@ def step_family(radius, delta, centers=5, widths=4) -> ParamFamily:
 
 
 def shipped_families(sm: SmoothedMeasure, grid_size=None) -> dict:
-    """The three shipped families by name; ``grid_size`` replaces the 64 rates and 5 centers."""
+    """The three shipped families by name; ``grid_size``, if given (0 included),
+    replaces the 64 rates and 5 centers."""
+    rates, centers = (64, 5) if grid_size is None else (grid_size, grid_size)
     return {
-        "exponential": exponential_family(sm.delta, count=grid_size or 64),
-        "bump": bump_family(sm.radius, sm.delta, centers=grid_size or 5),
-        "step": step_family(sm.radius, sm.delta, centers=grid_size or 5),
+        "exponential": exponential_family(sm.delta, count=rates),
+        "bump": bump_family(sm.radius, sm.delta, centers=centers),
+        "step": step_family(sm.radius, sm.delta, centers=centers),
     }
 
 
 def _window(tf: TestFunction, sm: SmoothedMeasure):
-    pad = sm.config.tail_mult * sm.sigma
-    lo = sm.center - sm.radius - pad + min(0.0, tf.window_shift)
-    hi = sm.center + sm.radius + pad + max(0.0, tf.window_shift)
-    return lo, hi
+    """The smoothed measure's window, widened on its side by the member's tilt."""
+    lo, hi = sm.window()
+    return lo + min(0.0, tf.window_shift), hi + max(0.0, tf.window_shift)
 
 
 def _initial_cells(lo, hi, sm):
@@ -336,7 +338,6 @@ class VerifyEntry:
     energy_value: float
     ratio: float
     margin: float
-    slack: float
     passed: bool
 
 
@@ -352,15 +353,14 @@ def verify_lsi(
     sm: SmoothedMeasure,
     constant,
     families,
-    slack_scale: float = 1e-6,
     rtol: float = 1e-8,
 ) -> VerifyReport:
     """Check Ent(f^2) <= c * Energy(f) across families; failures are data.
 
     ``constant`` may be a float or a LogValue (log-domain constants larger
     than any double pass whenever the energy is positive).  The margin is
-    Ent - c*Energy; a member passes when it is below
-    slack_scale * max(Ent, c*Energy, 1).
+    Ent - c*Energy; a member passes when it is at most
+    1e-6 * max(Ent, c*Energy, 1).
     """
     c_log = _as_log(constant)
     if isinstance(families, ParamFamily):
@@ -376,9 +376,7 @@ def verify_lsi(
             else:
                 budget = 0.0
             margin = ent - budget
-            slack = slack_scale * max(
-                ent, budget if math.isfinite(budget) else 0.0, 1.0
-            )
+            slack = 1e-6 * max(ent, budget if math.isfinite(budget) else 0.0, 1.0)
             entries.append(
                 VerifyEntry(
                     family=fam.name,
@@ -387,7 +385,6 @@ def verify_lsi(
                     energy_value=en,
                     ratio=ent / en if en > 0.0 else math.nan,
                     margin=margin,
-                    slack=slack,
                     passed=margin <= slack,
                 )
             )

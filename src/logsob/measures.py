@@ -10,7 +10,8 @@ smoothed evaluators against; no computation in the package calls it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -62,46 +63,35 @@ class TabulatedDensity:
         return float(np.sum(0.5 * (v0 + v1) * np.diff(self.grid)))
 
 
-@dataclass(frozen=True)
-class SupportRadius:
-    """Half-length of the support interval and its midpoint."""
-
-    radius: float
-    center: float
-
-
 @dataclass(frozen=True, eq=False)
 class Measure1D:
     """Probability measure with atoms and/or a tabulated density.
 
-    Invariants checked at construction: positive weights, nonnegative
-    density, total mass 1 within ``mass_tol``, everything inside
-    ``support``.
+    Invariants checked at construction: finite atom locations, positive
+    weights, nonnegative density, total mass 1 within ``mass_tol``.  The
+    ``support`` [a, b] is derived, the hull of the atoms and the density
+    grid; ``radius`` (b - a)/2 and ``center`` (a + b)/2 are read from it.
     """
 
     atoms: tuple = ()
     density: TabulatedDensity | None = None
-    support: tuple = (0.0, 0.0)
     mass_tol: float = MASS_TOL
+    support: tuple = field(init=False)
 
     def __post_init__(self):
         atoms = tuple((float(x), float(w)) for x, w in self.atoms)
         object.__setattr__(self, "atoms", atoms)
-        a, b = float(self.support[0]), float(self.support[1])
-        object.__setattr__(self, "support", (a, b))
-        if not (a <= b):
-            raise DomainError("support interval must satisfy a <= b")
         if not atoms and self.density is None:
             raise DomainError("measure needs atoms or a density")
         for x, w in atoms:
             if not w > 0.0:
                 raise NonpositiveWeight("atom at %r has weight %r" % (x, w))
-            if not (a <= x <= b):
-                raise DomainError("atom at %r outside support [%r, %r]" % (x, a, b))
+            if not math.isfinite(x):
+                raise DomainError("atom location must be finite, got %r" % x)
+        ends = [x for x, _ in atoms]
         if self.density is not None:
-            g = self.density.grid
-            if g[0] < a - 1e-12 or g[-1] > b + 1e-12:
-                raise DomainError("density grid extends outside the support interval")
+            ends += [float(self.density.grid[0]), float(self.density.grid[-1])]
+        object.__setattr__(self, "support", (min(ends), max(ends)))
         deviation = self.mass - 1.0
         if abs(deviation) > self.mass_tol:
             raise MassNotNormalized(deviation, self.mass_tol)
@@ -113,35 +103,23 @@ class Measure1D:
             total += self.density.mass
         return total
 
+    @property
+    def radius(self) -> float:
+        return 0.5 * (self.support[1] - self.support[0])
+
+    @property
+    def center(self) -> float:
+        return 0.5 * (self.support[0] + self.support[1])
+
 
 def make_discrete(atoms, mass_tol=MASS_TOL) -> Measure1D:
-    """Purely atomic measure; support is the hull of the atom locations."""
-    atoms = [(float(x), float(w)) for x, w in atoms]
-    if not atoms:
-        raise DomainError("need at least one atom")
-    locs = [x for x, _ in atoms]
-    return Measure1D(
-        atoms=tuple(atoms),
-        density=None,
-        support=(min(locs), max(locs)),
-        mass_tol=mass_tol,
-    )
+    """Purely atomic measure."""
+    return Measure1D(atoms, mass_tol=mass_tol)
 
 
 def make_measure(atoms=(), density=None, mass_tol=MASS_TOL) -> Measure1D:
-    """Mixed measure; support is the hull of atoms and density grid."""
-    atoms = [(float(x), float(w)) for x, w in atoms]
-    ends = [x for x, _ in atoms]
-    if density is not None:
-        ends.extend([float(density.grid[0]), float(density.grid[-1])])
-    if not ends:
-        raise DomainError("measure needs atoms or a density")
-    return Measure1D(
-        atoms=tuple(atoms),
-        density=density,
-        support=(min(ends), max(ends)),
-        mass_tol=mass_tol,
-    )
+    """Measure with atoms, a tabulated density, or both."""
+    return Measure1D(atoms, density, mass_tol)
 
 
 def make_uniform(a, b, nodes=5) -> Measure1D:
@@ -198,22 +176,12 @@ def pushforward_affine(mu: Measure1D, scale, shift=0.0) -> Measure1D:
             grid = grid[::-1]
             values = values[::-1]
         density = TabulatedDensity(grid, values)
-    a, b = mu.support
-    lo, hi = sorted((scale * a + shift, scale * b + shift))
-    return Measure1D(atoms=atoms, density=density, support=(lo, hi), mass_tol=mu.mass_tol)
+    return Measure1D(atoms, density, mu.mass_tol)
 
 
-def support_radius(mu: Measure1D) -> SupportRadius:
-    a, b = mu.support
-    return SupportRadius(radius=0.5 * (b - a), center=0.5 * (a + b))
-
-
-def centered(mu: Measure1D):
-    """Translate mu so its support midpoint sits at 0; returns (measure, radius)."""
-    sr = support_radius(mu)
-    if sr.center == 0.0:
-        return mu, sr
-    return pushforward_affine(mu, 1.0, -sr.center), sr
+def centered(mu: Measure1D) -> Measure1D:
+    """mu translated so its support midpoint sits at 0."""
+    return mu if mu.center == 0.0 else pushforward_affine(mu, 1.0, -mu.center)
 
 
 def measure_to_dict(mu: Measure1D) -> dict:

@@ -201,11 +201,9 @@ class SmoothedMeasure:
         self.delta = _check_delta(delta)
         self.sigma = math.sqrt(self.delta)
         self.config = config or QuadratureConfig()
-        self.base = base
-        mu_c, sr = centered(base)
-        self.centered_base = mu_c
-        self.radius = float(sr.radius)
-        self.center = float(sr.center)
+        self.radius = base.radius
+        self.center = base.center
+        self.centered_base = mu_c = centered(base)
 
         self._aloc = np.array([x for x, _ in mu_c.atoms], dtype=float)
         self._awt = np.array([w for _, w in mu_c.atoms], dtype=float)

@@ -436,6 +436,34 @@ def test_bg_d0_matches_mpmath_sup(asymmetric, delta, rtol):
         assert bg.argmax_below == pytest.approx(argmax, abs=1e-6)
 
 
+def _two_atom_bg_asymptote(r, delta):
+    """Laplace asymptote of log d0 = log d1 for atoms 1/2 at +-r: 1/q integrates
+    to sqrt(2 pi delta) e^{r^2/2delta} (pi/2)(delta/r) across the barrier, and
+    sup t log(1/t) is 1/e, so log d = r^2/2delta + 1.5 log delta - log r
+    + log(2 pi)/2 + log(pi/2) - 1 + O(delta/r^2)."""
+    return (
+        r * r / (2.0 * delta)
+        + 1.5 * math.log(delta)
+        - math.log(r)
+        + 0.5 * math.log(2.0 * math.pi)
+        + math.log(0.5 * math.pi)
+        - 1.0
+    )
+
+
+# measured (log d - A) / (delta/r^2): 1.266 at 0.01 and 1.240 at 0.002 for every r.
+# Not at 5e-4: there the median sits on the cancellation plateau and the scan
+# resolves the barrier too coarsely (ROADMAP items 1 and 11).
+@pytest.mark.parametrize("ratio", [0.01, 0.002])
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_bg_two_atoms_match_the_laplace_asymptote(r, ratio):
+    delta = ratio * r * r
+    bg = L.bobkov_goetze(L.SmoothedMeasure(L.make_discrete([(-r, 0.5), (r, 0.5)]), delta))
+    want = _two_atom_bg_asymptote(r, delta)
+    assert abs(bg.d0.log - want) <= 1.5 * ratio
+    assert abs(bg.d1.log - want) <= 1.5 * ratio
+
+
 def test_report_assembles_with_checks(bernoulli):
     rep = L.compute_bound_report(bernoulli, 1.0, lipschitz_points=1001, bg_points=401)
     assert all(rep.checks.values())
@@ -453,3 +481,11 @@ def test_report_point_mass(point_mass):
     assert rep.multidim is None and rep.hardy_small_delta is None
     assert rep.pushforward.value == pytest.approx(2.0, abs=1e-5)
     assert all(rep.checks.values())
+
+
+def test_multidim_below_the_lower_bound_fails_the_check(bernoulli, monkeypatch):
+    # a planted error: multidim_bound is an upper bound, so BG's lower must lie below it
+    monkeypatch.setattr(bounds, "bound_multidim", lambda r, delta, n: L.LogValue(-50.0))
+    rep = L.compute_bound_report(bernoulli, 1.0, lipschitz_points=1001, bg_points=401)
+    assert rep.multidim.log == -50.0
+    assert rep.checks["lower_below_all_uppers"] is False

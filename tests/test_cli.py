@@ -1,7 +1,9 @@
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -459,3 +461,19 @@ def test_bundled_sweep_matches_the_stored_reference(tmp_path, jobs):
     problems = {op: found for op, found in check.check_sweep(plan, out).items() if found}
     assert problems == {}
     assert len(plan.ops) == 24
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # golden_section_max is hand-rolled so that the CLI's start-up skips scipy.optimize
+    import logsob
+
+    src = str(Path(logsob.__file__).resolve().parents[1])
+    code = "import sys, logsob.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

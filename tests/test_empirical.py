@@ -179,3 +179,12 @@ def test_shipped_families_cover_three_shapes(uniform):
     fams = L.shipped_families(sm)
     assert set(fams) == {"exponential", "bump", "step"}
     assert len(fams["exponential"].grid) == 64
+
+
+def test_shipped_families_take_a_zero_grid_size(uniform):
+    # 0 is a size, not "unset": every family is empty, and verify says so
+    sm = L.SmoothedMeasure(uniform, 1.0)
+    fams = L.shipped_families(sm, 0)
+    assert all(not fam.grid for fam in fams.values())
+    with pytest.raises(EmptyFamily):
+        L.verify_lsi(sm, 1.0, list(fams.values()))

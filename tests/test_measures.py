@@ -19,20 +19,17 @@ from conftest import tilted_moments_oracle
 
 def test_point_mass_has_zero_radius():
     mu = L.make_discrete([(0.0, 1.0)])
-    sr = L.support_radius(mu)
-    assert sr.radius == 0.0 and sr.center == 0.0
+    assert mu.radius == 0.0 and mu.center == 0.0
 
 
 def test_two_atom_symmetric():
     mu = L.make_discrete([(-1.0, 0.5), (1.0, 0.5)])
-    sr = L.support_radius(mu)
-    assert sr.radius == 1.0 and sr.center == 0.0
+    assert mu.radius == 1.0 and mu.center == 0.0
 
 
 def test_two_atom_offcenter():
     mu = L.make_discrete([(0.0, 0.3), (2.0, 0.7)])
-    sr = L.support_radius(mu)
-    assert sr.radius == 1.0 and sr.center == 1.0
+    assert mu.radius == 1.0 and mu.center == 1.0
 
 
 def test_negative_weight_rejected():
@@ -170,7 +167,7 @@ def test_pushforward_rescale():
     mu = L.make_discrete([(-1.0, 0.5), (1.0, 0.5)])
     nu = L.pushforward_affine(mu, 1.0 / math.sqrt(4.0))
     assert [x for x, _ in nu.atoms] == [-0.5, 0.5]
-    assert L.support_radius(nu).radius == 0.5
+    assert nu.radius == 0.5
 
 
 def test_pushforward_point_mass():
@@ -189,7 +186,7 @@ def test_pushforward_density_mass_preserved():
     mu = L.make_uniform(-1.0, 1.0)
     nu = L.pushforward_affine(mu, -2.0, 1.0)
     assert abs(nu.mass - 1.0) < 1e-12
-    assert L.support_radius(nu).radius == pytest.approx(2.0)
+    assert nu.radius == pytest.approx(2.0)
 
 
 @given(
@@ -219,16 +216,14 @@ def test_mass_and_radius_scaling(weights, lam):
     atoms = [(float(i), w / total) for i, w in enumerate(weights)]
     mu = L.make_discrete(atoms, mass_tol=1e-6)
     assert abs(L.integrate(mu, lambda s: np.ones_like(s)) - 1.0) <= 1e-6
-    assert L.support_radius(L.pushforward_affine(mu, lam)).radius == pytest.approx(
-        lam * L.support_radius(mu).radius
-    )
+    assert L.pushforward_affine(mu, lam).radius == pytest.approx(lam * mu.radius)
 
 
 def test_centered_moves_midpoint_to_zero():
     mu = L.make_discrete([(0.0, 0.3), (2.0, 0.7)])
-    mu_c, sr = L.centered(mu)
-    assert sr.center == 1.0
-    assert L.support_radius(mu_c).center == 0.0
+    mu_c = L.centered(mu)
+    assert mu.center == 1.0
+    assert mu_c.center == 0.0
 
 
 def test_measure_json_roundtrip(tmp_path):
@@ -258,3 +253,17 @@ def test_load_measure_missing_file(tmp_path):
 def test_empty_measure_rejected():
     with pytest.raises(DomainError):
         L.make_measure(atoms=[])
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_nonfinite_atom_rejected(x):
+    with pytest.raises(DomainError, match="atom location must be finite"):
+        L.make_discrete([(0.0, 0.5), (x, 0.5)])
+
+
+def test_support_is_the_hull_of_atoms_and_grid():
+    half = L.TabulatedDensity(np.array([-1.0, 1.0]), np.array([0.25, 0.25]))
+    mu = L.make_measure(atoms=[(3.0, 0.5)], density=half)
+    assert mu.support == (-1.0, 3.0) and mu.radius == 2.0 and mu.center == 1.0
+    with pytest.raises(DomainError, match="measure needs atoms or a density"):
+        L.make_discrete([])
