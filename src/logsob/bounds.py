@@ -1,8 +1,8 @@
 """Closed-form log-Sobolev constant bounds and the two-sided Hardy estimate.
 
-Everything returns log-domain values (:class:`logsob.logdomain.LogValue`)
-because the interesting regime, small variance relative to the squared
-support radius, overflows doubles almost immediately.
+Everything returns log-domain values (:class:`logsob.logdomain.LogValue`,
+or a result that is one) because the interesting regime, small variance
+relative to the squared support radius, overflows doubles almost immediately.
 """
 
 from __future__ import annotations
@@ -85,29 +85,13 @@ def bound_multidim(radius, delta, n_dim) -> LogValue:
 
 
 @dataclass(frozen=True)
-class TransportRouteBound:
-    """max of the two transport-route branches, with branch bookkeeping."""
+class TransportRouteBound(LogValue):
+    """The max of the two transport-route branches, as a LogValue; ``branch``
+    names the one that attains it ("small_delta" is the exponential branch),
+    and ``simplified_valid`` says whether delta <= 16 R^2."""
 
-    log: float
-    log_moderate: float
-    log_exponential: float
     branch: str
     simplified_valid: bool
-
-    @property
-    def value(self):
-        return LogValue(self.log).value
-
-    def as_logvalue(self) -> LogValue:
-        return LogValue(self.log)
-
-    def to_dict(self) -> dict:
-        return {
-            "log_value": self.log,
-            "value": self.value,
-            "branch": self.branch,
-            "simplified_valid": self.simplified_valid,
-        }
 
 
 def bound_transport(radius, delta) -> TransportRouteBound:
@@ -119,28 +103,20 @@ def bound_transport(radius, delta) -> TransportRouteBound:
     """
     r, delta = _check_radius(radius), _check_delta(delta)
     base = math.log(2.0 * delta)
-    log_moderate = base + 4.0 * r * r / delta + 4.0 * r / math.sqrt(delta) + 0.25
-    log_exponential = base + 24.0 * r * r / delta
-    if log_exponential >= log_moderate:
-        log, branch = log_exponential, "small_delta"
+    moderate = base + 4.0 * r * r / delta + 4.0 * r / math.sqrt(delta) + 0.25
+    exponential = base + 24.0 * r * r / delta
+    if exponential >= moderate:
+        log, branch = exponential, "small_delta"
     else:
-        log, branch = log_moderate, "large_delta"
-    return TransportRouteBound(
-        log=log,
-        log_moderate=log_moderate,
-        log_exponential=log_exponential,
-        branch=branch,
-        simplified_valid=delta <= 16.0 * r * r,
-    )
+        log, branch = moderate, "large_delta"
+    return TransportRouteBound(log, branch, simplified_valid=delta <= 16.0 * r * r)
 
 
 def bound_pushforward(c_source, lipschitz_norm) -> LogValue:
     """Constant c * L^2 for the image of a c-measure under an L-Lipschitz map.
 
-    c and L are floats or LogValues, L may also be a LipschitzEstimate."""
-    lip = lipschitz_norm
-    log_l = lip.log_value if isinstance(lip, LipschitzEstimate) else _as_log(lip)
-    c_log = _as_log(c_source)
+    c and L are floats or LogValues, such as a LipschitzEstimate."""
+    log_l, c_log = _as_log(lipschitz_norm), _as_log(c_source)
     if c_log == -math.inf or log_l == -math.inf:
         return LogValue(-math.inf)
     return LogValue(c_log + 2.0 * log_l)
@@ -167,18 +143,6 @@ class BobkovGoetzeEstimate:
     argmax_above: float
     scan_points: int
     scan_halfwidth: float
-
-    def to_dict(self) -> dict:
-        return {
-            "d0": self.d0.to_dict(),
-            "d1": self.d1.to_dict(),
-            "lower": self.lower.to_dict(),
-            "upper": self.upper.to_dict(),
-            "argmax_below": self.argmax_below,
-            "argmax_above": self.argmax_above,
-            "scan_points": self.scan_points,
-            "scan_halfwidth": self.scan_halfwidth,
-        }
 
 
 def _bg_scan(sm, med, dist):
@@ -291,47 +255,25 @@ def bobkov_goetze(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Every bound this package can compute for one (measure, delta) pair."""
+    """Every bound this package can compute for one (measure, delta) pair.
+
+    Each field is named by its key in the report record
+    (:func:`logsob.logdomain.record`), so a new reported value is one field.
+    """
 
     radius: float
     center: float
     delta: float
     n_dim: int
-    hardy: LogValue
-    hardy_small_delta: LogValue | None
-    multidim: LogValue | None
-    transport_route: TransportRouteBound
+    hardy_bound: LogValue
+    hardy_small_delta_bound: LogValue | None
+    multidim_bound: LogValue | None
+    transport_bound: TransportRouteBound
     lipschitz: LipschitzEstimate
-    pushforward: LogValue
+    pushforward_bound: LogValue
     bg: BobkovGoetzeEstimate
     checks: dict
     quadrature: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "center": self.center,
-            "delta": self.delta,
-            "n_dim": self.n_dim,
-            "hardy_bound": self.hardy.to_dict(),
-            "hardy_small_delta_bound": (
-                None if self.hardy_small_delta is None else self.hardy_small_delta.to_dict()
-            ),
-            "multidim_bound": None if self.multidim is None else self.multidim.to_dict(),
-            "transport_bound": self.transport_route.to_dict(),
-            "lipschitz": {
-                "log_value": self.lipschitz.log_value,
-                "value": self.lipschitz.value,
-                "argmax": self.lipschitz.argmax,
-                "grid_points": self.lipschitz.grid_points,
-                "window": list(self.lipschitz.window),
-                "tail_log_bound": self.lipschitz.tail_log_bound,
-            },
-            "pushforward_bound": self.pushforward.to_dict(),
-            "bg": self.bg.to_dict(),
-            "checks": dict(self.checks),
-            "quadrature": dict(self.quadrature),
-        }
 
 
 def compute_bound_report(
@@ -362,8 +304,8 @@ def compute_bound_report(
         "lower_below_all_uppers": bg.lower.log <= min(upper_logs) + log_slack,
         "bg_ordered": bg.lower.log <= bg.upper.log + log_slack,
         "transport_simplified_identity": (not troute.simplified_valid)
-        or (troute.log == troute.log_exponential),
-        "lipschitz_below_theoretical": lip.log_value
+        or troute.branch == "small_delta",
+        "lipschitz_below_theoretical": lip.log
         <= lipschitz_theoretical_bound(r / sm.sigma).log + log_slack,
     }
     return BoundReport(
@@ -371,12 +313,12 @@ def compute_bound_report(
         center=sm.center,
         delta=sm.delta,
         n_dim=int(n_dim),
-        hardy=hardy,
-        hardy_small_delta=hardy_small,
-        multidim=multi,
-        transport_route=troute,
+        hardy_bound=hardy,
+        hardy_small_delta_bound=hardy_small,
+        multidim_bound=multi,
+        transport_bound=troute,
         lipschitz=lip,
-        pushforward=push,
+        pushforward_bound=push,
         bg=bg,
         checks=checks,
         quadrature={

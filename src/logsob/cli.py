@@ -28,13 +28,25 @@ from .bounds import (
 )
 from .empirical import shipped_families, verify_lsi
 from .errors import ConfigParseError, LogsobError, MeasureParseError
+from .logdomain import record
 from .measures import MASS_TOL, load_measure
 from .smoothing import QuadratureConfig, SmoothedMeasure
 from .transport import LIPSCHITZ_EXTENT, LIPSCHITZ_POINTS, TABLE_EXTENT, TABLE_POINTS
 from .transport import TransportMap, transport_table
 
 KNOWN_FAMILIES = ("exponential", "bump", "step")
-KNOWN_BOUNDS = ("transport", "hardy", "pushforward", "bg_upper")
+#: the bounds verify can check by name: name -> (smoothed measure, config) -> constant;
+#: bobkov_goetze is looked up at call time, where perfbench/tracer.py wraps it
+_NAMED_BOUNDS = {
+    "transport": lambda sm, cfg: bound_transport(sm.radius, sm.delta),
+    "hardy": lambda sm, cfg: bound_hardy(sm.radius, sm.delta)[0],
+    "pushforward": lambda sm, cfg: bound_pushforward(
+        gaussian_lsi_constant(sm.delta),
+        TransportMap(sm).lipschitz_estimate(cfg.lipschitz_points, cfg.lipschitz_extent),
+    ),
+    "bg_upper": lambda sm, cfg: bobkov_goetze(sm, scan_points=cfg.bg_points).upper,
+}
+KNOWN_BOUNDS = tuple(_NAMED_BOUNDS)
 
 
 @dataclass
@@ -86,7 +98,8 @@ def _integer(path, value, key):
 
 
 def _section(path, raw, key):
-    value = raw.get(key) or {}
+    """The object at ``raw[key]``, {} when absent; anything else present is a ConfigParseError."""
+    value = raw.get(key, {})
     _require(isinstance(value, dict), "%s: %s must be a JSON object" % (path, key))
     return value
 
@@ -107,7 +120,7 @@ def load_sweep_config(path, overrides=None) -> SweepConfig:
         raise ConfigParseError("%s:%d: %s" % (path, exc.lineno, exc.msg)) from exc
     _require(isinstance(raw, dict), "%s: config must be a JSON object" % path)
     for key, value in (overrides or {}).items():
-        raw[key] = {**(raw.get(key) or {}), **value} if isinstance(value, dict) else value
+        raw[key] = {**_section(path, raw, key), **value} if isinstance(value, dict) else value
 
     measures = raw.get("measures")
     _require(
@@ -277,7 +290,7 @@ def _bounds_record(measure_path: Path, delta: float, measure, cfg: SweepConfig) 
         lipschitz_extent=cfg.lipschitz_extent,
         bg_points=cfg.bg_points,
     )
-    return {"measure": measure_path.stem, "delta": delta, **report.to_dict()}
+    return {"measure": measure_path.stem, "delta": delta, **record(report)}
 
 
 def cmd_bounds(cfg: SweepConfig, out_dir: Path, jobs: int = 1) -> int:
@@ -321,46 +334,17 @@ def cmd_transport(cfg: SweepConfig, out_dir: Path, jobs: int = 1) -> int:
     return 0
 
 
-def _resolve_constant(name_or_value, sm: SmoothedMeasure, cfg: SweepConfig):
-    if not isinstance(name_or_value, str):
-        return float(name_or_value), repr(float(name_or_value))
-    if name_or_value == "transport":
-        return bound_transport(sm.radius, sm.delta).as_logvalue(), "transport"
-    if name_or_value == "hardy":
-        return bound_hardy(sm.radius, sm.delta)[0], "hardy"
-    if name_or_value == "pushforward":
-        lip = TransportMap(sm).lipschitz_estimate(cfg.lipschitz_points, cfg.lipschitz_extent)
-        return bound_pushforward(gaussian_lsi_constant(sm.delta), lip), "pushforward"
-    if name_or_value == "bg_upper":
-        return bobkov_goetze(sm, scan_points=cfg.bg_points).upper, "bg_upper"
-    raise ConfigParseError("unknown bound name %r" % name_or_value)
-
-
 def _verify_record(measure_path: Path, delta: float, measure, cfg: SweepConfig) -> dict:
     sm = SmoothedMeasure(measure, delta, cfg.quad)
-    constant, label = _resolve_constant(cfg.verify_bound, sm, cfg)
+    bound = cfg.verify_bound
+    if isinstance(bound, str):
+        constant, label = _NAMED_BOUNDS[bound](sm, cfg), bound
+    else:
+        constant, label = bound, repr(bound)
     families = shipped_families(sm, cfg.verify_grid_size)
-    report = verify_lsi(sm, constant, [families[name] for name in cfg.verify_families])
-    return {
-        "measure": measure_path.stem,
-        "delta": delta,
-        "bound": label,
-        "constant_log": report.constant_log,
-        "all_passed": report.all_passed,
-        "worst_margin": report.worst_margin,
-        "members": [
-            {
-                "family": e.family,
-                "params": list(e.params),
-                "entropy": e.entropy_value,
-                "energy": e.energy_value,
-                "ratio": e.ratio,
-                "margin": e.margin,
-                "passed": e.passed,
-            }
-            for e in report.entries
-        ],
-    }
+    report = record(verify_lsi(sm, constant, [families[name] for name in cfg.verify_families]))
+    report["members"] = report.pop("entries")
+    return {"measure": measure_path.stem, "delta": delta, "bound": label, **report}
 
 
 def cmd_verify(cfg: SweepConfig, out_dir: Path, jobs: int = 1) -> int:

@@ -271,8 +271,8 @@ def ratio(tf: TestFunction, sm: SmoothedMeasure, rtol: float = 1e-10):
 @dataclass(frozen=True)
 class RatioPoint:
     params: tuple
-    entropy_value: float
-    energy_value: float
+    entropy: float
+    energy: float
     ratio: float
 
 
@@ -334,8 +334,8 @@ def ratio_lower_bound(
 class VerifyEntry:
     family: str
     params: tuple
-    entropy_value: float
-    energy_value: float
+    entropy: float
+    energy: float
     ratio: float
     margin: float
     passed: bool
@@ -381,8 +381,8 @@ def verify_lsi(
                 VerifyEntry(
                     family=fam.name,
                     params=params,
-                    entropy_value=ent,
-                    energy_value=en,
+                    entropy=ent,
+                    energy=en,
                     ratio=ent / en if en > 0.0 else math.nan,
                     margin=margin,
                     passed=margin <= slack,

@@ -2,15 +2,16 @@
 
 Several of the bounds behave like exp(24 R^2 / delta) and leave double
 precision long before they stop being mathematically meaningful, so every
-bound in this package is carried as a log-value with a linear view that is
-None once exp() would overflow.
+bound in this package is a :class:`LogValue`, or a frozen dataclass subclass
+of it that adds the result's metadata, with a linear view that is None once
+exp() would overflow.  :func:`record` writes any result as its report record.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .errors import DomainError
 
@@ -57,5 +58,15 @@ class LogValue:
 
     __radd__ = __add__
 
-    def to_dict(self) -> dict:
-        return {"log_value": self.log, "value": self.value}
+
+def record(obj):
+    """The report record of a result: a LogValue's ``log_value`` and ``value``,
+    then every other dataclass field by name, each a record in turn; tuples and
+    lists become lists of records, anything else passes as is."""
+    if isinstance(obj, (list, tuple)):
+        return [record(v) for v in obj]
+    if not is_dataclass(obj):
+        return obj
+    out = {"log_value": obj.log, "value": obj.value} if isinstance(obj, LogValue) else {}
+    out.update((f.name, record(getattr(obj, f.name))) for f in fields(obj) if f.name != "log")
+    return out

@@ -33,23 +33,19 @@ TABLE_POINTS, TABLE_EXTENT = 1001, 8.0  # default transport table
 
 
 @dataclass(frozen=True)
-class LipschitzEstimate:
-    """Numerical sup of the transport derivative over a sweep window.
+class LipschitzEstimate(LogValue):
+    """Numerical sup of the transport derivative over a sweep window, as a
+    LogValue, attained at ``argmax`` among ``grid_points`` in ``window``.
 
     ``tail_log_bound`` records the analytic slope bound for the unswept
     outer region (log domain); it is reported, not folded into the max,
     because the sweep value is the estimator of record.
     """
 
-    log_value: float
     argmax: float
     grid_points: int
     window: tuple
     tail_log_bound: float
-
-    @property
-    def value(self):
-        return LogValue(self.log_value).value
 
 
 def _warm_start(xc, yc, log_slope, x):

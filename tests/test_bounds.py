@@ -9,6 +9,7 @@ from scipy.special import logsumexp
 import logsob as L
 import logsob.bounds as bounds
 from logsob.errors import DomainError, SupremumNotLocalized
+from logsob.logdomain import record
 from logsob.quadrature import golden_section_max
 
 from conftest import dense_quantile_oracle
@@ -117,7 +118,7 @@ def test_transport_route_simplified_identity_grid():
             delta = frac * 16.0 * r * r
             tr = L.bound_transport(r, delta)
             assert tr.simplified_valid
-            assert tr.log == tr.log_exponential
+            assert tr.log == math.log(2.0 * delta) + 24.0 * r * r / delta
 
 
 def test_transport_route_large_delta_branch():
@@ -467,9 +468,9 @@ def test_bg_two_atoms_match_the_laplace_asymptote(r, ratio):
 def test_report_assembles_with_checks(bernoulli):
     rep = L.compute_bound_report(bernoulli, 1.0, lipschitz_points=1001, bg_points=401)
     assert all(rep.checks.values())
-    assert rep.hardy_small_delta is not None  # delta = R^2 boundary included
-    assert rep.multidim is not None
-    d = rep.to_dict()
+    assert rep.hardy_small_delta_bound is not None  # delta = R^2 boundary included
+    assert rep.multidim_bound is not None
+    d = record(rep)
     assert d["transport_bound"]["log_value"] == pytest.approx(math.log(2) + 24, abs=1e-12)
     assert d["pushforward_bound"]["value"] == pytest.approx(
         2.0 * rep.lipschitz.value**2, rel=1e-12
@@ -478,8 +479,8 @@ def test_report_assembles_with_checks(bernoulli):
 
 def test_report_point_mass(point_mass):
     rep = L.compute_bound_report(point_mass, 1.0, lipschitz_points=801, bg_points=401)
-    assert rep.multidim is None and rep.hardy_small_delta is None
-    assert rep.pushforward.value == pytest.approx(2.0, abs=1e-5)
+    assert rep.multidim_bound is None and rep.hardy_small_delta_bound is None
+    assert rep.pushforward_bound.value == pytest.approx(2.0, abs=1e-5)
     assert all(rep.checks.values())
 
 
@@ -487,5 +488,5 @@ def test_multidim_below_the_lower_bound_fails_the_check(bernoulli, monkeypatch):
     # a planted error: multidim_bound is an upper bound, so BG's lower must lie below it
     monkeypatch.setattr(bounds, "bound_multidim", lambda r, delta, n: L.LogValue(-50.0))
     rep = L.compute_bound_report(bernoulli, 1.0, lipschitz_points=1001, bg_points=401)
-    assert rep.multidim.log == -50.0
+    assert rep.multidim_bound.log == -50.0
     assert rep.checks["lower_below_all_uppers"] is False

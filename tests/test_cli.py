@@ -10,8 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logsob.cli import bundled_data_path, load_sweep_config, main
+from logsob.bounds import TransportRouteBound
+from logsob.cli import _json_line, bundled_data_path, load_sweep_config, main
+from logsob.empirical import VerifyEntry, VerifyReport
 from logsob.errors import ConfigParseError
+from logsob.logdomain import LogValue, record
+from logsob.transport import LipschitzEstimate
 
 
 def write_config(tmp_path, **overrides):
@@ -371,9 +375,15 @@ def test_nonfinite_or_nonpositive_setting_is_input_error(tmp_path, capsys, setti
         ({"lipschitz": {"points": 3.9}}, "lipschitz.points"),
         ({"verify": {"families": ["exponential"], "grid_size": True}}, "verify.grid_size"),
         ({"verify": {"families": "exponential"}}, "verify.families"),
+        ({"verify": []}, "verify must be a JSON object"),
+        ({"verify": False}, "verify must be a JSON object"),
+        ({"verify": 0}, "verify must be a JSON object"),
+        ({"verify": ""}, "verify must be a JSON object"),
+        ({"verify": None}, "verify must be a JSON object"),
     ],
     ids=["str-count", "str-number", "null-number", "str-dimension", "str-delta", "inf-delta",
-         "float-count", "bool-count", "str-families"],
+         "float-count", "bool-count", "str-families", "list-section", "false-section",
+         "zero-section", "empty-str-section", "null-section"],
 )
 def test_malformed_setting_is_input_error(tmp_path, capsys, setting, name):
     cfg = write_config(tmp_path, **{"delta": [0.25], "measures": ["bern.json"], **setting})
@@ -381,6 +391,53 @@ def test_malformed_setting_is_input_error(tmp_path, capsys, setting, name):
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert name in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_section_under_a_flag_is_checked_before_the_merge(tmp_path, capsys):
+    # --families merges into the verify section, which must be an object first
+    cfg = write_config(tmp_path, verify=[1])
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out), "--families", "step"]) == 2
+    assert "verify must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_record_writes_a_result_from_its_own_fields():
+    big = record(LogValue(1000.0))
+    assert big == {"log_value": 1000.0, "value": None}
+    assert _json_line(big) == '{"log_value": 1000.0, "value": null}'
+    lip = LipschitzEstimate(1.5, 0.25, 101, (-3.0, 3.0), 2.125)
+    assert record(lip) == {
+        "log_value": 1.5,
+        "value": math.exp(1.5),
+        "argmax": 0.25,
+        "grid_points": 101,
+        "window": [-3.0, 3.0],
+        "tail_log_bound": 2.125,
+    }
+    assert record(None) is None
+    route = TransportRouteBound(0.0, "small_delta", True)
+    assert record((route, None)) == [
+        {"log_value": 0.0, "value": 1.0, "branch": "small_delta", "simplified_valid": True},
+        None,
+    ]
+    entry = VerifyEntry("step", (0.5, 0.1), 1.0, 2.0, 0.5, -1.0, True)
+    assert record(VerifyReport(0.0, (entry,), -1.0, True)) == {
+        "constant_log": 0.0,
+        "entries": [
+            {
+                "family": "step",
+                "params": [0.5, 0.1],
+                "entropy": 1.0,
+                "energy": 2.0,
+                "ratio": 0.5,
+                "margin": -1.0,
+                "passed": True,
+            }
+        ],
+        "worst_margin": -1.0,
+        "all_passed": True,
+    }
 
 
 def _underflowing_config(tmp_path):
@@ -461,6 +518,20 @@ def test_bundled_sweep_matches_the_stored_reference(tmp_path, jobs):
     problems = {op: found for op, found in check.check_sweep(plan, out).items() if found}
     assert problems == {}
     assert len(plan.ops) == 24
+
+
+def test_traced_sweep_counts_the_result_fields_the_tracer_reads(tmp_path):
+    # perfbench/tracer.py counts the BG, Lipschitz and verify spans from fields
+    # of their results; renaming one would crash every traced run
+    tracer = _perfbench_module("tracer")
+    cfg = write_config(
+        tmp_path, delta=[1.0], measures=["bern.json"], verify={"families": ["step"], "grid_size": 2}
+    )
+    with tracer.Tracer() as t:
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    totals = tracer.totals(t.spans)
+    for name in ("bounds.bg", "transport.lipschitz", "empirical.verify"):
+        assert totals[name][1] > 0, name
 
 
 def test_cli_import_leaves_scipy_optimize_out():

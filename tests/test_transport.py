@@ -107,14 +107,14 @@ def test_lipschitz_point_mass_is_one(point_mass):
     # T is the identity: the closed form, first reached at the window's left
     # end, as np.argmax reads a flat sweep; a y sweep there reads only rounding
     lip = make_map(point_mass, 1.0).lipschitz_estimate(grid_points=801)
-    assert lip.log_value == 0.0 and lip.value == 1.0
+    assert lip.log == 0.0 and lip.value == 1.0
     assert lip.argmax == lip.window[0]
 
 
 def test_lipschitz_finite_and_below_closed_form(bernoulli):
     lip = make_map(bernoulli, 1.0).lipschitz_estimate(grid_points=2001)
     bound = L.lipschitz_theoretical_bound(1.0)
-    assert lip.log_value <= bound.log
+    assert lip.log <= bound.log
     assert bound.log == pytest.approx(12.0)
 
 
@@ -124,7 +124,7 @@ def test_lipschitz_normalized_frame_invariance(bernoulli):
         unit = make_map(
             L.pushforward_affine(bernoulli, 1.0 / math.sqrt(delta)), 1.0
         ).lipschitz_estimate(grid_points=2001)
-        assert direct.log_value == pytest.approx(unit.log_value, abs=1e-6)
+        assert direct.log == pytest.approx(unit.log, abs=1e-6)
 
 
 def test_theoretical_bound_values():
@@ -199,7 +199,7 @@ def test_offcenter_point_mass_slope_is_exactly_one(delta):
     lip = tm.lipschitz_estimate(grid_points=801)
     _, ds = tm.eval_and_derivative(_sweep_grid(tm, 801))
     assert np.all(ds == 1.0)
-    assert lip.log_value == 0.0 and lip.argmax == lip.window[0] == _sweep_grid(tm, 801)[0]
+    assert lip.log == 0.0 and lip.argmax == lip.window[0] == _sweep_grid(tm, 801)[0]
 
 
 @pytest.mark.parametrize("delta", [0.25, 0.05, 0.01, 0.002, 0.0005])
@@ -207,7 +207,7 @@ def test_bernoulli_lipschitz_is_the_closed_form(bernoulli, delta):
     # sup T' = T'(0) = exp(R^2/(2 delta)) for atoms at +-1; at delta = 0.0005 the
     # old x sweep read 250.69 on the plateau around x = 0
     lip = make_map(bernoulli, delta).lipschitz_estimate()
-    assert lip.log_value == pytest.approx(1.0 / (2.0 * delta), rel=1e-12)
+    assert lip.log == pytest.approx(1.0 / (2.0 * delta), rel=1e-12)
 
 
 def _oracle_log_slope_sup(mu, delta, dps=40):
@@ -245,7 +245,7 @@ def test_asymmetric_lipschitz_matches_mpmath_sup(asymmetric, delta):
     # the spike at S = sigma Phi^-1(1/4), x-width about 1/L: the old x sweep
     # read 20.47 at delta = 0.01, against 49.92
     lip = make_map(asymmetric, delta).lipschitz_estimate()
-    assert lip.log_value == pytest.approx(_oracle_log_slope_sup(asymmetric, delta), rel=1e-10)
+    assert lip.log == pytest.approx(_oracle_log_slope_sup(asymmetric, delta), rel=1e-10)
 
 
 def test_underflowing_window_end_names_the_left_end(uniform):

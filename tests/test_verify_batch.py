@@ -51,8 +51,8 @@ def test_batched_verify_matches_per_member_oracle(name, request):
     for tf, entry in zip(members, report.entries):
         assert entry.params == tf.params
         ent, en = per_member_oracle(tf, sm, rtol=1e-8)
-        assert entry.entropy_value == pytest.approx(ent, rel=1e-12, abs=0.0)
-        assert entry.energy_value == pytest.approx(en, rel=1e-12, abs=0.0)
+        assert entry.entropy == pytest.approx(ent, rel=1e-12, abs=0.0)
+        assert entry.energy == pytest.approx(en, rel=1e-12, abs=0.0)
 
 
 def test_batched_ratio_grid_matches_per_member_oracle(asymmetric):
@@ -61,8 +61,8 @@ def test_batched_ratio_grid_matches_per_member_oracle(asymmetric):
     rs = L.ratio_lower_bound(fam, sm, refine=False)
     for row in rs.table:
         ent, en = per_member_oracle(fam.build(row.params), sm, rtol=1e-10)
-        assert row.entropy_value == pytest.approx(ent, rel=1e-12, abs=0.0)
-        assert row.energy_value == pytest.approx(en, rel=1e-12, abs=0.0)
+        assert row.entropy == pytest.approx(ent, rel=1e-12, abs=0.0)
+        assert row.energy == pytest.approx(en, rel=1e-12, abs=0.0)
 
 
 def untilted_exponentials(rates):
@@ -117,4 +117,4 @@ def test_point_mass_exponential_entropy_closed_form(delta, k):
     entry = point_mass_report(delta).entries[k]
     (rate,) = entry.params
     t = rate * rate * delta / 2.0
-    assert entry.entropy_value == pytest.approx(t * math.exp(t), rel=1e-7, abs=0.0)
+    assert entry.entropy == pytest.approx(t * math.exp(t), rel=1e-7, abs=0.0)
