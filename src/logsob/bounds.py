@@ -17,7 +17,7 @@ from .errors import DomainError, SupremumNotLocalized
 from .logdomain import LogValue, _as_log
 from .measures import Measure1D
 from .quadrature import golden_section_max
-from .smoothing import QuadratureConfig, SmoothedMeasure, _check_delta, _check_radius
+from .smoothing import QuadratureConfig, SmoothedMeasure, _check_count, _check_delta, _check_radius
 from .transport import LIPSCHITZ_EXTENT, LIPSCHITZ_POINTS, LipschitzEstimate, TransportMap
 from .transport import lipschitz_theoretical_bound
 
@@ -74,9 +74,7 @@ def bound_hardy(radius, delta):
 def bound_multidim(radius, delta, n_dim) -> LogValue:
     """Formula evaluator for the n-dimensional bound; requires delta <= radius**2."""
     r, delta = _check_radius(radius), _check_delta(delta)
-    if not (float(n_dim).is_integer() and n_dim >= 1):
-        raise DomainError("dimension must be a positive integer, got %r" % (n_dim,))
-    n = int(n_dim)
+    n = _check_count(n_dim, 1, "dimension")
     if not delta <= r * r:
         raise DomainError("multidimensional bound needs 0 < delta <= radius**2")
     return LogValue(
@@ -228,9 +226,7 @@ def bobkov_goetze(
     half-width R + tail_mult*sigma on its side, both from one :func:`_bg_scan`.
     Raises SupremumNotLocalized when a scan max lands on the window edge.
     """
-    n = int(scan_points)
-    if n < 8:
-        raise DomainError("scan needs at least 8 points")
+    n = _check_count(scan_points, 8, "scan points")
     tail_mult = float(tail_mult)
     if not 0.0 < tail_mult < math.inf:
         raise DomainError("tail_mult must be finite and positive, got %r" % tail_mult)
@@ -286,6 +282,7 @@ def compute_bound_report(
     bg_points: int = BG_SCAN_POINTS,
 ) -> BoundReport:
     """Assemble every bound for one (measure, delta) pair, with sanity checks."""
+    n_dim = _check_count(n_dim, 1, "dimension")
     sm = SmoothedMeasure(measure, delta, config)
     r = sm.radius
     lip = TransportMap(sm).lipschitz_estimate(lipschitz_points, lipschitz_extent)
@@ -312,7 +309,7 @@ def compute_bound_report(
         radius=r,
         center=sm.center,
         delta=sm.delta,
-        n_dim=int(n_dim),
+        n_dim=n_dim,
         hardy_bound=hardy,
         hardy_small_delta_bound=hardy_small,
         multidim_bound=multi,

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, EmptyFamily, NonintegrableTestFunction
 from .logdomain import MAX_EXP_LOG, _as_log
 from .quadrature import adaptive_simpson, golden_section_max
-from .smoothing import SmoothedMeasure
+from .smoothing import SmoothedMeasure, _check_count, _check_delta, _check_radius
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,9 @@ class ParamFamily:
     """A parameter grid plus a builder turning one grid point into a TestFunction.
 
     ``build`` must also accept parameter arrays and return a TestFunction
-    whose evaluators broadcast them against the abscissae: batched quadrature
-    evaluates many members in one call, one parameter value per node.
+    whose evaluators and ``window_shift`` broadcast them against the
+    abscissae: the grid is integrated from such stacked members only, many
+    members in one call, one parameter value per node.
     """
 
     name: str
@@ -69,8 +70,8 @@ class ParamFamily:
 def exponential_family(delta, count=64) -> ParamFamily:
     """f = exp(rate*x/2) over ``count`` rates log-spaced from 0.05 to 4/sqrt(delta);
     ratio 2*delta on a Gaussian."""
-    delta = float(delta)
-    rates = np.geomspace(0.05, 4.0 / math.sqrt(delta), int(count))
+    delta = _check_delta(delta)
+    rates = np.geomspace(0.05, 4.0 / math.sqrt(delta), _check_count(count, 0, "rates"))
 
     def build(params):
         (rate,) = params
@@ -89,10 +90,10 @@ def exponential_family(delta, count=64) -> ParamFamily:
 def bump_family(radius, delta, centers=5) -> ParamFamily:
     """Translated Gaussian bumps exp(-(x-a)^2 / (2 s^2)): ``centers`` values of a
     across +-(R + sigma), 4 scales s log-spaced from 0.3 sigma to max(R, sigma) + sigma."""
-    r = float(radius)
-    sigma = math.sqrt(float(delta))
+    r = _check_radius(radius)
+    sigma = math.sqrt(_check_delta(delta))
     span = r + sigma
-    locs = np.linspace(-span, span, int(centers))
+    locs = np.linspace(-span, span, _check_count(centers, 0, "centers"))
     scales = np.geomspace(0.3 * sigma, max(r, sigma) + sigma, 4)
 
     def build(params):
@@ -116,10 +117,10 @@ def bump_family(radius, delta, centers=5) -> ParamFamily:
 def step_family(radius, delta, centers=5) -> ParamFamily:
     """Smoothed steps tanh((x-a)/eps) + 1, which split bimodal mass: ``centers``
     values of a across +-(R + sigma/2), 4 widths eps log-spaced from 0.1 sigma to sigma."""
-    r = float(radius)
-    sigma = math.sqrt(float(delta))
+    r = _check_radius(radius)
+    sigma = math.sqrt(_check_delta(delta))
     span = r + 0.5 * sigma
-    locs = np.linspace(-span, span, int(centers))
+    locs = np.linspace(-span, span, _check_count(centers, 0, "centers"))
     epss = np.geomspace(0.1 * sigma, sigma, 4)
 
     def build(params):
@@ -151,16 +152,6 @@ def shipped_families(sm: SmoothedMeasure, grid_size=None) -> dict:
     }
 
 
-def _window(tf: TestFunction, sm: SmoothedMeasure):
-    """The smoothed measure's window, widened on its side by the member's tilt."""
-    lo, hi = sm.window()
-    return lo + min(0.0, tf.window_shift), hi + max(0.0, tf.window_shift)
-
-
-def _initial_cells(lo, hi, sm):
-    return int(min(128, max(8, math.ceil((hi - lo) / sm.sigma))))
-
-
 #: Members integrated in one quadrature pass.  Their pending cells share one
 #: array per round, so peak memory grows with the batch while the time saved
 #: levels off at 16.  Shipped sweep on a 2-vCPU Xeon, batch 8/16/32: peak RSS
@@ -168,17 +159,23 @@ def _initial_cells(lo, hi, sm):
 _BATCH_MEMBERS = 16
 
 
-def _moments(members, stacked, sm: SmoothedMeasure, rtol: float, with_entropy=True):
-    """(f^2 mass, Dirichlet energy, Ent(f^2)) arrays, one entry per member.
+def _moments(name, params, stacked, sm: SmoothedMeasure, rtol: float):
+    """(Dirichlet energy, Ent(f^2)) arrays for the members of one batch.
 
-    ``stacked(k)`` returns one TestFunction whose evaluators act at node i
-    as member ``k[i]``.  Every member keeps its own window, initial panels
-    and tail certificate; one adaptive Simpson pass integrates all of them,
-    evaluating log q once per node.  The entropy pass (skipped without
-    ``with_entropy``) needs the masses, so it is a second pass.
+    ``params`` holds the K grid points, and ``stacked(k)`` returns one
+    TestFunction whose evaluators act at node i as member ``k[i]``; its
+    ``window_shift`` at ``arange(K)`` widens the smoothed measure's window
+    on each member's side.  Every member keeps its own window, initial
+    panels and tail certificate, and a failing one is named ``name`` plus
+    its params.  One adaptive Simpson pass integrates f^2 q and |f'|^2 q of
+    all members, evaluating log q once per node; the entropy pass needs
+    the masses, so it is a second pass.
     """
-    lo, hi = np.array([_window(tf, sm) for tf in members]).T
-    cells = [_initial_cells(a, b, sm) for a, b in zip(lo, hi)]
+    count = len(params)
+    shift = np.broadcast_to(stacked(np.arange(count)).window_shift, (count,))
+    lo, hi = sm.window()
+    lo, hi = lo + np.minimum(0.0, shift), hi + np.maximum(0.0, shift)
+    cells = np.minimum(128, np.maximum(8, np.ceil((hi - lo) / sm.sigma))).astype(int)
 
     def pair(x, k):
         tf = stacked(k)
@@ -189,21 +186,17 @@ def _moments(members, stacked, sm: SmoothedMeasure, rtol: float, with_entropy=Tr
     mass, en = vals[:, 0], vals[:, 1]
     # Gaussian-decay tail certificate: past the window, f^2 q is dominated by
     # its edge value times a Gaussian tail of scale sigma
-    count = len(members)
     edge = pair(np.concatenate([lo, hi]), np.tile(np.arange(count), 2))[:, 0]
     edge = np.maximum(edge[:count], edge[count:])
-    for tf, total, e in zip(members, mass, edge):
+    for p, total, e in zip(params, mass, edge):
         if not (total > 0.0 and math.isfinite(total)):
             raise NonintegrableTestFunction(
-                "windowed f^2 integral is %r for %s%r" % (float(total), tf.family, tf.params)
+                "windowed f^2 integral is %r for %s%r" % (float(total), name, p)
             )
         if float(e) * math.sqrt(2.0 * math.pi) * sm.sigma > 1e-8 * total:
             raise NonintegrableTestFunction(
-                "tail certificate failed for %s%r: edge mass not negligible"
-                % (tf.family, tf.params)
+                "tail certificate failed for %s%r: edge mass not negligible" % (name, p)
             )
-    if not with_entropy:
-        return mass, en, None
     log_mass = np.log(mass)
 
     def integrand(x, k):
@@ -215,57 +208,57 @@ def _moments(members, stacked, sm: SmoothedMeasure, rtol: float, with_entropy=Tr
     ent = adaptive_simpson(
         integrand, lo, hi, rtol=rtol, atol=1e-15 * scale, initial_cells=cells
     )
-    ent = np.where((ent < 0.0) & (np.abs(ent) <= 1e-12 * scale), 0.0, ent)
-    return mass, en, ent
+    return en, np.where((ent < 0.0) & (np.abs(ent) <= 1e-12 * scale), 0.0, ent)
 
 
 def _family_moments(family: ParamFamily, sm: SmoothedMeasure, rtol: float):
-    """(params, member, entropy, energy) per grid point, integrated in batches.
+    """(params, entropy, energy) per grid point, integrated in batches of
+    ``_BATCH_MEMBERS``; EmptyFamily on an empty grid.
 
-    Each batch evaluates a stacked member: the builder applied to parameter
-    columns indexed by the member index of every node.
+    Each batch is one stacked member, the builder applied to the batch's
+    parameter columns and indexed by the member index of every node: no
+    member is built on its own.
     """
+    if not family.grid:
+        raise EmptyFamily("family %r has an empty grid" % family.name)
     for start in range(0, len(family.grid), _BATCH_MEMBERS):
         grid = family.grid[start : start + _BATCH_MEMBERS]
         cols = [np.array(col, dtype=float) for col in zip(*grid)]
-        members = [family.build(p) for p in grid]
 
         def stacked(k, cols=cols):
             return family.build(tuple(c[k] for c in cols))
 
-        _, ens, ents = _moments(members, stacked, sm, rtol)
-        for params, tf, en, ent in zip(grid, members, ens, ents):
-            yield params, tf, float(ent), float(en)
+        ens, ents = _moments(family.name, grid, stacked, sm, rtol)
+        for params, en, ent in zip(grid, ens, ents):
+            yield params, float(ent), float(en)
 
 
-def _single(tf: TestFunction, sm: SmoothedMeasure, rtol: float, with_entropy=True):
-    """(mass, energy, entropy) of one member: the K = 1 batch."""
-    mass, en, ent = _moments([tf], lambda k: tf, sm, rtol, with_entropy)
-    return float(mass[0]), float(en[0]), None if ent is None else float(ent[0])
+def _single(tf: TestFunction, sm: SmoothedMeasure, rtol: float):
+    """(energy, entropy) of one member: the K = 1 batch."""
+    en, ent = _moments(tf.family, (tf.params,), lambda k: tf, sm, rtol)
+    return float(en[0]), float(ent[0])
 
 
-def _ratio_of(tf: TestFunction, ent: float, en: float) -> float:
+def _ratio_of(name, params, ent: float, en: float) -> float:
     if not en > 0.0:
-        raise DomainError(
-            "zero-energy member %s%r cannot enter a ratio" % (tf.family, tf.params)
-        )
+        raise DomainError("zero-energy member %s%r cannot enter a ratio" % (name, params))
     return ent / en
 
 
 def entropy(tf: TestFunction, sm: SmoothedMeasure, rtol: float = 1e-12) -> float:
     """Ent(f^2) against the smoothed measure; nonnegative, 0 on constants."""
-    return _single(tf, sm, rtol)[2]
+    return _single(tf, sm, rtol)[1]
 
 
 def energy(tf: TestFunction, sm: SmoothedMeasure, rtol: float = 1e-12) -> float:
     """Dirichlet energy: integral of |grad f|^2 against the smoothed measure."""
-    return _single(tf, sm, rtol, with_entropy=False)[1]
+    return _single(tf, sm, rtol)[0]
 
 
 def ratio(tf: TestFunction, sm: SmoothedMeasure, rtol: float = 1e-10):
     """(entropy, energy, entropy/energy) for one member."""
-    _, en, ent = _single(tf, sm, rtol)
-    return ent, en, _ratio_of(tf, ent, en)
+    en, ent = _single(tf, sm, rtol)
+    return ent, en, _ratio_of(tf.family, tf.params, ent, en)
 
 
 @dataclass(frozen=True)
@@ -294,11 +287,9 @@ def ratio_lower_bound(
     Every evaluated ratio is itself a lower bound for the optimal constant,
     so refinement can only improve the reported value.
     """
-    if not family.grid:
-        raise EmptyFamily("family %r has an empty grid" % family.name)
     rows = [
-        RatioPoint(params, ent, en, _ratio_of(tf, ent, en))
-        for params, tf, ent, en in _family_moments(family, sm, rtol)
+        RatioPoint(params, ent, en, _ratio_of(family.name, params, ent, en))
+        for params, ent, en in _family_moments(family, sm, rtol)
     ]
     best = max(range(len(rows)), key=lambda k: rows[k].ratio)
     best_params = list(rows[best].params)
@@ -355,21 +346,19 @@ def verify_lsi(
     families,
     rtol: float = 1e-8,
 ) -> VerifyReport:
-    """Check Ent(f^2) <= c * Energy(f) across families; failures are data.
+    """Check Ent(f^2) <= c * Energy(f) across a list of families; failures
+    are data, an empty grid or list raises EmptyFamily.
 
-    ``constant`` may be a float or a LogValue (log-domain constants larger
-    than any double pass whenever the energy is positive).  The margin is
-    Ent - c*Energy; a member passes when it is at most
-    1e-6 * max(Ent, c*Energy, 1).
+    Every member comes from its batch's stacked member (see
+    :func:`_family_moments`).  ``constant`` may be a float or a LogValue
+    (log-domain constants larger than any double pass whenever the energy
+    is positive).  The margin is Ent - c*Energy; a member passes when it is
+    at most 1e-6 * max(Ent, c*Energy, 1).
     """
     c_log = _as_log(constant)
-    if isinstance(families, ParamFamily):
-        families = [families]
     entries = []
     for fam in families:
-        if not fam.grid:
-            raise EmptyFamily("family %r has an empty grid" % fam.name)
-        for params, _, ent, en in _family_moments(fam, sm, rtol):
+        for params, ent, en in _family_moments(fam, sm, rtol):
             if en > 0.0 and c_log != -math.inf:
                 s = c_log + math.log(en)
                 budget = math.inf if s > MAX_EXP_LOG else math.exp(s)

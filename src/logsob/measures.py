@@ -68,9 +68,10 @@ class Measure1D:
     """Probability measure with atoms and/or a tabulated density.
 
     Invariants checked at construction: finite atom locations, positive
-    weights, nonnegative density, total mass 1 within ``mass_tol``.  The
-    ``support`` [a, b] is derived, the hull of the atoms and the density
-    grid; ``radius`` (b - a)/2 and ``center`` (a + b)/2 are read from it.
+    weights, nonnegative density, total mass 1 within ``mass_tol``, itself
+    finite and positive.  The ``support`` [a, b] is derived, the hull of
+    the atoms and the density grid; ``radius`` (b - a)/2 and ``center``
+    (a + b)/2 are read from it.
     """
 
     atoms: tuple = ()
@@ -81,6 +82,8 @@ class Measure1D:
     def __post_init__(self):
         atoms = tuple((float(x), float(w)) for x, w in self.atoms)
         object.__setattr__(self, "atoms", atoms)
+        if not 0.0 < self.mass_tol < math.inf:
+            raise DomainError("mass_tol must be finite and positive, got %r" % (self.mass_tol,))
         if not atoms and self.density is None:
             raise DomainError("measure needs atoms or a density")
         for x, w in atoms:
@@ -137,9 +140,11 @@ def integrate(mu: Measure1D, g, rtol=INTEG_TOL, atol=0.0):
 
     ``g`` maps a 1-D abscissa array to an array with the same leading axis;
     trailing axes pass through, so a single call can integrate a whole batch
-    of integrands.
+    of integrands.  One batched adaptive Simpson call integrates every
+    density cell, each refined exactly as if it were integrated alone, and
+    the cells' values are then summed.
     """
-    total = None
+    total = 0.0
     if mu.atoms:
         locs = np.array([x for x, _ in mu.atoms])
         wts = np.array([w for _, w in mu.atoms])
@@ -148,14 +153,13 @@ def integrate(mu: Measure1D, g, rtol=INTEG_TOL, atol=0.0):
     if mu.density is not None:
         dens = mu.density
 
-        def integrand(s):
+        def integrand(s, k):
             gv = np.asarray(g(s), dtype=float)
             rho = dens(s)
             return gv * rho.reshape(rho.shape + (1,) * (gv.ndim - 1))
 
-        for s0, s1 in zip(dens.grid[:-1], dens.grid[1:]):
-            part = adaptive_simpson(integrand, s0, s1, rtol=rtol, atol=atol)
-            total = part if total is None else total + part
+        cells = adaptive_simpson(integrand, dens.grid[:-1], dens.grid[1:], rtol=rtol, atol=atol)
+        total = total + cells.sum(axis=0)
     if np.ndim(total) == 0:
         return float(total)
     return total

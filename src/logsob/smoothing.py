@@ -73,6 +73,12 @@ def _check_radius(radius) -> float:
     return radius
 
 
+def _check_count(count, least, what) -> int:
+    if not (float(count).is_integer() and count >= least):
+        raise DomainError("need an integer count of at least %d %s, got %r" % (least, what, count))
+    return int(count)
+
+
 def log_gaussian_density(t, delta=1.0):
     """log density of the centered Gaussian with variance delta."""
     delta = _check_delta(delta)

@@ -26,7 +26,7 @@ from .logdomain import LogValue
 from .measures import pushforward_affine
 from .quadrature import bracketed_newton  # noqa: F401  unused; perfbench/tracer.py wraps it by name
 from .quadrature import golden_section_max
-from .smoothing import SmoothedMeasure, _check_radius, _reject, log_gaussian_density
+from .smoothing import SmoothedMeasure, _check_count, _check_radius, _reject, log_gaussian_density
 
 LIPSCHITZ_POINTS, LIPSCHITZ_EXTENT = 4001, 8.0  # default Lipschitz sweep
 TABLE_POINTS, TABLE_EXTENT = 1001, 8.0  # default transport table
@@ -86,13 +86,13 @@ class TransportMap:
 
     def _grid(self, points, extent):
         """linspace(-(2R + extent), 2R + extent, points), R the normalized
-        radius; DomainError unless points >= 2 and extent is finite and positive."""
-        if not points >= 2:
-            raise DomainError("sweep needs at least 2 points, got %r" % (points,))
+        radius; DomainError unless points is an integer >= 2 and extent is
+        finite and positive."""
+        points = _check_count(points, 2, "points")
         if not 0.0 < extent < math.inf:
             raise DomainError("sweep extent must be finite and positive, got %r" % (extent,))
         edge = 2.0 * self.radius_normalized + extent
-        return np.linspace(-edge, edge, int(points))
+        return np.linspace(-edge, edge, points)
 
     # -- unit-frame solve ------------------------------------------------
 

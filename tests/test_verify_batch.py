@@ -118,3 +118,19 @@ def test_point_mass_exponential_entropy_closed_form(delta, k):
     (rate,) = entry.params
     t = rate * rate * delta / 2.0
     assert entry.entropy == pytest.approx(t * math.exp(t), rel=1e-7, abs=0.0)
+
+
+def test_verify_builds_members_only_from_parameter_columns(bernoulli):
+    # each batch is described once, by its stacked member; a member built
+    # from one grid point would be a second description of it
+    sm = L.SmoothedMeasure(bernoulli, 0.5)
+    calls = []
+    for fam in L.shipped_families(sm, 3).values():
+
+        def build(params, fam=fam):
+            calls.append(params)
+            return fam.build(params)
+
+        L.verify_lsi(sm, 1.0, [L.ParamFamily(fam.name, fam.param_names, fam.axes, build)])
+    assert calls
+    assert all(np.ndim(p) == 1 for params in calls for p in params)
