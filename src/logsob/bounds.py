@@ -15,9 +15,9 @@ from scipy.special import logsumexp as _logsumexp
 
 from .errors import DomainError, SupremumNotLocalized
 from .logdomain import LogValue, _as_log
-from .measures import Measure1D
+from .measures import Measure1D, _check_count
 from .quadrature import golden_section_max
-from .smoothing import QuadratureConfig, SmoothedMeasure, _check_count, _check_delta, _check_radius
+from .smoothing import QuadratureConfig, SmoothedMeasure, _check_delta, _check_radius
 from .transport import LIPSCHITZ_EXTENT, LIPSCHITZ_POINTS, LipschitzEstimate, TransportMap
 from .transport import lipschitz_theoretical_bound
 

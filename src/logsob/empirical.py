@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import DomainError, EmptyFamily, NonintegrableTestFunction
 from .logdomain import MAX_EXP_LOG, _as_log
+from .measures import _check_count
 from .quadrature import adaptive_simpson, golden_section_max
-from .smoothing import SmoothedMeasure, _check_count, _check_delta, _check_radius
+from .smoothing import SmoothedMeasure, _check_delta, _check_radius
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,12 @@ MASS_TOL = 1e-9
 INTEG_TOL = 1e-10
 
 
+def _check_count(count, least, what) -> int:
+    if not (float(count).is_integer() and count >= least):
+        raise DomainError("need an integer count of at least %d %s, got %r" % (least, what, count))
+    return int(count)
+
+
 @dataclass(frozen=True, eq=False)
 class TabulatedDensity:
     """Nonnegative density tabulated on an increasing grid, linear between nodes."""
@@ -130,7 +136,7 @@ def make_uniform(a, b, nodes=5) -> Measure1D:
     a, b = float(a), float(b)
     if not b > a:
         raise DomainError("need b > a for a uniform density")
-    grid = np.linspace(a, b, int(nodes))
+    grid = np.linspace(a, b, _check_count(nodes, 2, "nodes"))
     values = np.full(grid.shape, 1.0 / (b - a))
     return make_measure(density=TabulatedDensity(grid, values))
 

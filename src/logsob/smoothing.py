@@ -47,15 +47,18 @@ def _std_pdf(z):
         return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
-def _lse_atoms(a):
-    """logsumexp over the leading (atom) axis, shift-stabilized (-inf columns give -inf).
+def _sum_terms(a):
+    """Sum of (terms, points) over its terms in index order, the same bits for any number of
+    points: numpy adds the rows of 2+ columns in turn, but sums one column pairwise."""
+    return a.sum(axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
 
-    Sums one row per atom in turn, the order of numpy's row sum below 8 terms.
-    """
+
+def _lse_atoms(a):
+    """logsumexp over the leading (atom) axis, shift-stabilized (-inf columns give -inf)."""
     m = np.max(a, axis=0)
     safe = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
-        out = safe + np.log(np.sum(np.exp(a - safe), axis=0))
+        out = safe + np.log(_sum_terms(np.exp(a - safe)))
     return np.where(np.isfinite(m), out, m)
 
 
@@ -71,12 +74,6 @@ def _check_radius(radius) -> float:
     if not 0.0 <= radius < math.inf:
         raise DomainError("radius must be finite and nonnegative, got %r" % radius)
     return radius
-
-
-def _check_count(count, least, what) -> int:
-    if not (float(count).is_integer() and count >= least):
-        raise DomainError("need an integer count of at least %d %s, got %r" % (least, what, count))
-    return int(count)
 
 
 def log_gaussian_density(t, delta=1.0):
@@ -123,18 +120,18 @@ def _edge_antiderivatives(z, cdf, pdf):
 
 
 def _cdf_gap(u, w):
-    """Phi(u1) - Phi(u0) per cell via whichever tail avoids cancellation, from
-    the smaller tail w = Phi(-|u|) at each edge.  Edges before the first cell
-    right of t (u0 + u1 > 0), k, have u <= 0 and edges after k u > 0, so w
+    """(cells, points) Phi(u1) - Phi(u0) via whichever tail avoids cancellation, from
+    (edges, points) u and the smaller tail w = Phi(-|u|) at each edge.  Edges before the
+    first cell right of t (u0 + u1 > 0), k, have u <= 0 and edges after k u > 0, so w
     serves every cell but one at edge k, which takes its larger tail Phi(|u_k|)."""
-    k = np.count_nonzero(u[:, :-1] + u[:, 1:] <= 0.0, axis=1)
-    rows = np.arange(u.shape[0])
-    uk = u[rows, k]
+    k = np.count_nonzero(u[:-1] + u[1:] <= 0.0, axis=0)
+    cols = np.arange(u.shape[1])
+    uk = u[k, cols]
     near = uk <= 0.0  # w_k is Phi(u_k), so cell k needs Phi(-u_k); else cell k - 1 Phi(u_k)
     c = k - 1 + near
-    i = rows[(c >= 0) & (c < u.shape[1] - 1)]
-    gap = np.abs(w[:, :-1] - w[:, 1:])  # w0 - w1 right of t, -(w1 - w0) left, bitwise
-    gap[i, c[i]] = ndtr(np.abs(uk[i])) - w[i, c[i] + near[i]]
+    i = cols[(c >= 0) & (c < u.shape[0] - 1)]
+    gap = np.abs(w[:-1] - w[1:])  # w0 - w1 right of t, -(w1 - w0) left, bitwise
+    gap[c[i], i] = ndtr(np.abs(uk[i])) - w[c[i] + near[i], i]
     return gap
 
 
@@ -146,29 +143,27 @@ def _reject(x, bad, what):
 
 
 def _side(sf):
-    """Column of +1 where ``sf`` (a flag, or one per point), -1 elsewhere."""
-    return np.where(np.reshape(sf, (-1, 1)), 1.0, -1.0)
+    """Row of +1 where ``sf`` (a flag, or one per point), -1 elsewhere: s of the tail Phi(s*u)."""
+    return np.where(sf, 1.0, -1.0)
 
 
-#: Bytes of one (points x (edges + atoms)) temporary in a blocked evaluator,
+#: Bytes of one ((edges + atoms) x points) temporary in a blocked evaluator,
 #: whose ~40 elementwise passes then stay in cache.  1001 points of 256 cells,
 #: 2-vCPU Xeon, median of 30 interleaved, at 32/64/128/256 KB: fused tail +
-#: density 21.6/18.1/27.6/28.5 ms, density 14.8/12.5/17.4/18.6 ms; mixture-dense
-#: wall_s median 0.925 s at 64 KB against 1.082 s at 128 KB (4 of 4 pairs).
+#: density 17.1/12.9/17.4/19.4 ms, density 11.1/8.9/12.4/12.8 ms.
 _BLOCK_BYTES = 1 << 16
 
 
 def _blocked(kernel):
     """Run a centered-frame evaluator over balanced blocks of about
     _BLOCK_BYTES per temporary, slicing per-point ``sf`` flags given by
-    position.  No multi-point call makes a 1-point block, whose atom
-    log-sum-exp numpy would sum pairwise; every other reduction is per
-    point, so the results are bit for bit those of one call."""
+    position.  Every sum over terms is :func:`_sum_terms`, in index order
+    per point, so the results are bit for bit those of one call."""
 
     @wraps(kernel)
     def run(self, x, *args, **kwargs):
         n = x.size
-        parts = min(-(-n // max(2, _BLOCK_BYTES // (8 * self._width))), max(1, n // 2))
+        parts = -(-n // max(1, _BLOCK_BYTES // (8 * self._width)))
         if parts <= 1:
             return kernel(self, x, *args, **kwargs)
         cuts = np.arange(parts + 1) * n // parts
@@ -217,7 +212,7 @@ class SmoothedMeasure:
             grid = mu_c.density.grid
             vals = mu_c.density.values
             slope = (vals[1:] - vals[:-1]) / (grid[1:] - grid[:-1])
-            self._cells = (grid, vals[:-1] - slope * grid[:-1], slope)
+            self._cells = tuple(c[:, None] for c in (grid, vals[:-1] - slope * grid[:-1], slope))
         else:
             self._cells = None
         self._width = self._aloc.size + (0 if self._cells is None else self._cells[0].size)
@@ -229,30 +224,30 @@ class SmoothedMeasure:
     def _log_density_atoms(self, t):
         if not self._aloc.size:
             return np.full(t.shape, -np.inf)
-        with np.errstate(over="ignore"):  # z*z is inf from |t| of about 1e154, and q there 0
-            z = (t - self._aloc[:, None]) / self.sigma
-            la = np.log(self._awt)[:, None] - 0.5 * z * z - math.log(self.sigma) - _LOG_SQRT_2PI
+        with np.errstate(over="ignore"):  # u*u is inf from |t| of about 1e154, and q there 0
+            u = (self._aloc[:, None] - t) / self.sigma
+            la = np.log(self._awt)[:, None] - 0.5 * u * u - math.log(self.sigma) - _LOG_SQRT_2PI
         return _lse_atoms(la)
 
     def _log_tail_atoms(self, x, sf):
         if not self._aloc.size:
             return np.full(x.shape, -np.inf)
-        with np.errstate(over="ignore"):  # z is +-inf near the largest doubles, its tail 0 or 1
-            z = (x - self._aloc[:, None]) / self.sigma
-        return _lse_atoms(np.log(self._awt)[:, None] + log_ndtr(np.where(sf, -1.0, 1.0) * z))
+        with np.errstate(over="ignore"):  # u is +-inf near the largest doubles, its tail 0 or 1
+            u = (self._aloc[:, None] - x) / self.sigma
+        return _lse_atoms(np.log(self._awt)[:, None] + log_ndtr(_side(sf) * u))
 
     def _edge_u(self, t):
-        # u = (edge - t)/sigma (q reads u, cdf z = -u, sf z = u) and lin = alpha + beta*t,
-        # t clamped to R + 40 sigma: beyond it every cell tail and phi is below the
-        # smallest subnormal, while z*z, beta*t and the antiderivatives overflow
+        """(edges, points) u = (edge - t)/sigma (q reads u, cdf z = -u, sf z = u) and (cells,
+        points) lin = alpha + beta*t at t clamped to R + 40 sigma: beyond it every cell tail and
+        phi is below the smallest subnormal, while z*z, beta*t and the antiderivatives overflow."""
         grid, alpha, beta = self._cells
         lim = self.radius + 40.0 * self.sigma
         t = np.clip(t, -lim, lim)
-        return (grid - t[:, None]) / self.sigma, alpha + beta * t[:, None]
+        return (grid - t) / self.sigma, alpha + beta * t
 
     def _density_edges(self, lin, cdf_gap, pdf):
-        terms = lin * cdf_gap + self._cells[2] * self.sigma * (pdf[:, :-1] - pdf[:, 1:])
-        return np.maximum(terms.sum(axis=1), 0.0)
+        terms = lin * cdf_gap + self._cells[2] * self.sigma * (pdf[:-1] - pdf[1:])
+        return np.maximum(_sum_terms(terms), 0.0)
 
     def _density_cells(self, t):
         u, lin = self._edge_u(t)
@@ -274,8 +269,8 @@ class SmoothedMeasure:
         w[up] = ndtr(u[up])
         a, b = _edge_antiderivatives(u, w, pdf)
         lin = lin * s  # -lin * (a1 - a0) == lin * (a0 - a1) bitwise
-        terms = lin * (a[:, 1:] - a[:, :-1]) + self._cells[2] * self.sigma * (b[:, 1:] - b[:, :-1])
-        return self.sigma * np.maximum(terms, 0.0).sum(axis=1), dens
+        terms = lin * (a[1:] - a[:-1]) + self._cells[2] * self.sigma * (b[1:] - b[:-1])
+        return self.sigma * _sum_terms(np.maximum(terms, 0.0)), dens
 
     @_blocked
     def _log_density_c(self, t):

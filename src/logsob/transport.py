@@ -23,10 +23,10 @@ from scipy.special import log_ndtr, ndtri_exp
 
 from .errors import BracketFailure, DomainError, LogsobError, QuadratureFailure
 from .logdomain import LogValue
-from .measures import pushforward_affine
+from .measures import _check_count, pushforward_affine
 from .quadrature import bracketed_newton  # noqa: F401  unused; perfbench/tracer.py wraps it by name
 from .quadrature import golden_section_max
-from .smoothing import SmoothedMeasure, _check_count, _check_radius, _reject, log_gaussian_density
+from .smoothing import SmoothedMeasure, _check_radius, _reject, log_gaussian_density
 
 LIPSCHITZ_POINTS, LIPSCHITZ_EXTENT = 4001, 8.0  # default Lipschitz sweep
 TABLE_POINTS, TABLE_EXTENT = 1001, 8.0  # default transport table
@@ -111,29 +111,27 @@ class TransportMap:
     def _eval_unit(self, xn):
         """(y, log T') of :meth:`_solve` on a batch, warm-started: every 8th
         distinct abscissa in ascending order, and the last, is solved from the
-        bracket midpoint, the others, if at least two, from :func:`_warm_start`
-        through those roots and their log T' (one alone would reach the
-        density kernel as one point, whose atom sum takes other bits).  A solve
-        checks its bracket signs after iterating, so a failing pass iterates
-        all its points; the whole batch is then solved from midpoints, so that
-        an error counts and names the batch's own points."""
+        bracket midpoint, the others from :func:`_warm_start` through those
+        roots and their log T'.  A solve checks its bracket signs after
+        iterating, so a failing pass iterates all its points; the whole batch
+        is then solved from midpoints, so that an error counts and names the
+        batch's own points."""
         _reject(xn, ~np.isfinite(xn), "transport abscissa must be finite")  # as x: inf or nan
         xu, inverse = np.unique(xn, return_inverse=True)
         coarse = np.arange(xu.size) % 8 == 0
         coarse[-1:] = True
-        if np.count_nonzero(~coarse) >= 2:
-            try:
-                xc, xf = xu[coarse], xu[~coarse]
-                yc = self._solve(xc)
-                lc = self._log_derivative_unit(xc, yc)
-                yf = self._solve(xf, _warm_start(xc, yc, lc, xf))
-            except LogsobError:
-                pass
-            else:
-                yu, lu = np.empty_like(xu), np.empty_like(xu)
-                yu[coarse], yu[~coarse] = yc, yf
-                lu[coarse], lu[~coarse] = lc, self._log_derivative_unit(xf, yf)
-                return yu[inverse], lu[inverse]
+        try:
+            xc, xf = xu[coarse], xu[~coarse]
+            yc = self._solve(xc)
+            lc = self._log_derivative_unit(xc, yc)
+            yf = self._solve(xf, _warm_start(xc, yc, lc, xf))
+        except LogsobError:
+            pass
+        else:
+            yu, lu = np.empty_like(xu), np.empty_like(xu)
+            yu[coarse], yu[~coarse] = yc, yf
+            lu[coarse], lu[~coarse] = lc, self._log_derivative_unit(xf, yf)
+            return yu[inverse], lu[inverse]
         y = self._solve(xn)
         return y, self._log_derivative_unit(xn, y)
 

@@ -49,6 +49,13 @@ def test_bad_argument_raises_a_typed_error(probe):
         PROBES[probe]()
 
 
+@pytest.mark.parametrize("nodes", [2.9, math.nan, -3, 1])
+def test_uniform_node_count_must_be_an_integer_of_at_least_two(nodes):
+    # 2.9 used to build a 2-node grid, nan and -3 to raise numpy's ValueError
+    with pytest.raises(L.LogsobError):
+        L.make_uniform(0.0, 1.0, nodes)
+
+
 def test_all_lists_exactly_the_imported_names():
     tree = ast.parse(INIT.read_text(encoding="utf-8"))
     imported = {

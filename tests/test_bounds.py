@@ -255,7 +255,7 @@ def test_bg_reflection_swaps_the_sides(name, delta, request):
 def _scan_measure(name):
     if name == "mixed":
         return _mixed_measure()
-    if name == "atoms":  # 12 atoms: the atom log-sum-exp sums pairwise from 8 terms
+    if name == "atoms":  # 12 atoms: above the 8 terms from which numpy sums one column pairwise
         x = np.linspace(-1.0, 1.5, 12) + 0.05 * np.sin(np.arange(12.0))
         w = 1.0 + np.cos(np.arange(12.0)) ** 2
         return L.make_discrete(list(zip(x, w / w.sum())))

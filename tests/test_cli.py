@@ -534,12 +534,14 @@ def test_traced_sweep_counts_the_result_fields_the_tracer_reads(tmp_path):
         assert totals[name][1] > 0, name
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # golden_section_max is hand-rolled so that the CLI's start-up skips scipy.optimize
+def test_cli_import_leaves_scipy_optimize_stats_and_integrate_out():
+    # scipy.special alone is most of the CLI's start-up, and each of these
+    # adds about 0.2 s; golden_section_max is hand-rolled to skip scipy.optimize
     import logsob
 
     src = str(Path(logsob.__file__).resolve().parents[1])
-    code = "import sys, logsob.cli; print('scipy.optimize' in sys.modules)"
+    heavy = ("scipy.optimize", "scipy.stats", "scipy.integrate")
+    code = "import sys, logsob.cli; print(any(m in sys.modules for m in %r))" % (heavy,)
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src),

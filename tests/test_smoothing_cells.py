@@ -79,6 +79,14 @@ def _oracle_anti_z_cdf(z):
     return 0.5 * ((z * z - 1.0) * ndtr(z) + z * _oracle_pdf(z))
 
 
+def _add_in_turn(terms):
+    """Row sums of (points, terms), adding each point's terms in index order."""
+    out = terms[:, 0]
+    for col in terms.T[1:]:
+        out = out + col
+    return out
+
+
 def _oracle_atoms(sm):
     aloc = np.array([x for x, _ in sm.centered_base.atoms], dtype=float)
     awt = np.array([w for _, w in sm.centered_base.atoms], dtype=float)
@@ -92,7 +100,7 @@ def oracle_density_cells(sm, t):
     cdf_gap = np.where(u0 + u1 > 0.0, ndtr(-u0) - ndtr(-u1), ndtr(u1) - ndtr(u0))
     lin = alpha + beta * t[:, None]
     terms = lin * cdf_gap + beta * sm.sigma * (_oracle_pdf(u0) - _oracle_pdf(u1))
-    return np.maximum(terms.sum(axis=1), 0.0)
+    return np.maximum(_add_in_turn(terms), 0.0)
 
 
 def oracle_cdf_cells(sm, x):
@@ -102,7 +110,7 @@ def oracle_cdf_cells(sm, x):
     lin = alpha + beta * x[:, None]
     terms = lin * (_oracle_anti_cdf(z0) - _oracle_anti_cdf(z1))
     terms = terms - beta * sm.sigma * (_oracle_anti_z_cdf(z0) - _oracle_anti_z_cdf(z1))
-    return sm.sigma * np.maximum(terms, 0.0).sum(axis=1)
+    return sm.sigma * _add_in_turn(np.maximum(terms, 0.0))
 
 
 def oracle_sf_cells(sm, x):
@@ -112,7 +120,7 @@ def oracle_sf_cells(sm, x):
     lin = alpha + beta * x[:, None]
     terms = lin * (_oracle_anti_cdf(w1) - _oracle_anti_cdf(w0))
     terms = terms + beta * sm.sigma * (_oracle_anti_z_cdf(w1) - _oracle_anti_z_cdf(w0))
-    return sm.sigma * np.maximum(terms, 0.0).sum(axis=1)
+    return sm.sigma * _add_in_turn(np.maximum(terms, 0.0))
 
 
 def _centered_points(sm, n=241):
@@ -206,11 +214,10 @@ def test_fused_tail_and_density_equal_per_cell_oracle_bitwise(case):
 # -- the atom log-sum-exp of the log evaluators ------------------------------
 #
 # The log density and log tails reduce the atoms along a leading axis.  The
-# earlier row-major formula is kept here as the oracle: below 8 atoms numpy
-# sums a row in the same order as the leading-axis pass, so the two agree
-# bit for bit; with more atoms the row sum is pairwise and they differ by a
-# few ulp.  The cells add the log of the per-cell oracle's sum, a tail
-# taken as 0 below the normal doubles.
+# earlier row-major formula is kept here as the oracle, adding each row's
+# terms in index order, as the kernels do at every atom count.  The cells
+# add the log of the per-cell oracle's sum, a tail taken as 0 below the
+# normal doubles.
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -218,7 +225,7 @@ _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 def _lse_rows(a):
     m = np.max(a, axis=-1)
     safe = np.where(np.isfinite(m), m, 0.0)
-    out = safe + np.log(np.sum(np.exp(a - safe[..., None]), axis=-1))
+    out = safe + np.log(_add_in_turn(np.exp(a - safe[..., None])))
     return np.where(np.isfinite(m), out, m)
 
 
@@ -265,15 +272,6 @@ ATOM_MEASURES["mixed"] = _mixed
 ATOM_MEASURES.update({"atoms%d" % c: partial(_atoms, c) for c in (3, 7, 8, 48, 96)})
 
 
-def _ulps(got, want):
-    # a sum rounded to a few eps has a log off by a few eps absolutely, so
-    # the last place is taken at 1 where |log| < 1
-    both = np.isfinite(want)
-    assert np.array_equal(np.isfinite(got), both)
-    assert np.array_equal(got[~both], want[~both])
-    return np.abs(got[both] - want[both]) / np.spacing(np.maximum(np.abs(want[both]), 1.0))
-
-
 @pytest.mark.parametrize("delta", DELTAS)
 @pytest.mark.parametrize("name", list(ATOM_MEASURES))
 def test_log_evaluators_equal_row_major_oracle(name, delta):
@@ -283,10 +281,7 @@ def test_log_evaluators_equal_row_major_oracle(name, delta):
     for sf in (True, False):
         pairs.append((sm._log_tail_density_c(xs, sf)[0], oracle_log_tail_c(sm, xs, sf)))
     for got, want in pairs:
-        if sm._aloc.size < 8:
-            assert np.array_equal(got, want)
-        else:
-            assert _ulps(got, want).max() <= 4.0
+        assert np.array_equal(got, want)
 
 
 # -- blocked evaluators -------------------------------------------------------
@@ -307,7 +302,7 @@ BLOCK_MEASURES = {"atoms96": partial(_atoms, 96), "cells256": _cells256, "mixed"
 
 
 def _rows(sm):
-    return max(2, smoothing._BLOCK_BYTES // (8 * sm._width))
+    return max(1, smoothing._BLOCK_BYTES // (8 * sm._width))
 
 
 def _evaluator_calls(sm, sides):
@@ -340,35 +335,17 @@ def test_blocked_evaluators_equal_one_block_bitwise(name, delta):
 
 
 @pytest.mark.parametrize("name", list(BLOCK_MEASURES))
-def test_multi_point_calls_never_reach_a_kernel_as_one_point(name, monkeypatch):
+def test_a_point_alone_has_its_bits_in_a_blocked_batch(name):
+    # numpy sums a single column pairwise from 8 terms, a batch's rows in turn
     sm = L.SmoothedMeasure(BLOCK_MEASURES[name](), 0.25)
-    sizes = []
-    lse = smoothing._lse_atoms
-
-    def lse_recorded(a):
-        sizes.append(a.shape[1])
-        return lse(a)
-
-    def recorded(method):
-        def run(self, x, *args):
-            sizes.append(x.size)
-            return method(self, x, *args)
-
-        return run
-
-    monkeypatch.setattr(smoothing, "_lse_atoms", lse_recorded)
-    monkeypatch.setattr(L.SmoothedMeasure, "_edge_u", recorded(L.SmoothedMeasure._edge_u))
-    # blocks of 2 or 3 points, where a careless split leaves one point over
-    monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 8 * sm._width * 2)
-    for n in range(2, 12):
-        xs = _centered_points(sm, n)
-        for evaluator, args in _evaluator_calls(sm, np.arange(n) % 2 == 0):
-            sizes.clear()
-            getattr(sm, evaluator)(xs, *args)
-            assert sizes and min(sizes) >= 2 and max(sizes) <= 3
-    sizes.clear()
-    sm._log_density_c(np.zeros(1))
-    assert set(sizes) == {1}
+    n = 2 * _rows(sm) + 1
+    xs = _centered_points(sm, n)
+    for evaluator, args in _evaluator_calls(sm, np.arange(n) % 3 == 0):
+        fn = getattr(sm, evaluator)
+        batch = np.array(fn(xs, *args))
+        for i in range(n):
+            alone = fn(xs[i : i + 1], *[v[i : i + 1] if np.ndim(v) else v for v in args])
+            assert np.array_equal(np.array(alone), batch[..., i : i + 1])
 
 
 def test_blocked_fused_kernel_peak_memory():
