@@ -120,8 +120,8 @@ class TransportMap:
         xu, inverse = np.unique(xn, return_inverse=True)
         coarse = np.arange(xu.size) % 8 == 0
         coarse[-1:] = True
+        xc, xf = xu[coarse], xu[~coarse]
         try:
-            xc, xf = xu[coarse], xu[~coarse]
             yc = self._solve(xc)
             lc = self._log_derivative_unit(xc, yc)
             yf = self._solve(xf, _warm_start(xc, yc, lc, xf))
