@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp as _logsumexp
 
 from .errors import DomainError, SupremumNotLocalized
 from .logdomain import LogValue, _as_log
@@ -31,6 +30,7 @@ MULTIDIM_COEFF = 289.0
 BG_LOWER_DIVISOR = 150.0
 BG_UPPER_FACTOR = 468.0
 BG_SCAN_POINTS = 1201  # default scan points of the two-sided estimate
+_LOG4 = math.log(4.0)
 # the unit-variance Gaussian satisfies the inequality with constant 2
 GAUSSIAN_LSI_FACTOR = 2.0
 
@@ -154,30 +154,26 @@ def _bg_scan(sm, med, dist):
     return zip(log_tail.reshape(2, -1), -log_q.reshape(2, -1), -log_q_mid.reshape(2, -1))
 
 
+def _log_simpson(width, log_lo, log_mid, log_hi):
+    """log of the Simpson cells width/6 * (f(lo) + 4 f(mid) + f(hi)) from log f
+    at each cell's ends and midpoint; a cell of width 0 gives -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(width / 6.0) + np.logaddexp(np.logaddexp(log_lo, log_hi), _LOG4 + log_mid)
+
+
 def _bg_side(sm, med, s, dist, log_tail, linv_nodes, linv_mids):
     """(log sup, argmax) of tail * log(1/tail) * integral of 1/q from the median,
     below it for s = -1 (tail = cdf), above it for s = +1 (tail = sf), from
     that side's slices of :func:`_bg_scan`.
 
     Scans the nodes med + s*dist outward to the window edge, the last node,
-    summing 3-node Simpson cells outward in log domain, and polishes the scan
-    max by Brent's method, each step one fused kernel call over the 9 Simpson
-    nodes of x's partial cell, whose end node at x gives the tail at x.
+    summing :func:`_log_simpson` cells outward, and polishes the scan max by
+    Brent's method, each step one fused kernel call over the 9 nodes of x's
+    partial cell, 4 Simpson cells whose end node at x gives the tail at x.
     """
     n = dist.size
     xs = med + s * dist
-    h = np.diff(dist)
-    with np.errstate(divide="ignore"):
-        cell_log = _logsumexp(
-            np.stack(
-                [
-                    np.log(h / 6.0) + linv_nodes[:-1],
-                    np.log(4.0 * h / 6.0) + linv_mids,
-                    np.log(h / 6.0) + linv_nodes[1:],
-                ]
-            ),
-            axis=0,
-        )
+    cell_log = _log_simpson(np.diff(dist), linv_nodes[:-1], linv_mids, linv_nodes[1:])
     # log of the integral of 1/q from the median to xs[j]
     log_int = np.concatenate([[-np.inf], np.logaddexp.accumulate(cell_log)])
     # log of tail * log(1/tail) * integral; 0*inf convention -> 0
@@ -200,13 +196,8 @@ def _bg_side(sm, med, s, dist, log_tail, linv_nodes, linv_mids):
         lt = float(tail[-1] if b == x else tail[0])
         if lt == -math.inf:
             return -math.inf
-        seg = -math.inf  # log of the integral of 1/q over [a, b], 9-node Simpson
-        if b > a:
-            h = (b - a) / 8.0
-            w = h / 3.0 * np.array([1, 4, 2, 4, 2, 4, 2, 4, 1], dtype=float)
-            m = float(-log_q.min())
-            seg = m + math.log(float(np.dot(w, np.exp(-log_q - m))))
-        return lt + math.log(-lt) + float(np.logaddexp(log_int[k], seg))
+        seg = _log_simpson((b - a) / 4.0, -log_q[0:-1:2], -log_q[1::2], -log_q[2::2])
+        return lt + math.log(-lt) + float(np.logaddexp.reduce(seg, initial=log_int[k]))
 
     # log_h[0] is -inf (integral 0) and log_h[1] is not (tail near 1/2): 0 < i < n - 1
     lo, hi = xs[i - 1], xs[i + 1]

@@ -29,7 +29,7 @@ from .bounds import (
 from .empirical import shipped_families, verify_lsi
 from .errors import ConfigParseError, LogsobError, MeasureParseError
 from .logdomain import record
-from .measures import MASS_TOL, load_measure
+from .measures import MASS_TOL, _is_json_number, load_measure
 from .smoothing import QuadratureConfig, SmoothedMeasure
 from .transport import LIPSCHITZ_EXTENT, LIPSCHITZ_POINTS, TABLE_EXTENT, TABLE_POINTS
 from .transport import TransportMap, transport_table
@@ -82,10 +82,7 @@ def _require(cond, msg):
 
 def _number(path, value, key):
     """``value`` as a float if it is a JSON number, else a ConfigParseError naming ``key``."""
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        "%s: %s must be a number, got %r" % (path, key, value),
-    )
+    _require(_is_json_number(value), "%s: %s must be a number, got %r" % (path, key, value))
     return float(value)
 
 

@@ -204,22 +204,29 @@ def measure_to_dict(mu: Measure1D) -> dict:
     return out
 
 
+def _is_json_number(value) -> bool:
+    """Whether ``value`` is a JSON number: an int or float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def measure_from_dict(data: dict, mass_tol=MASS_TOL) -> Measure1D:
     if not isinstance(data, dict):
         raise MeasureParseError("measure document must be a JSON object")
     atoms = []
     for entry in data.get("atoms") or []:
-        try:
-            atoms.append((float(entry["x"]), float(entry["w"])))
-        except (TypeError, KeyError, ValueError) as exc:
-            raise MeasureParseError("atom entries need numeric 'x' and 'w': %r" % (entry,)) from exc
+        xw = [entry.get(k) for k in "xw"] if isinstance(entry, dict) else [None]
+        if not all(map(_is_json_number, xw)):
+            raise MeasureParseError("atom entries need numeric 'x' and 'w': %r" % (entry,))
+        atoms.append(tuple(map(float, xw)))
     density = None
     dens = data.get("density")
     if dens is not None:
+        cols = [dens.get(k) if isinstance(dens, dict) else None for k in ("grid", "values")]
+        for key, col in zip(("grid", "values"), cols):
+            if not (isinstance(col, list) and all(map(_is_json_number, col))):
+                raise MeasureParseError("density %r must be an array of numbers: %r" % (key, col))
         try:
-            density = TabulatedDensity(np.asarray(dens["grid"]), np.asarray(dens["values"]))
-        except (TypeError, KeyError, ValueError) as exc:
-            raise MeasureParseError("density needs 'grid' and 'values' arrays") from exc
+            density = TabulatedDensity(*(np.array(col, dtype=float) for col in cols))
         except InvalidDensity as exc:
             raise MeasureParseError(str(exc)) from exc
     try:

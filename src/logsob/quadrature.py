@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import BracketFailure, QuadratureFailure
+from .errors import BracketFailure, DomainError, QuadratureFailure
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of the larger part
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -45,21 +45,26 @@ def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=
     the cell count stays far below 1/eps.  ``atol`` is a per-cell floor,
     needed for integrands that change sign.
 
-    Each round sums an interval's accepted cells as one ``.sum(axis=0)``
-    block, in the order they would have alone (a stable sort on the
-    interval index): numpy sums a 1-D block pairwise and a block with
-    components row by row, so any other grouping moves the last bits.
+    Each round adds its accepted cells to their intervals' totals one at a
+    time in index order (``np.add.at``).  Batching keeps the relative order
+    of an interval's cells, so a batched value has its lone bits.
 
-    Raises QuadratureFailure when ``max_depth`` rounds of halving cannot
-    reach the tolerance, or in the round where a cell estimate turns out
-    not finite, naming its interval.
+    Raises DomainError, before any evaluation, unless eps <= rtol < inf and
+    0 <= atol < inf: below them every cell can fail every round, doubling
+    the pending cells until memory runs out.  Raises QuadratureFailure when
+    ``max_depth`` rounds of halving cannot reach the tolerance, or in the
+    round where a cell estimate turns out not finite, naming its interval.
     """
     batched = np.ndim(a) > 0 or np.ndim(b) > 0
     a = np.atleast_1d(np.asarray(a, dtype=float))
     a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
     count = a.size
     sign = np.where(b < a, -1.0, 1.0)
-    atol = np.broadcast_to(np.asarray(atol, dtype=float), a.shape)
+    atol = np.asarray(atol, dtype=float)
+    if not (np.finfo(float).eps <= rtol < math.inf and ((atol >= 0.0) & (atol < math.inf)).all()):
+        got = (rtol, atol.tolist())
+        raise DomainError("need eps <= rtol < inf, 0 <= atol < inf; got %r, %r" % got)
+    atol = np.broadcast_to(atol, a.shape)
     panels = np.broadcast_to(np.maximum(1, np.asarray(initial_cells, dtype=int)), a.shape)
     edges = [
         np.linspace(min(ak, bk), max(ak, bk), m + 1) for ak, bk, m in zip(a, b, panels)
@@ -108,16 +113,10 @@ def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=
         tol = 15.0 * (atol[member][pad] + rtol * np.maximum(np.abs(s2), floor[member]))
         # AND the component columns: reducing a short axis costs more per cell
         ok = functools.reduce(np.logical_and, (err <= tol).reshape(n, -1).T)
-        acc = np.flatnonzero(ok)
-        if acc.size:
-            acc = acc[np.argsort(member[acc], kind="stable")]
-            owner = member[acc]
-            done = s2[acc]
-            done += (done - cell[acc]) / 15.0
-            cut = (np.flatnonzero(np.diff(owner)) + 1).tolist()
-            for i, j in zip([0] + cut, cut + [acc.size]):
-                total[owner[i]] += done[i:j].sum(axis=0)
-        if acc.size == n:
+        done = s2[ok]
+        done += (done - cell[ok]) / 15.0
+        np.add.at(total, member[ok], done)
+        if ok.all():
             total *= sign[pad]
             if batched:
                 return total

@@ -120,18 +120,15 @@ def _edge_antiderivatives(z, cdf, pdf):
 
 
 def _cdf_gap(u, w):
-    """(cells, points) Phi(u1) - Phi(u0) via whichever tail avoids cancellation, from
-    (edges, points) u and the smaller tail w = Phi(-|u|) at each edge.  Edges before the
-    first cell right of t (u0 + u1 > 0), k, have u <= 0 and edges after k u > 0, so w
-    serves every cell but one at edge k, which takes its larger tail Phi(|u_k|)."""
-    k = np.count_nonzero(u[:-1] + u[1:] <= 0.0, axis=0)
-    cols = np.arange(u.shape[1])
-    uk = u[k, cols]
-    near = uk <= 0.0  # w_k is Phi(u_k), so cell k needs Phi(-u_k); else cell k - 1 Phi(u_k)
-    c = k - 1 + near
-    i = cols[(c >= 0) & (c < u.shape[0] - 1)]
-    gap = np.abs(w[:-1] - w[1:])  # w0 - w1 right of t, -(w1 - w0) left, bitwise
-    gap[c[i], i] = ndtr(np.abs(uk[i])) - w[c[i] + near[i], i]
+    """(cells, points) Phi(u1) - Phi(u0) from (edges, points) u and the smaller tail
+    w = Phi(-|u|) at each edge, by the straddle rule: a cell on one side of the point
+    takes |w0 - w1|, and the one cell whose edges have u0 <= 0 < u1 takes
+    (1 - max(w0, w1)) - min(w0, w1), so no tail difference cancels."""
+    gap = np.abs(w[:-1] - w[1:])
+    c = np.count_nonzero(u <= 0.0, axis=0) - 1
+    i = np.flatnonzero((c >= 0) & (c < gap.shape[0]))
+    w0, w1 = w[c[i], i], w[c[i] + 1, i]
+    gap[c[i], i] = (1.0 - np.maximum(w0, w1)) - np.minimum(w0, w1)
     return gap
 
 
@@ -236,41 +233,39 @@ class SmoothedMeasure:
             u = (self._aloc[:, None] - x) / self.sigma
         return _lse_atoms(np.log(self._awt)[:, None] + log_ndtr(_side(sf) * u))
 
-    def _edge_u(self, t):
-        """(edges, points) u = (edge - t)/sigma (q reads u, cdf z = -u, sf z = u) and (cells,
-        points) lin = alpha + beta*t at t clamped to R + 40 sigma: beyond it every cell tail and
-        phi is below the smallest subnormal, while z*z, beta*t and the antiderivatives overflow."""
+    def _edge_table(self, t):
+        """The cells' one Phi pass, at t clamped to R + 40 sigma: (edges, points) u =
+        (edge - t)/sigma, w = Phi(-|u|) and phi(u), (cells, points) _cdf_gap and lin = alpha +
+        beta*t.  Beyond the clamp every cell tail and phi is below the smallest subnormal, while
+        z*z, beta*t and the antiderivatives overflow; q reads u, cdf z = -u and sf z = u."""
         grid, alpha, beta = self._cells
         lim = self.radius + 40.0 * self.sigma
         t = np.clip(t, -lim, lim)
-        return (grid - t) / self.sigma, alpha + beta * t
+        u = (grid - t) / self.sigma
+        w = ndtr(-np.abs(u))
+        return u, w, _std_pdf(u), _cdf_gap(u, w), alpha + beta * t
 
-    def _density_edges(self, lin, cdf_gap, pdf):
-        terms = lin * cdf_gap + self._cells[2] * self.sigma * (pdf[:-1] - pdf[1:])
+    def _density_edges(self, table):
+        _, _, pdf, gap, lin = table
+        terms = lin * gap + self._cells[2] * self.sigma * (pdf[:-1] - pdf[1:])
         return np.maximum(_sum_terms(terms), 0.0)
 
     def _density_cells(self, t):
-        u, lin = self._edge_u(t)
-        return self._density_edges(lin, _cdf_gap(u, ndtr(-np.abs(u))), _std_pdf(u))
+        return self._density_edges(self._edge_table(t))
 
     def _tail_density_cells(self, y, s):
         """Cell mass above y (s = 1) or below it (s = -1), and _density_cells at y
-        bit for bit, from one pass over the cell edges and Phi's antiderivatives.
+        bit for bit, from one per-edge table and Phi's antiderivatives.
 
-        The tail reads Phi(z) at z = s*u, which is the smaller tail w of the
-        gaps where z <= 0, so only edges beyond y on the tail's side add one."""
-        u, lin = self._edge_u(y)
-        w = ndtr(-np.abs(u))
-        gap = _cdf_gap(u, w)
-        u *= s  # z = s*u, and phi(z) == phi(u) bitwise
-        pdf = _std_pdf(u)
-        dens = self._density_edges(lin, gap, pdf)
-        up = u > 0.0
-        w[up] = ndtr(u[up])
-        a, b = _edge_antiderivatives(u, w, pdf)
+        The tail reads Phi(z) at z = s*u: the smaller tail w where z <= 0, and
+        its complement 1 - w where z > 0; phi(z) is phi(u) bitwise."""
+        table = self._edge_table(y)
+        u, w, pdf, _, lin = table
+        z = s * u
+        a, b = _edge_antiderivatives(z, np.where(z > 0.0, 1.0 - w, w), pdf)
         lin = lin * s  # -lin * (a1 - a0) == lin * (a0 - a1) bitwise
         terms = lin * (a[1:] - a[:-1]) + self._cells[2] * self.sigma * (b[1:] - b[:-1])
-        return self.sigma * _sum_terms(np.maximum(terms, 0.0)), dens
+        return self.sigma * _sum_terms(np.maximum(terms, 0.0)), self._density_edges(table)
 
     @_blocked
     def _log_density_c(self, t):

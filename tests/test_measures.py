@@ -267,3 +267,25 @@ def test_support_is_the_hull_of_atoms_and_grid():
     assert mu.support == (-1.0, 3.0) and mu.radius == 2.0 and mu.center == 1.0
     with pytest.raises(DomainError, match="measure needs atoms or a density"):
         L.make_discrete([])
+
+
+@pytest.mark.parametrize(
+    "doc, entry",
+    [
+        ({"atoms": [{"x": 0, "w": True}]}, "True"),
+        ({"atoms": [{"x": "0.0", "w": "1"}]}, "'0.0'"),
+        ({"atoms": [{"x": False, "w": 1.0}]}, "False"),
+        ({"atoms": [{"x": None, "w": 1.0}]}, "None"),
+        ({"atoms": [[0.0, 1.0]]}, r"\[0\.0, 1\.0\]"),
+        ({"density": {"grid": ["-1", "1"], "values": [0.5, 0.5]}}, "'grid'"),
+        ({"density": {"grid": [False, True], "values": [0.5, 0.5]}}, "'grid'"),
+        ({"density": {"grid": [-1.0, 1.0], "values": [0.5, True]}}, "'values'"),
+        ({"density": {"grid": "-1 1", "values": [0.5, 0.5]}}, "'grid'"),
+        ({"density": {"grid": [-1.0, 1.0]}}, "'values'"),
+    ],
+)
+def test_measure_files_take_only_json_numbers(doc, entry):
+    # the sweep config's numbers are checked the same way; float() would take
+    # a bool as 0 or 1 and a numeric string as its number
+    with pytest.raises(MeasureParseError, match=entry):
+        L.measure_from_dict(doc)

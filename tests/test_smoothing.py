@@ -245,33 +245,6 @@ def test_log_evaluators_match_quadrature_route(uniform):
         assert np.allclose(got(xs), np.log(direct), rtol=0.0, atol=1e-11)
 
 
-def _uniform_log_cdf(x, delta):
-    """log cdf of the uniform density on [-1, 1] smoothed with variance delta:
-    1/2 sigma [A(z0) - A(z1)], A(z) = z Phi(z) + phi(z), at 60 digits."""
-    with mpmath.workdps(60):
-        s, x = mpmath.sqrt(mpmath.mpf(delta)), mpmath.mpf(x)
-        a = [z * mpmath.ncdf(z) + mpmath.npdf(z) for z in ((x + 1) / s, (x - 1) / s)]
-        return float(mpmath.log(s / 2 * (a[0] - a[1])))
-
-
-def test_uniform_tail_at_small_delta_matches_the_closed_form(uniform):
-    sm = L.SmoothedMeasure(uniform, 0.0005)
-    assert sm.log_cdf(-1.5) == pytest.approx(_uniform_log_cdf(-1.5, 0.0005), rel=0.0, abs=1e-10)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 1: a cell tail below the normal doubles is logged as -inf",
-)
-@pytest.mark.parametrize("evaluator, x", [("log_cdf", -2.0), ("log_sf", 2.0)])
-def test_uniform_far_tail_at_small_delta_matches_the_closed_form(uniform, evaluator, x):
-    # -1013.0149; the uniform is symmetric, so log_sf(2) mirrors log_cdf(-2)
-    sm = L.SmoothedMeasure(uniform, 0.0005)
-    want = _uniform_log_cdf(-2.0, 0.0005)
-    assert getattr(sm, evaluator)(x) == pytest.approx(want, rel=0.0, abs=1e-10)
-
-
 def test_offcenter_measure_centers_internally():
     mu = L.make_discrete([(3.0, 0.5), (5.0, 0.5)])
     sm = L.SmoothedMeasure(mu, 1.0)

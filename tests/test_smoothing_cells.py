@@ -71,12 +71,26 @@ def _oracle_pdf(z):
     return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
+def _oracle_cdf(z):
+    """Phi(z), as the complement of the smaller tail where z > 0."""
+    return np.where(z > 0.0, 1.0 - ndtr(-z), ndtr(z))
+
+
 def _oracle_anti_cdf(z):
-    return z * ndtr(z) + _oracle_pdf(z)
+    return z * _oracle_cdf(z) + _oracle_pdf(z)
 
 
 def _oracle_anti_z_cdf(z):
-    return 0.5 * ((z * z - 1.0) * ndtr(z) + z * _oracle_pdf(z))
+    return 0.5 * ((z * z - 1.0) * _oracle_cdf(z) + z * _oracle_pdf(z))
+
+
+def _oracle_cdf_gap(u0, u1):
+    """Phi(u1) - Phi(u0) of each cell on its own: the tail on the cell's side of
+    the point, or for the cell that straddles it (u0 <= 0 < u1) one minus both
+    smaller tails, the larger subtracted first."""
+    left, right = ndtr(u0), ndtr(-u1)
+    straddle = (1.0 - np.maximum(left, right)) - np.minimum(left, right)
+    return np.where(u1 <= 0.0, ndtr(u1) - left, np.where(u0 > 0.0, ndtr(-u0) - right, straddle))
 
 
 def _add_in_turn(terms):
@@ -97,9 +111,8 @@ def oracle_density_cells(sm, t):
     s0, s1, alpha, beta = _oracle_cells(sm)
     u0 = (s0 - t[:, None]) / sm.sigma
     u1 = (s1 - t[:, None]) / sm.sigma
-    cdf_gap = np.where(u0 + u1 > 0.0, ndtr(-u0) - ndtr(-u1), ndtr(u1) - ndtr(u0))
     lin = alpha + beta * t[:, None]
-    terms = lin * cdf_gap + beta * sm.sigma * (_oracle_pdf(u0) - _oracle_pdf(u1))
+    terms = lin * _oracle_cdf_gap(u0, u1) + beta * sm.sigma * (_oracle_pdf(u0) - _oracle_pdf(u1))
     return np.maximum(_add_in_turn(terms), 0.0)
 
 
@@ -365,16 +378,16 @@ def test_blocked_fused_kernel_peak_memory():
 
 # -- one Phi value per cell edge ---------------------------------------------
 #
-# A cell reads only the tail on its side of t, and the side flips once along
-# the sorted edges; the kernels evaluate the smaller tail at every edge and
-# one more value per point at the flip.  The two-sided oracle above is pinned
-# bit for bit where the flip is delicate: at edges (u = 0), at cell midpoints
-# (u0 + u1 = 0), one ulp either side of both, and beyond both ends.
+# A cell reads only the tail on its side of t, and the one cell that
+# straddles t takes one minus both smaller tails; the kernels evaluate the
+# smaller tail at every edge and nothing more.  The two-sided oracle above is
+# pinned bit for bit where the straddle is delicate: at edges (u = 0), at
+# cell midpoints, one ulp either side of both, and beyond both ends.
 
-FLIP_CASES = [(cells, d) for cells in (1, 2, 3, 8, 64, 256) for d in (5e-4, 0.05, 1.0)]
+STRADDLE_CASES = [(cells, d) for cells in (1, 2, 3, 8, 64, 256) for d in (5e-4, 0.05, 1.0)]
 
 
-def _flip_points(sm):
+def _straddle_points(sm):
     grid = sm.centered_base.density.grid
     mids = 0.5 * (grid[:-1] + grid[1:])
     spots = np.concatenate([grid, mids])
@@ -384,12 +397,12 @@ def _flip_points(sm):
     return np.concatenate([spots, *near, ends])
 
 
-@pytest.mark.parametrize("cells, delta", FLIP_CASES, ids=["%d-d%g" % c for c in FLIP_CASES])
+@pytest.mark.parametrize("cells, delta", STRADDLE_CASES, ids=["%d-d%g" % c for c in STRADDLE_CASES])
 def test_one_sided_kernels_equal_two_sided_oracle_bitwise(cells, delta):
     rng = np.random.default_rng(cells)
     mu = L.make_measure(density=_sloped_density(rng, -1.0, 1.0, cells, 1.0))
     sm = L.SmoothedMeasure(mu, delta)
-    xs = _flip_points(sm)
+    xs = _straddle_points(sm)
     sides = rng.random(xs.size) < 0.5
     dens = oracle_density_cells(sm, xs)
     tail = np.where(sides, oracle_sf_cells(sm, xs), oracle_cdf_cells(sm, xs))
@@ -418,15 +431,13 @@ def _ndtr_values(monkeypatch, run):
 
 
 def test_density_kernels_take_one_phi_value_per_edge(monkeypatch):
-    # two per (point, edge) with both tails at every edge
+    # two per (point, edge) with both tails at every edge; the fused kernel
+    # takes Phi(z) for z > 0 as the complement of the same smaller tail
     sm = L.SmoothedMeasure(_cells256(), 0.05)
     xs = _centered_points(sm, 1001)
     edges = xs.size * 257
-    assert _ndtr_values(monkeypatch, lambda: sm._log_density_c(xs)) <= 1.1 * edges
-    # the fused kernel adds Phi(z) at the edges beyond each point on its tail's
-    # side; the solvers take the nearer tail, which leaves few of them
-    fused = _ndtr_values(monkeypatch, lambda: sm._log_tail_density_c(xs, xs >= 0.0))
-    assert fused <= 1.1 * edges
+    assert _ndtr_values(monkeypatch, lambda: sm._log_density_c(xs)) == edges
+    assert _ndtr_values(monkeypatch, lambda: sm._log_tail_density_c(xs, xs >= 0.0)) == edges
 
 
 def test_lipschitz_sweep_phi_values_per_abscissa_and_edge(monkeypatch):
