@@ -13,15 +13,20 @@ The evaluators are log-domain only: the atoms' log density and log tails
 are log-sum-exps of the Gaussian log density and ``log_ndtr``, finite far
 below the smallest double, and the cells' closed-form sums are logged and
 added in.  ``density``, ``cdf`` and ``sf`` are their exponentials.  One
-kernel reads every tail, with log q from the same pass over the cell
-edges, and one Newton solve on it, ``SmoothedMeasure._solve_c``, gives
+kernel reads every tail, with log q from the same pass over the atoms and
+the knots, and one Newton solve on it, ``SmoothedMeasure._solve_c``, gives
 both the quantiles and the transport map of :mod:`logsob.transport`.
 
 All evaluation happens in coordinates centered on the support midpoint and
 is translated back at the interface; translations do not move LSI constants.
-For a piecewise-linear density part the convolution and its CDF reduce to
-closed forms in phi and Phi, which keeps dense sweeps cheap.  No evaluator
-integrates numerically: the generic quadrature route,
+A piecewise-linear density part is held as its knots: a jump at each end
+and a kink wherever the slope changes, so the density is
+sum_j a_j H(g_j - x) + b_j (g_j - x)_+.  Read from t's side s of the point
+that splits the cells' mass (jumps s*a_j), every term vanishes past the
+support on t's side, and q, the far tail and, as the cells' mass minus it,
+the near tail are sums over the knots of closed forms in one Phi and one phi
+value per (knot, point).  No evaluator integrates numerically: the generic
+quadrature route,
 :func:`logsob.measures.integrate`, is the tests' independent cross-check.
 """
 
@@ -110,26 +115,22 @@ class QuadratureConfig:
             raise DomainError("tail_mult too small for the requested cdf_tol")
 
 
-def _edge_antiderivatives(z, cdf, pdf):
-    """Antiderivatives of Phi and z*Phi at z, given Phi(z) and phi(z).
+def _knots(density):
+    """(g, a, b) columns of the knots of a piecewise-linear density, whose value is
+    sum_j a_j H(g_j - x) + b_j (g_j - x)_+: the jumps a_0 = -v_0 and a_N = v_N at the
+    ends, and the kinks b_j = beta_j - beta_(j-1), the change of slope with
+    beta_(-1) = beta_N = 0.  A knot with neither a jump nor a kink is left out.
 
-    The piecewise-linear convolution takes their differences across each
-    cell; neighbouring cells share an edge, so each edge is evaluated once.
-    """
-    return z * cdf + pdf, 0.5 * ((z * z - 1.0) * cdf + z * pdf)
-
-
-def _cdf_gap(u, w):
-    """(cells, points) Phi(u1) - Phi(u0) from (edges, points) u and the smaller tail
-    w = Phi(-|u|) at each edge, by the straddle rule: a cell on one side of the point
-    takes |w0 - w1|, and the one cell whose edges have u0 <= 0 < u1 takes
-    (1 - max(w0, w1)) - min(w0, w1), so no tail difference cancels."""
-    gap = np.abs(w[:-1] - w[1:])
-    c = np.count_nonzero(u <= 0.0, axis=0) - 1
-    i = np.flatnonzero((c >= 0) & (c < gap.shape[0]))
-    w0, w1 = w[c[i], i], w[c[i] + 1, i]
-    gap[c[i], i] = (1.0 - np.maximum(w0, w1)) - np.minimum(w0, w1)
-    return gap
+    Also returns the split m, where the cumulative mass interpolated linearly
+    between the nodes reaches half the mass M.  A cell of mass c bends its
+    cumulative at most c/4 off that chord, so each side of m holds at least M/4."""
+    grid, vals = density.grid, density.values
+    a = np.zeros(grid.size)
+    a[0], a[-1] = -vals[0], vals[-1]
+    b = np.diff(np.diff(vals) / np.diff(grid), prepend=0.0, append=0.0)
+    keep = (a != 0.0) | (b != 0.0)
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[:-1] + vals[1:]) * np.diff(grid))])
+    return tuple(c[keep, None] for c in (grid, a, b)), float(np.interp(0.5 * cum[-1], cum, grid))
 
 
 def _reject(x, bad, what):
@@ -139,15 +140,10 @@ def _reject(x, bad, what):
         raise DomainError("%s, got %r at index %d" % (what, float(x[i]), i), index=i)
 
 
-def _side(sf):
-    """Row of +1 where ``sf`` (a flag, or one per point), -1 elsewhere: s of the tail Phi(s*u)."""
-    return np.where(sf, 1.0, -1.0)
-
-
-#: Bytes of one ((edges + atoms) x points) temporary in a blocked evaluator,
-#: whose ~40 elementwise passes then stay in cache.  1001 points of 256 cells,
+#: Bytes of one ((knots + atoms) x points) temporary in a blocked evaluator,
+#: whose ~25 elementwise passes then stay in cache.  1001 points of 256 cells,
 #: 2-vCPU Xeon, median of 30 interleaved, at 32/64/128/256 KB: fused tail +
-#: density 17.1/12.9/17.4/19.4 ms, density 11.1/8.9/12.4/12.8 ms.
+#: density 10.2/8.2/7.9/12.1 ms, density 7.2/6.6/6.0/9.2 ms.
 _BLOCK_BYTES = 1 << 16
 
 
@@ -203,85 +199,81 @@ class SmoothedMeasure:
         self.center = base.center
         self.centered_base = mu_c = centered(base)
 
-        self._aloc = np.array([x for x, _ in mu_c.atoms], dtype=float)
-        self._awt = np.array([w for _, w in mu_c.atoms], dtype=float)
+        self._aloc = np.array([x for x, _ in mu_c.atoms], dtype=float)[:, None]
+        self._alogw = np.log(np.array([w for _, w in mu_c.atoms], dtype=float))[:, None]
         if mu_c.density is not None:
-            grid = mu_c.density.grid
-            vals = mu_c.density.values
-            slope = (vals[1:] - vals[:-1]) / (grid[1:] - grid[:-1])
-            self._cells = tuple(c[:, None] for c in (grid, vals[:-1] - slope * grid[:-1], slope))
+            self._knots, self._split = _knots(mu_c.density)
+            self._cell_mass = mu_c.density.mass
         else:
-            self._cells = None
-        self._width = self._aloc.size + (0 if self._cells is None else self._cells[0].size)
+            self._knots = None
+        self._width = self._aloc.size + (0 if self._knots is None else self._knots[0].size)
 
         self.cutoff = self.radius + self.config.tail_mult * self.sigma
 
     # -- centered-frame evaluators -------------------------------------
 
-    def _log_density_atoms(self, t):
-        if not self._aloc.size:
-            return np.full(t.shape, -np.inf)
+    def _atom_u(self, t):
+        with np.errstate(over="ignore"):  # u is +-inf near the largest doubles, its tail 0 or 1
+            return (self._aloc - t) / self.sigma
+
+    def _log_density_atoms(self, u):
         with np.errstate(over="ignore"):  # u*u is inf from |t| of about 1e154, and q there 0
-            u = (self._aloc[:, None] - t) / self.sigma
-            la = np.log(self._awt)[:, None] - 0.5 * u * u - math.log(self.sigma) - _LOG_SQRT_2PI
+            la = self._alogw - 0.5 * u * u - math.log(self.sigma) - _LOG_SQRT_2PI
         return _lse_atoms(la)
 
-    def _log_tail_atoms(self, x, sf):
-        if not self._aloc.size:
-            return np.full(x.shape, -np.inf)
-        with np.errstate(over="ignore"):  # u is +-inf near the largest doubles, its tail 0 or 1
-            u = (self._aloc[:, None] - x) / self.sigma
-        return _lse_atoms(np.log(self._awt)[:, None] + log_ndtr(_side(sf) * u))
-
-    def _edge_table(self, t):
-        """The cells' one Phi pass, at t clamped to R + 40 sigma: (edges, points) u =
-        (edge - t)/sigma, w = Phi(-|u|) and phi(u), (cells, points) _cdf_gap and lin = alpha +
-        beta*t.  Beyond the clamp every cell tail and phi is below the smallest subnormal, while
-        z*z, beta*t and the antiderivatives overflow; q reads u, cdf z = -u and sf z = u."""
-        grid, alpha, beta = self._cells
+    def _knot_sums(self, t, tails=False):
+        """The cells' one pass over (knots, points), at t clamped to R + 40 sigma and
+        read from t's side of the split m, s = sign(t - m), the knots' terms mirrored
+        there (jumps s*a): z = s*(g - t)/sigma, so every term decays past the support
+        on t's side.  Returns q = sum s*a*Phi(z) + sigma*b*A1(z), and with ``tails``
+        also the far tail (sf for t > m, cdf otherwise), at most 7/8 of the cells'
+        mass, sigma * sum s*a*A1(z) + sigma*b*A2(z), with A1 = z*Phi + phi and
+        A2 = ((z^2 + 1)*Phi + z*phi)/2 the antiderivatives of Phi and A1.  Beyond
+        the clamp every far term is below the smallest subnormal, while z*z and A2
+        would overflow."""
+        g, a, b = self._knots
         lim = self.radius + 40.0 * self.sigma
         t = np.clip(t, -lim, lim)
-        u = (grid - t) / self.sigma
-        w = ndtr(-np.abs(u))
-        return u, w, _std_pdf(u), _cdf_gap(u, w), alpha + beta * t
+        s = np.where(t > self._split, 1.0, -1.0)
+        z = s * ((g - t) / self.sigma)
+        cdf, pdf = ndtr(z), _std_pdf(z)
+        sa, sb = s * a, self.sigma * b
+        a1 = z * cdf + pdf
+        q = np.maximum(_sum_terms(sa * cdf + sb * a1), 0.0)
+        if not tails:
+            return q
+        a2 = 0.5 * ((z * z + 1.0) * cdf + z * pdf)
+        return q, self.sigma * _sum_terms(sa * a1 + sb * a2)
 
-    def _density_edges(self, table):
-        _, _, pdf, gap, lin = table
-        terms = lin * gap + self._cells[2] * self.sigma * (pdf[:-1] - pdf[1:])
-        return np.maximum(_sum_terms(terms), 0.0)
-
-    def _density_cells(self, t):
-        return self._density_edges(self._edge_table(t))
-
-    def _tail_density_cells(self, y, s):
-        """Cell mass above y (s = 1) or below it (s = -1), and _density_cells at y
-        bit for bit, from one per-edge table and Phi's antiderivatives.
-
-        The tail reads Phi(z) at z = s*u: the smaller tail w where z <= 0, and
-        its complement 1 - w where z > 0; phi(z) is phi(u) bitwise."""
-        table = self._edge_table(y)
-        u, w, pdf, _, lin = table
-        z = s * u
-        a, b = _edge_antiderivatives(z, np.where(z > 0.0, 1.0 - w, w), pdf)
-        lin = lin * s  # -lin * (a1 - a0) == lin * (a0 - a1) bitwise
-        terms = lin * (a[1:] - a[:-1]) + self._cells[2] * self.sigma * (b[1:] - b[:-1])
-        return self.sigma * _sum_terms(np.maximum(terms, 0.0)), self._density_edges(table)
+    def _tail_density_cells(self, y, sf):
+        """Cell mass above y where ``sf`` (a flag, or one per point), below it
+        elsewhere, and q of the cells: the far tail of _knot_sums, and on the
+        near side the cells' mass minus it, which is at least 1/8 of that mass."""
+        q, far = self._knot_sums(y, tails=True)
+        tail = np.where(np.asarray(sf) == (y > self._split), far, self._cell_mass - far)
+        return np.maximum(tail, 0.0), q
 
     @_blocked
     def _log_density_c(self, t):
-        out = self._log_density_atoms(t)
-        if self._cells is not None:
-            out = np.logaddexp(out, _log_density(self._density_cells(t)))
+        out = np.full(t.shape, -np.inf)
+        if self._aloc.size:
+            out = self._log_density_atoms(self._atom_u(t))
+        if self._knots is not None:
+            out = np.logaddexp(out, _log_density(self._knot_sums(t)))
         return out
 
     @_blocked
     def _log_tail_density_c(self, y, sf):
-        """(log tail, log q) at y from one pass over the cell edges: the mass above y
-        where ``sf`` (a flag, or one per point), below it elsewhere, and _log_density_c
-        bit for bit.  Every tail of this module is read here."""
-        tail, dens = self._log_tail_atoms(y, sf), self._log_density_atoms(y)
-        if self._cells is not None:
-            cell_tail, cell_dens = self._tail_density_cells(y, _side(sf))
+        """(log tail, log q) at y from one pass over the atoms and the knots: the mass
+        above y where ``sf`` (a flag, or one per point), below it elsewhere, and
+        _log_density_c bit for bit.  Every tail of this module is read here."""
+        tail = dens = np.full(y.shape, -np.inf)
+        if self._aloc.size:
+            u = self._atom_u(y)
+            tail = _lse_atoms(self._alogw + log_ndtr(np.where(sf, u, -u)))
+            dens = self._log_density_atoms(u)
+        if self._knots is not None:
+            cell_tail, cell_dens = self._tail_density_cells(y, sf)
             tail = np.logaddexp(tail, _log_tail(cell_tail))
             dens = np.logaddexp(dens, _log_density(cell_dens))
         return np.minimum(tail, 0.0), dens

@@ -14,6 +14,17 @@ settings.register_profile(
 settings.load_profile("fast")
 
 
+def sloped_density(rng, a, b, cells, mass):
+    """A piecewise-linear density on [a, b] with random knots and values, one of
+    them 0, scaled to ``mass``."""
+    inner = np.sort(rng.uniform(a, b, cells - 1))
+    grid = np.concatenate([[a], inner, [b]])
+    values = rng.uniform(0.0, 2.0, cells + 1)
+    values[rng.integers(0, cells + 1)] = 0.0
+    values *= mass / L.TabulatedDensity(grid, values).mass
+    return L.TabulatedDensity(grid, values)
+
+
 @pytest.fixture(scope="session")
 def point_mass():
     return L.make_discrete([(0.0, 1.0)])

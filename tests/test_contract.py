@@ -2,9 +2,10 @@
 the stated tolerance of the truth, or a typed LogsobError.
 
 log_density, log_cdf and log_sf of point mass, Bernoulli, the 1/4-3/4
-two-atom measure, uniform and an atoms-plus-cells measure are checked at
-delta/R^2 from 1 down to 5e-4, at abscissae from the center through the
-support edge and the window edge (R + 12 sigma) into both tails.  The truth
+two-atom measure, uniform, an atoms-plus-cells measure and a seeded 16-cell
+sloped density with a zero value are checked at delta/R^2 from 1 down to
+5e-4, at abscissae from the center through the support edge and the window
+edge (R + 12 sigma) into both tails.  The truth
 is a closed form at 60 digits, not a quadrature: for atoms a sum of
 mpmath's normal pdf and cdf, for cells the antiderivatives
 A(z) = z Phi(z) + phi(z) and B(z) = ((z^2 - 1) Phi(z) + z phi(z))/2 of Phi
@@ -21,12 +22,23 @@ import pytest
 
 import logsob as L
 
-#: |value - truth| <= TOL * max(1, |truth|); the worst case passing today is 2.3e-13
+from conftest import sloped_density
+
+#: |value - truth| <= TOL * max(1, |truth|); the worst case passing today is 9.5e-12
 TOL = 1e-11
 DELTAS = (1.0, 0.25, 0.05, 0.01, 0.002, 5e-4)  # delta/R^2, as R = 1 (the point mass has R = 0)
 EVALUATORS = ("log_density", "log_cdf", "log_sf")
 #: beyond this many sigma past the cells' outer edge the cells' part is below the normal doubles
 UNDERFLOW_SIGMAS = 37.0
+#: far tails of the sloped cells inside UNDERFLOW_SIGMAS that are finite but off by more
+#: than TOL (4.9e-11 to 7.7e-10): sums of signed knot terms that cancel (ROADMAP item 1)
+CANCELLING = {
+    "sloped16-d1-log_cdf-x-13",
+    "sloped16-d1-log_cdf-x-33",
+    "sloped16-d1-log_sf-x33",
+    "sloped16-d0.25-log_cdf-x-17",
+    "sloped16-d0.01-log_cdf-x-4.2",
+}
 
 
 def _mixed():
@@ -41,6 +53,9 @@ MEASURES = {
     "asymmetric": lambda: L.make_discrete([(-1.0, 0.25), (1.0, 0.75)]),
     "uniform": lambda: L.make_uniform(-1.0, 1.0),
     "mixed": _mixed,
+    "sloped16": lambda: L.make_measure(
+        density=sloped_density(np.random.default_rng(0), -1.0, 1.0, 16, 1.0)
+    ),
 }
 
 
@@ -84,14 +99,19 @@ def _cases():
         raises=AssertionError,
         reason="ROADMAP item 1: a cell part below the normal doubles is logged from a linear sum",
     )
+    cancel = pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1: a far cell tail is a linear sum of cancelling knot terms",
+    )
     for name in MEASURES:
         for delta in DELTAS:
             sm = _smoothed(name, delta)
             for evaluator in EVALUATORS:
                 for x in _abscissae(sm):
                     known = _cells_underflow(_measure(name), sm.sigma, evaluator, x)
-                    marks = [item1] if known else []
                     ident = "%s-d%g-%s-x%.6g" % (name, delta, evaluator, x)
+                    marks = [item1] if known else [cancel] if ident in CANCELLING else []
                     yield pytest.param(name, delta, evaluator, x, marks=marks, id=ident)
 
 
