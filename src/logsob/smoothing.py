@@ -21,12 +21,14 @@ All evaluation happens in coordinates centered on the support midpoint and
 is translated back at the interface; translations do not move LSI constants.
 A piecewise-linear density part is held as its knots: a jump at each end
 and a kink wherever the slope changes, so the density is
-sum_j a_j H(g_j - x) + b_j (g_j - x)_+.  Read from t's side s of the point
-that splits the cells' mass (jumps s*a_j), every term vanishes past the
-support on t's side, and q, the far tail and, as the cells' mass minus it,
-the near tail are sums over the knots of closed forms in one Phi and one phi
-value per (knot, point).  No evaluator integrates numerically: the generic
-quadrature route,
+sum_j a_j H(g_j - x) + b_j (g_j - x)_+.  Each knot is read from its own side
+of the point t, a knot above t in the mirrored form -a_j H(x - g_j) +
+b_j (x - g_j)_+, so its term decays away from the knot; q and the tails are
+the base density and its masses below and above t plus sums over the knots
+of closed forms in one Phi and one phi value per (knot, point).  Past the
+support, and in a gap between groups of cells, the base density is 0 and
+every knot term decays, so none cancels another.  No evaluator integrates
+numerically: the generic quadrature route,
 :func:`logsob.measures.integrate`, is the tests' independent cross-check.
 """
 
@@ -116,21 +118,28 @@ class QuadratureConfig:
 
 
 def _knots(density):
-    """(g, a, b) columns of the knots of a piecewise-linear density, whose value is
-    sum_j a_j H(g_j - x) + b_j (g_j - x)_+: the jumps a_0 = -v_0 and a_N = v_N at the
-    ends, and the kinks b_j = beta_j - beta_(j-1), the change of slope with
-    beta_(-1) = beta_N = 0.  A knot with neither a jump nor a kink is left out.
+    """The knots (g, a, b) of a piecewise-linear density as columns, None if there are
+    none, and its table, one row per cell and one for each side of the grid.
 
-    Also returns the split m, where the cumulative mass interpolated linearly
-    between the nodes reaches half the mass M.  A cell of mass c bends its
-    cumulative at most c/4 off that chord, so each side of m holds at least M/4."""
+    The density is sum_j a_j H(g_j - x) + b_j (g_j - x)_+: jumps a_0 = -v_0 and a_N = v_N,
+    kinks b_j = beta_j - beta_(j-1) with beta_(-1) = beta_N = 0; a knot with neither is
+    left out.  A row holds the cell's left end, value there and slope, the mass below it
+    (cells added in from the left), and its right end, value there and the mass above it
+    (added in from the right); the outer rows have no density and all or none of it."""
     grid, vals = density.grid, density.values
+    slope = np.diff(vals) / np.diff(grid)
     a = np.zeros(grid.size)
     a[0], a[-1] = -vals[0], vals[-1]
-    b = np.diff(np.diff(vals) / np.diff(grid), prepend=0.0, append=0.0)
+    b = np.diff(slope, prepend=0.0, append=0.0)
     keep = (a != 0.0) | (b != 0.0)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[:-1] + vals[1:]) * np.diff(grid))])
-    return tuple(c[keep, None] for c in (grid, a, b)), float(np.interp(0.5 * cum[-1], cum, grid))
+    cell = 0.5 * (vals[:-1] + vals[1:]) * np.diff(grid)
+    below, above = (np.concatenate([[0.0], np.cumsum(c)]) for c in (cell, cell[::-1]))
+    cols = (grid[:-1], vals[:-1], slope, below[:-1], grid[1:], vals[1:], above[-2::-1])
+    ends = ((grid[0], grid[-1]), (0.0, 0.0), (0.0, 0.0), (0.0, below[-1]))
+    ends += ((grid[0], grid[-1]), (0.0, 0.0), (above[-1], 0.0))
+    table = np.stack([np.concatenate([[lo], c, [hi]]) for c, (lo, hi) in zip(cols, ends)], 1)
+    knots = tuple(c[keep, None] for c in (grid, a, b)) if keep.any() else None
+    return knots, (grid, table)
 
 
 def _reject(x, bad, what):
@@ -201,11 +210,7 @@ class SmoothedMeasure:
 
         self._aloc = np.array([x for x, _ in mu_c.atoms], dtype=float)[:, None]
         self._alogw = np.log(np.array([w for _, w in mu_c.atoms], dtype=float))[:, None]
-        if mu_c.density is not None:
-            self._knots, self._split = _knots(mu_c.density)
-            self._cell_mass = mu_c.density.mass
-        else:
-            self._knots = None
+        self._knots, self._table = (None, None) if mu_c.density is None else _knots(mu_c.density)
         self._width = self._aloc.size + (0 if self._knots is None else self._knots[0].size)
 
         self.cutoff = self.radius + self.config.tail_mult * self.sigma
@@ -221,37 +226,36 @@ class SmoothedMeasure:
             la = self._alogw - 0.5 * u * u - math.log(self.sigma) - _LOG_SQRT_2PI
         return _lse_atoms(la)
 
-    def _knot_sums(self, t, tails=False):
-        """The cells' one pass over (knots, points), at t clamped to R + 40 sigma and
-        read from t's side of the split m, s = sign(t - m), the knots' terms mirrored
-        there (jumps s*a): z = s*(g - t)/sigma, so every term decays past the support
-        on t's side.  Returns q = sum s*a*Phi(z) + sigma*b*A1(z), and with ``tails``
-        also the far tail (sf for t > m, cdf otherwise), at most 7/8 of the cells'
-        mass, sigma * sum s*a*A1(z) + sigma*b*A2(z), with A1 = z*Phi + phi and
-        A2 = ((z^2 + 1)*Phi + z*phi)/2 the antiderivatives of Phi and A1.  Beyond
-        the clamp every far term is below the smallest subnormal, while z*z and A2
-        would overflow."""
+    def _knot_sums(self, t, sf=None):
+        """The cells' one pass over (knots, points), at t clamped to R + 40 sigma.  A knot
+        at or below t is read as written (s = 1), one above it mirrored to
+        -a H(x - g) + b (x - g)_+ (s = -1), both at z = -|g - t|/sigma, so each term
+        decays away from its knot.  Returns q = f(t) + sum s*a*Phi(z) + sigma*b*A1(z), or
+        given ``sf`` (a flag, or one per point) (tail, q): the cells' mass above t where sf,
+        (M - F(t)) + C, and below it elsewhere, F(t) - C, with
+        C = sigma * sum a*A1(z) + s*sigma*b*A2(z) - delta f'(t)/2; A1 = z*Phi + phi
+        and A2 = ((z^2 + 1)*Phi + z*phi)/2.  f, f', F and the mass M - F above t are
+        the base's own, from the table row of t's cell.  Beyond the clamp every term
+        is below the smallest subnormal, while z*z and A2 would overflow."""
         g, a, b = self._knots
         lim = self.radius + 40.0 * self.sigma
         t = np.clip(t, -lim, lim)
-        s = np.where(t > self._split, 1.0, -1.0)
-        z = s * ((g - t) / self.sigma)
+        u = (g - t) / self.sigma
+        up, z = u > 0.0, -np.abs(u)
         cdf, pdf = ndtr(z), _std_pdf(z)
-        sa, sb = s * a, self.sigma * b
+        sb = self.sigma * b
         a1 = z * cdf + pdf
-        q = np.maximum(_sum_terms(sa * cdf + sb * a1), 0.0)
-        if not tails:
+        grid, table = self._table
+        g0, v0, slope, below, g1, v1, above = table[np.searchsorted(grid, t, side="right")].T
+        f = v0 + slope * (t - g0)
+        q = np.maximum(f + _sum_terms(np.where(up, -a, a) * cdf + sb * a1), 0.0)
+        if sf is None:
             return q
         a2 = 0.5 * ((z * z + 1.0) * cdf + z * pdf)
-        return q, self.sigma * _sum_terms(sa * a1 + sb * a2)
-
-    def _tail_density_cells(self, y, sf):
-        """Cell mass above y where ``sf`` (a flag, or one per point), below it
-        elsewhere, and q of the cells: the far tail of _knot_sums, and on the
-        near side the cells' mass minus it, which is at least 1/8 of that mass."""
-        q, far = self._knot_sums(y, tails=True)
-        tail = np.where(np.asarray(sf) == (y > self._split), far, self._cell_mass - far)
-        return np.maximum(tail, 0.0), q
+        c = self.sigma * _sum_terms(a * a1 + np.where(up, -sb, sb) * a2) - 0.5 * self.delta * slope
+        below = below + 0.5 * (t - g0) * (v0 + f)
+        above = above + 0.5 * (g1 - t) * (f + v1)
+        return np.maximum(np.where(sf, above + c, below - c), 0.0), q
 
     @_blocked
     def _log_density_c(self, t):
@@ -273,7 +277,7 @@ class SmoothedMeasure:
             tail = _lse_atoms(self._alogw + log_ndtr(np.where(sf, u, -u)))
             dens = self._log_density_atoms(u)
         if self._knots is not None:
-            cell_tail, cell_dens = self._tail_density_cells(y, sf)
+            cell_tail, cell_dens = self._knot_sums(y, sf)
             tail = np.logaddexp(tail, _log_tail(cell_tail))
             dens = np.logaddexp(dens, _log_density(cell_dens))
         return np.minimum(tail, 0.0), dens

@@ -25,6 +25,12 @@ def sloped_density(rng, a, b, cells, mass):
     return L.TabulatedDensity(grid, values)
 
 
+def bimodal_density():
+    """Two triangles of mass 1/2 on [-1, -0.4] and [0.4, 1], with a gap of zeros between."""
+    grid = np.array([-1.0, -0.7, -0.4, 0.4, 0.7, 1.0])
+    return L.TabulatedDensity(grid, np.array([0.0, 5.0, 0.0, 0.0, 5.0, 0.0]) / 3.0)
+
+
 @pytest.fixture(scope="session")
 def point_mass():
     return L.make_discrete([(0.0, 1.0)])

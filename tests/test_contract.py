@@ -2,8 +2,9 @@
 the stated tolerance of the truth, or a typed LogsobError.
 
 log_density, log_cdf and log_sf of point mass, Bernoulli, the 1/4-3/4
-two-atom measure, uniform, an atoms-plus-cells measure and a seeded 16-cell
-sloped density with a zero value are checked at delta/R^2 from 1 down to
+two-atom measure, uniform, an atoms-plus-cells measure, a seeded 16-cell
+sloped density with a zero value and two triangles with a gap of zeros
+between them are checked at delta/R^2 from 1 down to
 5e-4, at abscissae from the center through the support edge and the window
 edge (R + 12 sigma) into both tails.  The truth
 is a closed form at 60 digits, not a quadrature: for atoms a sum of
@@ -22,22 +23,41 @@ import pytest
 
 import logsob as L
 
-from conftest import sloped_density
+from conftest import bimodal_density, sloped_density
 
-#: |value - truth| <= TOL * max(1, |truth|); the worst case passing today is 9.5e-12
+#: |value - truth| <= TOL * max(1, |truth|); the worst case passing today is 9.5e-12, sloped16
+#: at delta 0.25, log_sf at R + 32 sigma: a far tail of cancelling terms, as large at the
+#: per-cell kernels
 TOL = 1e-11
 DELTAS = (1.0, 0.25, 0.05, 0.01, 0.002, 5e-4)  # delta/R^2, as R = 1 (the point mass has R = 0)
 EVALUATORS = ("log_density", "log_cdf", "log_sf")
 #: beyond this many sigma past the cells' outer edge the cells' part is below the normal doubles
 UNDERFLOW_SIGMAS = 37.0
-#: far tails of the sloped cells inside UNDERFLOW_SIGMAS that are finite but off by more
-#: than TOL (4.9e-11 to 7.7e-10): sums of signed knot terms that cancel (ROADMAP item 1)
+#: far tails of the sloped and bimodal cells inside UNDERFLOW_SIGMAS that are finite but
+#: off by more than TOL (1.1e-11 to 7.7e-10), as at the per-cell kernels: sums of signed
+#: knot terms that cancel (ROADMAP item 1)
 CANCELLING = {
     "sloped16-d1-log_cdf-x-13",
     "sloped16-d1-log_cdf-x-33",
     "sloped16-d1-log_sf-x33",
     "sloped16-d0.25-log_cdf-x-17",
     "sloped16-d0.01-log_cdf-x-4.2",
+}
+#: |x| of the bimodal's cancelling far tails, log_cdf at -x and log_sf at x, from R + 20 sigma
+#: out
+_BIMODAL_CANCELLING = {
+    1.0: (21, 33),
+    0.25: (11, 17),
+    0.05: (5.47214,),
+    0.01: (3, 4.2),
+    0.002: (1.89443, 2),
+    5e-4: (1.44721, 1.5),
+}
+CANCELLING |= {
+    "bimodal-d%g-%s-x%.6g" % (delta, evaluator, side * x)
+    for delta, xs in _BIMODAL_CANCELLING.items()
+    for x in xs
+    for evaluator, side in (("log_cdf", -1), ("log_sf", 1))
 }
 
 
@@ -56,6 +76,7 @@ MEASURES = {
     "sloped16": lambda: L.make_measure(
         density=sloped_density(np.random.default_rng(0), -1.0, 1.0, 16, 1.0)
     ),
+    "bimodal": lambda: L.make_measure(density=bimodal_density()),
 }
 
 
@@ -115,18 +136,28 @@ def _cases():
                     yield pytest.param(name, delta, evaluator, x, marks=marks, id=ident)
 
 
-def _antiderivatives(z):
-    cdf, pdf = mpmath.ncdf(z), mpmath.npdf(z)
+def _antiderivatives(z, cdf, pdf):
     return z * cdf + pdf, ((z * z - 1) * cdf + z * pdf) / 2
+
+
+@functools.lru_cache(maxsize=None)
+def _node_values(mu, delta, x):
+    """(z, Phi(-|z|), phi(z)) at each grid node of mu's density, z = (x - node)/sqrt(delta),
+    at 60 digits: the smaller tail, as the larger one is 1 minus it.  Cached, as the three
+    evaluators at one x read the same values."""
+    with mpmath.workdps(60):
+        s, x = mpmath.sqrt(mpmath.mpf(delta)), mpmath.mpf(x)
+        zs = [(x - mpmath.mpf(g)) / s for g in mu.density.grid]
+        return [(z, mpmath.ncdf(-abs(z)), mpmath.npdf(z)) for z in zs]
 
 
 def closed_form(mu, delta, x, evaluator):
     """log q, log cdf or log sf of mu * gamma_delta at x, at 60 digits."""
     with mpmath.workdps(60):
-        s, x = mpmath.sqrt(mpmath.mpf(delta)), mpmath.mpf(x)
+        s, xm = mpmath.sqrt(mpmath.mpf(delta)), mpmath.mpf(x)
         terms = []
         for a, w in mu.atoms:
-            z = (x - mpmath.mpf(a)) / s
+            z = (xm - mpmath.mpf(a)) / s
             value = {
                 "log_density": mpmath.npdf(z) / s,
                 "log_cdf": mpmath.ncdf(z),
@@ -136,21 +167,23 @@ def closed_form(mu, delta, x, evaluator):
         if mu.density is not None:
             grid = [mpmath.mpf(g) for g in mu.density.grid]
             vals = [mpmath.mpf(v) for v in mu.density.values]
-            for s0, s1, v0, v1 in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+            nodes = _node_values(mu, delta, x)
+            cells = zip(grid[:-1], grid[1:], vals[:-1], vals[1:], nodes[:-1], nodes[1:])
+            for s0, s1, v0, v1, (z0, t0, p0), (z1, t1, p1) in cells:
                 beta = (v1 - v0) / (s1 - s0)
-                lin = v0 + beta * (x - s0)  # the cell's linear density continued to x
-                z0, z1 = (x - s0) / s, (x - s1) / s
+                lin = v0 + beta * (xm - s0)  # the cell's linear density continued to x
+                # Phi and its complement at each edge, the smaller one the node's tail
+                c0, c1 = (t if z <= 0 else 1 - t for z, t in ((z0, t0), (z1, t1)))
                 if evaluator == "log_density":
-                    if z1 > 0:  # Phi(z0) - Phi(z1) from the upper tails, as both are near 1
-                        gap = mpmath.ncdf(-z1) - mpmath.ncdf(-z0)
-                    else:
-                        gap = mpmath.ncdf(z0) - mpmath.ncdf(z1)
-                    terms.append(lin * gap + beta * s * (mpmath.npdf(z0) - mpmath.npdf(z1)))
+                    # Phi(z0) - Phi(z1) from the upper tails when both are near 1
+                    gap = t1 - t0 if z1 > 0 else c0 - c1
+                    terms.append(lin * gap + beta * s * (p0 - p1))
                 elif evaluator == "log_cdf":
-                    (a0, b0), (a1, b1) = _antiderivatives(z0), _antiderivatives(z1)
+                    (a0, b0), (a1, b1) = _antiderivatives(z0, c0, p0), _antiderivatives(z1, c1, p1)
                     terms.append(s * (lin * (a0 - a1) - beta * s * (b0 - b1)))
                 else:
-                    (a0, b0), (a1, b1) = _antiderivatives(-z0), _antiderivatives(-z1)
+                    (a0, b0) = _antiderivatives(-z0, t0 if z0 > 0 else 1 - t0, p0)
+                    (a1, b1) = _antiderivatives(-z1, t1 if z1 > 0 else 1 - t1, p1)
                     terms.append(s * (lin * (a1 - a0) + beta * s * (b1 - b0)))
         return float(mpmath.log(mpmath.fsum(terms)))
 

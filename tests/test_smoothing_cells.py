@@ -21,7 +21,7 @@ import logsob as L
 import logsob.smoothing as smoothing
 from logsob.cli import bundled_data_path
 
-from conftest import sloped_density
+from conftest import bimodal_density, sloped_density
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 DELTAS = (0.05, 1.0)
@@ -147,27 +147,59 @@ def _oracle_knots(sm):
     return knots
 
 
+def _oracle_base(sm, t):
+    """The base density f and its slope at each point t, both from the right, and its
+    mass below and above t: the whole cells on each side, added in from that end, plus
+    the trapezoid of t's cell on that side.  Off the grid, f and the slope are 0 and
+    the masses 0 and all the cells' mass."""
+    dens = sm.centered_base.density
+    grid, vals = dens.grid, dens.values
+    n = grid.size - 1
+    cell = [0.5 * (vals[k] + vals[k + 1]) * (grid[k + 1] - grid[k]) for k in range(n)]
+    from_left = from_right = 0.0
+    for k in range(n):
+        from_left, from_right = from_left + cell[k], from_right + cell[n - 1 - k]
+    out = np.zeros((4, t.size))
+    for i, ti in enumerate(t):
+        if not grid[0] <= ti < grid[-1]:
+            out[:, i] = (0.0, 0.0, 0.0, from_right) if ti < grid[0] else (0.0, 0.0, from_left, 0.0)
+            continue
+        k = max(j for j in range(n) if grid[j] <= ti)
+        slope = (vals[k + 1] - vals[k]) / (grid[k + 1] - grid[k])
+        f = vals[k] + slope * (ti - grid[k])
+        below = above = 0.0
+        for j in range(k):
+            below = below + cell[j]
+        for j in range(n - 1, k, -1):
+            above = above + cell[j]
+        below = below + 0.5 * (ti - grid[k]) * (vals[k] + f)
+        above = above + 0.5 * (grid[k + 1] - ti) * (f + vals[k + 1])
+        out[:, i] = (f, slope, below, above)
+    return out
+
+
 def oracle_knot_cells(sm, t, sf=None):
-    """q of the cells at t, read from each point's side s of the kernels' mass split:
-    each knot's term s*a*Phi(z) + sigma*b*A1(z) at z = s*(g - t)/sigma, added in
-    index order.  With per-point ``sf`` flags, also the mass above t where sf,
-    below it elsewhere: the far tail sigma * sum of s*a*A1(z) + sigma*b*A2(z), and
-    the cells' mass minus it on the near side."""
-    s = np.where(t > sm._split, 1.0, -1.0)
-    q = far = np.zeros(t.shape)
+    """q of the cells at t: the base density at t plus each knot's term
+    s*a*Phi(z) + sigma*b*A1(z), at z = -|g - t|/sigma with s = -1 for a knot
+    above t and 1 otherwise, added in index order.  With per-point ``sf`` flags,
+    also the mass above t where sf, below it elsewhere: the base's mass above t
+    plus C, or below t minus C, with C = sigma * sum of a*A1(z) + s*sigma*b*A2(z)
+    less delta/2 times the base's slope at t."""
+    q = c = np.zeros(t.shape)
     for g, a, b in _oracle_knots(sm):
-        z = s * ((g - t) / sm.sigma)
+        u = (g - t) / sm.sigma
+        z, s = -np.abs(u), np.where(u > 0.0, -1.0, 1.0)
         cdf, pdf = ndtr(z), _oracle_pdf(z)
         a1 = z * cdf + pdf
         a2 = 0.5 * ((z * z + 1.0) * cdf + z * pdf)
         q = q + ((s * a) * cdf + (sm.sigma * b) * a1)
-        far = far + ((s * a) * a1 + (sm.sigma * b) * a2)
-    q = np.maximum(q, 0.0)
+        c = c + (a * a1 + (s * (sm.sigma * b)) * a2)
+    f, slope, below, above = _oracle_base(sm, t)
+    q = np.maximum(f + q, 0.0)
     if sf is None:
         return q
-    far = sm.sigma * far
-    tail = np.where(sf == (t > sm._split), far, sm.centered_base.density.mass - far)
-    return np.maximum(tail, 0.0), q
+    c = sm.sigma * c - 0.5 * sm.delta * slope
+    return np.maximum(np.where(sf, above + c, below - c), 0.0), q
 
 
 def _centered_points(sm, n=241):
@@ -213,8 +245,9 @@ def test_cdf_plus_sf_is_one(case):
 # -- bitwise identity with the per-knot oracle, closeness to the per-cell one --
 
 #: the per-cell closed forms agree with the knots' sums to this relative
-#: tolerance: q differs by up to 3.7e-12 (the knots' A1 terms grow across the
-#: support and cancel to q), the tails by up to 1.3e-9 some 12 sigma out,
+#: tolerance: q differs by up to 2.1e-12 (at delta 1 over 256 narrow cells, where
+#: the terms of both are far larger than q and each is about 2e-12 from the
+#: closed form at 60 digits), the tails by up to 1.3e-9 some 12 sigma out,
 #: where each is about 1e-8 from the closed form at 60 digits
 CELL_RTOL = {"q": 1e-11, "tail": 1e-8}
 
@@ -225,7 +258,7 @@ def _assert_near_per_cell(sm, xs):
     clamped = np.clip(xs, -lim, lim)
     pairs = [("q", sm._knot_sums(xs), oracle_density_cells(sm, clamped))]
     for sf, oracle in ((False, oracle_cdf_cells), (True, oracle_sf_cells)):
-        pairs.append(("tail", sm._tail_density_cells(xs, sf)[0], oracle(sm, clamped)))
+        pairs.append(("tail", sm._knot_sums(xs, sf)[0], oracle(sm, clamped)))
     for kind, got, want in pairs:
         assert np.allclose(got, want, rtol=CELL_RTOL[kind], atol=0.0), kind
 
@@ -235,7 +268,7 @@ def test_kernels_equal_per_knot_oracle_bitwise(case):
     xs = _centered_points(sm)
     assert np.array_equal(sm._knot_sums(xs), oracle_knot_cells(sm, xs))
     for sf in (False, True):
-        got, want = sm._tail_density_cells(xs, sf), oracle_knot_cells(sm, xs, np.full(xs.size, sf))
+        got, want = sm._knot_sums(xs, sf), oracle_knot_cells(sm, xs, np.full(xs.size, sf))
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert np.array_equal(sm._log_density_c(xs), oracle_log_density_c(sm, xs))
     for sf in (False, True):
@@ -275,7 +308,7 @@ def test_fused_tail_and_density_equal_per_knot_oracle_bitwise(case):
         tail, dens = sm._log_tail_density_c(xs, sf)
         assert np.array_equal(tail[inside], oracle_log_tail_c(sm, xs[inside], flags[inside]))
         assert np.array_equal(dens, sm._log_density_c(xs))
-        cell_tail, cell_dens = sm._tail_density_cells(xs, sf)
+        cell_tail, cell_dens = sm._knot_sums(xs, sf)
         assert np.array_equal(cell_tail, oracle_knot_cells(sm, clamped, flags)[0])
         assert np.array_equal(cell_dens, sm._knot_sums(xs))
 
@@ -434,16 +467,18 @@ def test_blocked_fused_kernel_peak_memory():
 
 # -- one Phi value per knot --------------------------------------------------
 #
-# Each point reads every knot from its own side s of the cells' mass split m,
-# one Phi and one phi value per (knot, point), and takes the tail on the
-# other side as the cells' mass minus the far one.  The per-knot oracle is
-# pinned bit for bit at the delicate points: at knots (z = 0), at cell
-# midpoints, at m where the side flips, one ulp either side of each, and
-# beyond both ends out to 40 sigma; the per-cell closed forms are matched
-# there to CELL_RTOL.
+# Each point reads every knot from the knot's own side of the point, one Phi
+# and one phi value per (knot, point), and adds the terms to the base density
+# and its masses at the point.  The per-knot oracle is pinned bit for bit at
+# the delicate points: at knots (z = 0, where the side flips), at cell
+# midpoints, one ulp either side of each, and beyond both ends out to 40
+# sigma; the per-cell closed forms are matched there to CELL_RTOL.
 
 KNOT_CASES = [(cells, d) for cells in (1, 2, 3, 8, 64, 256) for d in (5e-4, 0.05, 1.0)]
 KNOT_IDS = ["%d-d%g" % c for c in KNOT_CASES]
+#: the variances at which two groups of cells 0.8 apart have q of about 9e-6 and
+#: 1e-20 between them, far below the terms of either group read from the gap's side
+GAP_DELTAS = (0.01, 0.002)
 
 
 def _knot_case(cells, delta):
@@ -455,21 +490,17 @@ def _knot_case(cells, delta):
 def _delicate_points(sm):
     grid = sm.centered_base.density.grid
     mids = 0.5 * (grid[:-1] + grid[1:])
-    spots = np.concatenate([grid, mids, [sm._split]])
+    spots = np.concatenate([grid, mids])
     beyond = np.array([0.5, 3.0, 40.0]) * sm.sigma
     ends = np.concatenate([grid[0] - beyond, grid[-1] + beyond, [-sm.cutoff, sm.cutoff]])
     near = [np.nextafter(spots, -np.inf), np.nextafter(spots, np.inf)]
     return np.concatenate([spots, *near, ends])
 
 
-@pytest.mark.parametrize("cells, delta", KNOT_CASES, ids=KNOT_IDS)
-def test_knot_kernels_equal_per_knot_oracle_bitwise(cells, delta):
-    sm, rng = _knot_case(cells, delta)
-    xs = _delicate_points(sm)
-    sides = rng.random(xs.size) < 0.5
+def _assert_equal_per_knot_oracle(sm, xs, sides):
     tail, dens = oracle_knot_cells(sm, xs, sides)
     assert np.array_equal(sm._knot_sums(xs), dens)
-    got_tail, got_dens = sm._tail_density_cells(xs, sides)
+    got_tail, got_dens = sm._knot_sums(xs, sides)
     assert np.array_equal(got_tail, tail)
     assert np.array_equal(got_dens, dens)
     log_dens = oracle_log_density_c(sm, xs)
@@ -477,6 +508,13 @@ def test_knot_kernels_equal_per_knot_oracle_bitwise(cells, delta):
     got_tail, got_dens = sm._log_tail_density_c(xs, sides)
     assert np.array_equal(got_tail, oracle_log_tail_c(sm, xs, sides))
     assert np.array_equal(got_dens, log_dens)
+
+
+@pytest.mark.parametrize("cells, delta", KNOT_CASES, ids=KNOT_IDS)
+def test_knot_kernels_equal_per_knot_oracle_bitwise(cells, delta):
+    sm, rng = _knot_case(cells, delta)
+    xs = _delicate_points(sm)
+    _assert_equal_per_knot_oracle(sm, xs, rng.random(xs.size) < 0.5)
 
 
 @pytest.mark.parametrize("cells, delta", KNOT_CASES, ids=KNOT_IDS)
@@ -492,28 +530,44 @@ def _lopsided():
     return L.make_measure(density=L.TabulatedDensity(grid, values))
 
 
-def _base_mass_below(density, m):
-    grid, vals = density.grid, density.values
-    inside = grid < m
-    nodes = np.append(grid[inside], m)
-    heights = np.append(vals[inside], density(m))
-    return float(np.sum(0.5 * (heights[:-1] + heights[1:]) * np.diff(nodes)))
-
-
-def test_mass_split_leaves_a_quarter_of_the_mass_on_each_side():
-    sloped = [_knot_case(cells, 1.0)[0] for cells in (1, 2, 3, 8, 64, 256)]
-    for sm in [L.SmoothedMeasure(_lopsided(), 1.0), *sloped]:
-        density = sm.centered_base.density
-        assert 0.25 <= _base_mass_below(density, sm._split) / density.mass <= 0.75
-
-
 @pytest.mark.parametrize("delta", [1e-4, 0.01, 1.0])
 def test_near_tails_of_a_lopsided_density_match_per_cell_oracle(delta):
     # read from the center's side, the cdf at 0.1 (about 2e-11) came out as the
-    # mass minus a far tail near it, 4e-4 off; from the split each near tail is at
-    # least 1/8 of the mass
+    # mass minus a far tail near it, 4e-4 off; the base's mass below t is the
+    # cells' trapezoids, with nothing subtracted
     sm = L.SmoothedMeasure(_lopsided(), delta)
     _assert_near_per_cell(sm, np.concatenate([_delicate_points(sm), _centered_points(sm)]))
+
+
+def _gap_points(sm):
+    # the gap (-0.4, 0.4) between the two groups of cells, and the points above
+    return np.concatenate([np.linspace(-0.4, 0.4, 17), _delicate_points(sm)])
+
+
+@pytest.mark.parametrize("delta", GAP_DELTAS)
+def test_gap_between_groups_of_cells(delta):
+    # read from one side of a single mass split, the far group's terms are O(1)
+    # and cancel down to q(0): 1e-10 off at delta 0.01, 1.5e-2 off in log q at 0.002
+    sm = L.SmoothedMeasure(L.make_measure(density=bimodal_density()), delta)
+    xs = _gap_points(sm)
+    _assert_near_per_cell(sm, xs)
+    _assert_equal_per_knot_oracle(sm, xs, np.random.default_rng(7).random(xs.size) < 0.5)
+
+
+@pytest.mark.parametrize("evaluator", ["density", "log_density", "cdf", "sf", "log_cdf", "log_sf"])
+def test_an_all_zero_density_adds_nothing_to_the_atoms(evaluator):
+    # a density with no knot leaves the atoms alone, at one point and at several
+    atoms = [(-1.0, 0.4), (0.5, 0.6)]
+    zero = L.TabulatedDensity(np.array([-1.0, 0.0, 1.0]), np.zeros(3))
+    sm = L.SmoothedMeasure(L.make_measure(atoms=atoms, density=zero), 0.25)
+    ref = L.SmoothedMeasure(L.make_discrete(atoms + [(1.0, 1e-300)]), 0.25)
+    xs = np.array([-2.0, -0.3, 0.2, 0.9, 3.0])
+    got, want = getattr(sm, evaluator), getattr(ref, evaluator)
+    assert got(0.2) == pytest.approx(want(0.2), rel=1e-14)
+    assert np.allclose(got(xs), want(xs), rtol=1e-14, atol=0.0)
+    us = np.array([0.3, 0.7])
+    assert sm.inv_cdf(0.3) == pytest.approx(ref.inv_cdf(0.3), rel=1e-9)
+    assert np.allclose(sm.inv_cdf(us), ref.inv_cdf(us), rtol=1e-9)
 
 
 def _ndtr_values(monkeypatch, run):
