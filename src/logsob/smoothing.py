@@ -9,26 +9,17 @@ which is smooth and strictly positive, so its CDF has a well-defined smooth
 inverse.  This module evaluates q, the CDF and survival function, their
 logs, and the inverse CDF.
 
-The evaluators are log-domain only: the atoms' log density and log tails
-are log-sum-exps of the Gaussian log density and ``log_ndtr``, finite far
-below the smallest double, and the cells' closed-form sums are logged and
-added in.  ``density``, ``cdf`` and ``sf`` are their exponentials.  One
-kernel reads every tail, with log q from the same pass over the atoms and
-the knots, and one Newton solve on it, ``SmoothedMeasure._solve_c``, gives
-both the quantiles and the transport map of :mod:`logsob.transport`.
-
 All evaluation happens in coordinates centered on the support midpoint and
 is translated back at the interface; translations do not move LSI constants.
-A piecewise-linear density part is held as its knots: a jump at each end
-and a kink wherever the slope changes, so the density is
-sum_j a_j H(g_j - x) + b_j (g_j - x)_+.  Each knot is read from its own side
-of the point t, a knot above t in the mirrored form -a_j H(x - g_j) +
-b_j (x - g_j)_+, so its term decays away from the knot; q and the tails are
-the base density and its masses below and above t plus sums over the knots
-of closed forms in one Phi and one phi value per (knot, point).  Past the
-support, and in a gap between groups of cells, the base density is 0 and
-every knot term decays, so none cancels another.  No evaluator integrates
-numerically: the generic quadrature route,
+A piecewise-linear density part is held as its knots, a jump at each end and
+a kink wherever the slope changes: sum_j a_j H(g_j - x) + b_j (g_j - x)_+.
+One log-domain kernel gives log q and every log tail from one pass over the
+atoms and the knots, each read from its own side of the point, so that its
+term decays away from it, in units of phi at the nearest of them: no part
+underflows while z*z is finite.  ``density``, ``cdf`` and ``sf`` are its
+exponentials, and one Newton solve on it, ``SmoothedMeasure._solve_c``, gives
+both the quantiles and the transport map of :mod:`logsob.transport`.  No
+evaluator integrates numerically: the generic quadrature route,
 :func:`logsob.measures.integrate`, is the tests' independent cross-check.
 """
 
@@ -39,34 +30,19 @@ from dataclasses import dataclass
 from functools import wraps
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import erfcx, log_ndtr, ndtr, ndtri
 
 from .errors import BracketFailure, DomainError, QuadratureFailure
 from .measures import Measure1D, centered
 from .quadrature import bracketed_newton
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _std_pdf(z):
-    with np.errstate(over="ignore"):  # z*z is inf from |z| of about 1e154, and phi there 0
-        return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
 def _sum_terms(a):
     """Sum of (terms, points) over its terms in index order, the same bits for any number of
     points: numpy adds the rows of 2+ columns in turn, but sums one column pairwise."""
     return a.sum(axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
-
-
-def _lse_atoms(a):
-    """logsumexp over the leading (atom) axis, shift-stabilized (-inf columns give -inf)."""
-    m = np.max(a, axis=0)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = safe + np.log(_sum_terms(np.exp(a - safe)))
-    return np.where(np.isfinite(m), out, m)
 
 
 def _check_delta(delta) -> float:
@@ -118,28 +94,38 @@ class QuadratureConfig:
 
 
 def _knots(density):
-    """The knots (g, a, b) of a piecewise-linear density as columns, None if there are
-    none, and its table, one row per cell and one for each side of the grid.
-
-    The density is sum_j a_j H(g_j - x) + b_j (g_j - x)_+: jumps a_0 = -v_0 and a_N = v_N,
-    kinks b_j = beta_j - beta_(j-1) with beta_(-1) = beta_N = 0; a knot with neither is
-    left out.  A row holds the cell's left end, value there and slope, the mass below it
-    (cells added in from the left), and its right end, value there and the mass above it
-    (added in from the right); the outer rows have no density and all or none of it."""
+    """The knots (g, a, b) of a piecewise-linear density: the density is
+    sum_j a_j H(g_j - x) + b_j (g_j - x)_+, with jumps a_0 = -v_0 and a_N = v_N and kinks
+    b_j = beta_j - beta_(j-1), beta_(-1) = beta_N = 0; a knot with neither is left out."""
     grid, vals = density.grid, density.values
-    slope = np.diff(vals) / np.diff(grid)
     a = np.zeros(grid.size)
     a[0], a[-1] = -vals[0], vals[-1]
-    b = np.diff(slope, prepend=0.0, append=0.0)
+    b = np.diff(np.diff(vals) / np.diff(grid), prepend=0.0, append=0.0)
     keep = (a != 0.0) | (b != 0.0)
-    cell = 0.5 * (vals[:-1] + vals[1:]) * np.diff(grid)
-    below, above = (np.concatenate([[0.0], np.cumsum(c)]) for c in (cell, cell[::-1]))
-    cols = (grid[:-1], vals[:-1], slope, below[:-1], grid[1:], vals[1:], above[-2::-1])
-    ends = ((grid[0], grid[-1]), (0.0, 0.0), (0.0, 0.0), (0.0, below[-1]))
-    ends += ((grid[0], grid[-1]), (0.0, 0.0), (above[-1], 0.0))
-    table = np.stack([np.concatenate([[lo], c, [hi]]) for c, (lo, hi) in zip(cols, ends)], 1)
-    knots = tuple(c[keep, None] for c in (grid, a, b)) if keep.any() else None
-    return knots, (grid, table)
+    return grid[keep], a[keep], b[keep]
+
+
+def _base_table(atoms, density):
+    """The breakpoints (atoms and grid nodes) and the table of the base measure, one row per
+    interval between them and one for each side: the interval's left end, the density there,
+    its slope and the mass at or below the left end (added in from the left), then its right
+    end, the density there and the mass at or above it (added in from the right)."""
+    loc, w = atoms.T
+    pts = np.unique(np.concatenate([loc, [] if density is None else density.grid]))
+    at = np.zeros(pts.size)
+    np.add.at(at, np.searchsorted(pts, loc), w)
+    f0 = f1 = np.zeros(pts.size - 1)
+    if density is not None:
+        grid, vals = density.grid, density.values
+        inside = (pts[:-1] >= grid[0]) & (pts[1:] <= grid[-1])
+        f0, f1 = (np.where(inside, np.interp(p, grid, vals), 0.0) for p in (pts[:-1], pts[1:]))
+    seq = np.zeros(2 * pts.size - 1)  # each breakpoint's atoms, then the next interval's mass
+    seq[0::2], seq[1::2] = at, 0.5 * (f0 + f1) * np.diff(pts)
+    below, above = np.cumsum(seq)[0::2], np.cumsum(seq[::-1])[::-1][0::2]
+    cols = (pts[:-1], f0, (f1 - f0) / np.diff(pts), below[:-1], pts[1:], f1, above[1:])
+    ends = ((pts[0], pts[-1]), (0.0, 0.0), (0.0, 0.0), (0.0, below[-1]))
+    ends += ((pts[0], pts[-1]), (0.0, 0.0), (above[0], 0.0))
+    return pts, np.stack([np.concatenate([[lo], c, [hi]]) for c, (lo, hi) in zip(cols, ends)], 1)
 
 
 def _reject(x, bad, what):
@@ -163,16 +149,14 @@ def _blocked(kernel):
     per point, so the results are bit for bit those of one call."""
 
     @wraps(kernel)
-    def run(self, x, *args, **kwargs):
+    def run(self, x, *args):
         n = x.size
-        parts = -(-n // max(1, _BLOCK_BYTES // (8 * self._width)))
+        parts = -(-n // max(1, _BLOCK_BYTES // (8 * self._gs.size)))
         if parts <= 1:
-            return kernel(self, x, *args, **kwargs)
+            return kernel(self, x, *args)
         cuts = np.arange(parts + 1) * n // parts
-        outs = [
-            kernel(self, x[i:j], *[v[i:j] if np.ndim(v) else v for v in args], **kwargs)
-            for i, j in zip(cuts[:-1], cuts[1:])
-        ]
+        cut = lambda v, i, j: v[i:j] if np.ndim(v) else v
+        outs = [kernel(self, x[i:j], *[cut(v, i, j) for v in args]) for i, j in zip(cuts, cuts[1:])]
         if isinstance(outs[0], tuple):
             return tuple(np.concatenate(col) for col in zip(*outs))
         return np.concatenate(outs)
@@ -180,15 +164,31 @@ def _blocked(kernel):
     return run
 
 
-def _log_density(v):
-    """log of a density value; -inf at 0."""
-    with np.errstate(divide="ignore"):
-        return np.log(v)
+def _mills(z):
+    """The Mills ratio M = Phi(z)/phi(z) at z <= 0, finite and positive for every finite z."""
+    return math.sqrt(0.5 * math.pi) * erfcx(z * -math.sqrt(0.5))
 
 
-def _log_tail(v):
-    """log of a tail mass; -inf below the normal doubles, where its precision is gone."""
-    return _log_density(np.where(v < np.finfo(float).tiny, 0.0, v))
+#: Past |z| = _FAR, z M + 1 and z J1 + M have cancelled to relative errors of eps z^2 and
+#: eps z^4 (6e-11 at 30, 1.75 at 1e4), and J1/y and J2 |z|/(2y), y = 1/z^2, are the sums of
+#: (-1)^k (2k+1)!! y^k and (-1)^k (k+1) (2k+1)!! y^k, their series, below 5e-15 off there.
+_FAR = 30.0
+_J1_SERIES = (135135.0, -10395.0, 945.0, -105.0, 15.0, -3.0, 1.0)
+_J2_SERIES = (-16216200.0, 945945.0, -62370.0, 4725.0, -420.0, 45.0, -6.0, 1.0)
+
+
+def _antiderivatives(z, m, second):
+    """J1 = A1/phi = z M + 1 and, if ``second``, J2 = 2 A2/phi = z J1 + M at z <= 0, the
+    antiderivatives A1 = z Phi + phi of Phi and A2 = ((z^2 + 1) Phi + z phi)/2 of A1."""
+    j1 = z * m + 1.0
+    j2 = z * j1 + m if second else None
+    far = z < -_FAR
+    if far.any():
+        y = z[far] ** -2.0
+        j1[far] = y * np.polyval(_J1_SERIES, y)
+        if second:
+            j2[far] = -2.0 * y / z[far] * np.polyval(_J2_SERIES, y)
+    return j1, j2
 
 
 class SmoothedMeasure:
@@ -202,85 +202,87 @@ class SmoothedMeasure:
 
     def __init__(self, base: Measure1D, delta=1.0, config: QuadratureConfig | None = None):
         self.delta = _check_delta(delta)
-        self.sigma = math.sqrt(self.delta)
+        self.sigma = sigma = math.sqrt(self.delta)
         self.config = config or QuadratureConfig()
         self.radius = base.radius
         self.center = base.center
         self.centered_base = mu_c = centered(base)
 
-        self._aloc = np.array([x for x, _ in mu_c.atoms], dtype=float)[:, None]
-        self._alogw = np.log(np.array([w for _, w in mu_c.atoms], dtype=float))[:, None]
-        self._knots, self._table = (None, None) if mu_c.density is None else _knots(mu_c.density)
-        self._width = self._aloc.size + (0 if self._knots is None else self._knots[0].size)
+        # rows, atoms then knots: g and g/sigma, then w/sigma and w of an atom and a, sigma b,
+        # sigma^2 b/2 and sigma a of a knot, each 0 on the other kind's rows
+        atoms = np.array(mu_c.atoms, dtype=float).reshape(-1, 2)
+        g, a, b = np.empty((3, 0)) if mu_c.density is None else _knots(mu_c.density)
+        pad = np.zeros(g.size), np.zeros(len(atoms))
+        rows = lambda at, kn: np.concatenate([at, kn])[:, None]
+        self._g = rows(atoms[:, 0], g)
+        self._gs = self._g / sigma
+        self._wq, self._w = rows(atoms[:, 1] / sigma, pad[0]), rows(atoms[:, 1], pad[0])
+        knots = (a, sigma * b, 0.5 * self.delta * b, sigma * a)
+        self._knots = tuple(rows(pad[1], v) for v in knots) if g.size else None
+        self._breaks, self._table = _base_table(atoms, mu_c.density)
+        # past it z*z overflows, so every scale below is 0, and t/sigma stays finite
+        self._reach = self.radius + 1e155 * sigma
 
-        self.cutoff = self.radius + self.config.tail_mult * self.sigma
+        self.cutoff = self.radius + self.config.tail_mult * sigma
 
     # -- centered-frame evaluators -------------------------------------
 
-    def _atom_u(self, t):
-        with np.errstate(over="ignore"):  # u is +-inf near the largest doubles, its tail 0 or 1
-            return (self._aloc - t) / self.sigma
+    @np.errstate(over="ignore", divide="ignore")  # z*z is inf past 1e154, and log 0 is -inf
+    def _kernel(self, t, sf=None):
+        """log q at t from one pass over (rows, points) and, given ``sf`` (a flag, or one per
+        point), (log tail, log q): the tail the mass above t where sf, below it elsewhere.
 
-    def _log_density_atoms(self, u):
-        with np.errstate(over="ignore"):  # u*u is inf from |t| of about 1e154, and q there 0
-            la = self._alogw - 0.5 * u * u - math.log(self.sigma) - _LOG_SQRT_2PI
-        return _lse_atoms(la)
-
-    def _knot_sums(self, t, sf=None):
-        """The cells' one pass over (knots, points), at t clamped to R + 40 sigma.  A knot
-        at or below t is read as written (s = 1), one above it mirrored to
-        -a H(x - g) + b (x - g)_+ (s = -1), both at z = -|g - t|/sigma, so each term
-        decays away from its knot.  Returns q = f(t) + sum s*a*Phi(z) + sigma*b*A1(z), or
-        given ``sf`` (a flag, or one per point) (tail, q): the cells' mass above t where sf,
-        (M - F(t)) + C, and below it elsewhere, F(t) - C, with
-        C = sigma * sum a*A1(z) + s*sigma*b*A2(z) - delta f'(t)/2; A1 = z*Phi + phi
-        and A2 = ((z^2 + 1)*Phi + z*phi)/2.  f, f', F and the mass M - F above t are
-        the base's own, from the table row of t's cell.  Beyond the clamp every term
-        is below the smallest subnormal, while z*z and A2 would overflow."""
-        g, a, b = self._knots
-        lim = self.radius + 40.0 * self.sigma
-        t = np.clip(t, -lim, lim)
-        u = (g - t) / self.sigma
-        up, z = u > 0.0, -np.abs(u)
-        cdf, pdf = ndtr(z), _std_pdf(z)
-        sb = self.sigma * b
-        a1 = z * cdf + pdf
-        grid, table = self._table
-        g0, v0, slope, below, g1, v1, above = table[np.searchsorted(grid, t, side="right")].T
-        f = v0 + slope * (t - g0)
-        q = np.maximum(f + _sum_terms(np.where(up, -a, a) * cdf + sb * a1), 0.0)
+        A row at g is read from t's side at z = -|g - t|/sigma, s = -1 if g > t (a knot there
+        as -a H(x - g) + b (x - g)_+), else 1.  An atom adds w phi/sigma to q and s w Phi to
+        C, a knot s a Phi + sigma b A1 to q and sigma a A1 + s sigma^2 b A2 to C; q is f(t)
+        plus these, a tail the base mass on its side (the table row's, atoms included)
+        -+ delta f'(t)/2 +- C.  Terms are in units of phi(z*) at the nearest row,
+        e = phi(z)/phi(z*) <= 1; where f, or a tail's base part, is 0, the log of their sum
+        is added to log phi(z*), or over M(z*) to log_ndtr(z*): one atom's log tail is
+        log_ndtr(z) bit for bit."""
+        t = np.minimum(np.maximum(t, -self._reach), self._reach)
+        z = -np.abs(self._gs - t / self.sigma)
         if sf is None:
-            return q
-        a2 = 0.5 * ((z * z + 1.0) * cdf + z * pdf)
-        c = self.sigma * _sum_terms(a * a1 + np.where(up, -sb, sb) * a2) - 0.5 * self.delta * slope
-        below = below + 0.5 * (t - g0) * (v0 + f)
-        above = above + 0.5 * (g1 - t) * (f + v1)
-        return np.maximum(np.where(sf, above + c, below - c), 0.0), q
+            zn = z.max(axis=0)
+        else:
+            near, cols = z.argmax(axis=0), np.arange(t.size)
+            zn = z[near, cols]
+        e = np.exp(0.5 * (zn - z) * (zn + z))
+        if self._knots is None:
+            q = self._wq
+            m = None if sf is None else _mills(z)
+            c = None if sf is None else np.where(self._g > t, -self._w, self._w) * m
+        else:
+            (a, sb, sb2, sa), up = self._knots, self._g > t
+            m = _mills(z)
+            j1, j2 = _antiderivatives(z, m, sf is not None)
+            q = np.where(up, -a, a) * m + sb * j1 + self._wq
+            if sf is not None:
+                c = self._w * m + sb2 * j2
+                c = np.where(up, -c, c) + sa * j1
+        q = _sum_terms(q * e)
+        log_phi = -0.5 * zn * zn - _LOG_SQRT_2PI
+        if self._knots is None and sf is None:
+            return np.log(q) + log_phi
+        row = np.searchsorted(self._breaks, t, side="right")
+        p0, f0, slope, below, p1, f1, above = self._table[row].T
+        f = f0 + slope * (t - p0)
+        inner = f != 0.0
+        q = np.where(inner, f + np.exp(log_phi) * q, q)
+        log_q = np.log(np.maximum(q, 0.0)) + np.where(inner, 0.0, log_phi)
+        if sf is None:
+            return log_q
+        c = _sum_terms(c * e) / m[near, cols]
+        half, c = 0.5 * self.delta * slope, np.where(sf, c, -c)
+        above, below = above + 0.5 * (p1 - t) * (f + f1), below + 0.5 * (t - p0) * (f0 + f)
+        base = np.where(sf, above - half, below + half)
+        log_cdf, outer = log_ndtr(zn), base == 0.0
+        tail = np.where(outer, c, base + np.exp(log_cdf) * c)
+        log_tail = np.log(np.maximum(tail, 0.0)) + np.where(outer, log_cdf, 0.0)
+        return np.minimum(log_tail, 0.0), log_q
 
-    @_blocked
-    def _log_density_c(self, t):
-        out = np.full(t.shape, -np.inf)
-        if self._aloc.size:
-            out = self._log_density_atoms(self._atom_u(t))
-        if self._knots is not None:
-            out = np.logaddexp(out, _log_density(self._knot_sums(t)))
-        return out
-
-    @_blocked
-    def _log_tail_density_c(self, y, sf):
-        """(log tail, log q) at y from one pass over the atoms and the knots: the mass
-        above y where ``sf`` (a flag, or one per point), below it elsewhere, and
-        _log_density_c bit for bit.  Every tail of this module is read here."""
-        tail = dens = np.full(y.shape, -np.inf)
-        if self._aloc.size:
-            u = self._atom_u(y)
-            tail = _lse_atoms(self._alogw + log_ndtr(np.where(sf, u, -u)))
-            dens = self._log_density_atoms(u)
-        if self._knots is not None:
-            cell_tail, cell_dens = self._knot_sums(y, sf)
-            tail = np.logaddexp(tail, _log_tail(cell_tail))
-            dens = np.logaddexp(dens, _log_density(cell_dens))
-        return np.minimum(tail, 0.0), dens
+    _log_density_c = _blocked(_kernel)
+    _log_tail_density_c = _blocked(_kernel)
 
     def _solve_c(self, x, log_target, upper, start=None):
         """Centered-frame y with log sf(y) = ``log_target`` where ``upper``, else
@@ -289,9 +291,9 @@ class SmoothedMeasure:
         x is sigma * Phi^-1 of the target mass, within R of the root by the
         transport envelope, which brackets each point as x -+ (R + pad).  The
         residual log tail(y) - log_target, negated on the sf side to increase
-        in y, has slope q / tail and converges in a few steps far in the tails.
-        A cell tail below the normal doubles makes it -inf, and the solve a
-        BracketFailure; errors carry the ``index`` of the first failed point.
+        in y, has slope q / tail and converges in a few steps far in the tails,
+        where every log tail is finite.  Errors carry the ``index`` of the
+        first failed point.
         """
         reach = self.radius + 1e-9 * self.sigma + 1e-12 * np.abs(x)
 
@@ -350,10 +352,8 @@ class SmoothedMeasure:
 
         The quantile is the transport image T(sigma * Phi^-1(u)), and
         :meth:`_solve_c`, which also gives T, finds it from there on the log
-        of the nearer tail, log(1 - u) or log u.  Atoms
-        alone reach every u down to the smallest subnormal; raises
-        BracketFailure, naming the first such u, when the quantile needs a
-        cell tail below the normal doubles.
+        of the nearer tail, log(1 - u) or log u, for every u down to the
+        smallest subnormal; a failed solve names its first u.
         """
         arr = np.asarray(u, dtype=float)
         flat = np.atleast_1d(arr).ravel()

@@ -51,6 +51,20 @@ def uniform():
     return L.make_uniform(-1.0, 1.0)
 
 
+@pytest.fixture
+def underflowing_tails(monkeypatch):
+    """The fused kernel with every log tail below the normal doubles planted as -inf, as
+    a kernel that logged linear tails would give: a solve that reads one fails, which
+    exercises the error paths that no finite tail reaches."""
+    kernel = L.SmoothedMeasure._log_tail_density_c
+
+    def underflowing(self, y, sf):
+        log_tail, log_q = kernel(self, y, sf)
+        return np.where(log_tail < np.log(np.finfo(float).tiny), -np.inf, log_tail), log_q
+
+    monkeypatch.setattr(L.SmoothedMeasure, "_log_tail_density_c", underflowing)
+
+
 def dense_quantile_oracle(sm, u, lo, hi, tol=1e-9):
     """Plain bisection on the CDF; independent of the Newton quantile path."""
     for _ in range(200):

@@ -442,7 +442,7 @@ def test_record_writes_a_result_from_its_own_fields():
 
 def _underflowing_config(tmp_path):
     """Uniform at delta = 0.002: the sweep and table windows reach normalized |x|
-    of about 52, where the smoothed uniform's cell tail is below the normal doubles."""
+    of about 52, where the smoothed uniform's tail is below the normal doubles."""
     (tmp_path / "unif.json").write_text(
         json.dumps({"density": {"grid": [-1.0, 1.0], "values": [0.5, 0.5]}})
     )
@@ -456,7 +456,9 @@ def _underflowing_config(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["bounds", "transport", "verify"])
-def test_solver_failure_names_the_pair_and_the_abscissa(tmp_path, capsys, command):
+def test_solver_failure_names_the_pair_and_the_abscissa(
+    tmp_path, capsys, underflowing_tails, command
+):
     cfg = _underflowing_config(tmp_path)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
@@ -468,7 +470,7 @@ def test_solver_failure_names_the_pair_and_the_abscissa(tmp_path, capsys, comman
 
 
 @pytest.mark.parametrize("command", ["bounds", "transport", "verify", "sweep"])
-def test_failed_pair_leaves_no_output_directory(tmp_path, command):
+def test_failed_pair_leaves_no_output_directory(tmp_path, underflowing_tails, command):
     # transport and verify used to create --out before any pair ran
     out = tmp_path / "out"
     assert main([command, "--config", str(_underflowing_config(tmp_path)), "--out", str(out)]) == 1
@@ -492,6 +494,23 @@ def test_atoms_at_small_delta_pass_bounds_and_transport(tmp_path):
     x, t, lo, hi = data[:, 0], data[:, 1], data[:, 3], data[:, 4]
     assert np.all((lo <= t) & (t <= hi))
     assert np.array_equal(lo, x - 1.0) and np.array_equal(hi, x + 1.0)
+
+
+def test_cells_at_small_delta_pass_bounds_transport_and_verify(tmp_path):
+    # the same uniform at delta = 0.002, whose tails out there are finite logs
+    cfg = _underflowing_config(tmp_path)
+    out = tmp_path / "out"
+    for command in ("bounds", "transport", "verify"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    (rec,) = read_jsonl(out / "bounds.jsonl")
+    assert all(rec["checks"].values())
+    rows = (out / "transport_unif_d0.002.csv").read_text().splitlines()[1:]
+    data = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert len(data) == 1001
+    x, t, lo, hi = data[:, 0], data[:, 1], data[:, 3], data[:, 4]
+    assert np.all((lo <= t) & (t <= hi)) and np.all(np.diff(t) > 0.0)
+    (rec,) = read_jsonl(out / "verify.jsonl")
+    assert rec["all_passed"]
 
 
 def _perfbench_module(name):

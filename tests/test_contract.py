@@ -25,40 +25,12 @@ import logsob as L
 
 from conftest import bimodal_density, sloped_density
 
-#: |value - truth| <= TOL * max(1, |truth|); the worst case passing today is 9.5e-12, sloped16
-#: at delta 0.25, log_sf at R + 32 sigma: a far tail of cancelling terms, as large at the
-#: per-cell kernels
+#: |value - truth| <= TOL * max(1, |truth|); the worst case passing today is 6.0e-13, sloped16
+#: at delta 1, log_cdf at -13 (R + 12 sigma): a far tail of signed knot terms, summed in
+#: units of phi at the nearest knot
 TOL = 1e-11
 DELTAS = (1.0, 0.25, 0.05, 0.01, 0.002, 5e-4)  # delta/R^2, as R = 1 (the point mass has R = 0)
 EVALUATORS = ("log_density", "log_cdf", "log_sf")
-#: beyond this many sigma past the cells' outer edge the cells' part is below the normal doubles
-UNDERFLOW_SIGMAS = 37.0
-#: far tails of the sloped and bimodal cells inside UNDERFLOW_SIGMAS that are finite but
-#: off by more than TOL (1.1e-11 to 7.7e-10), as at the per-cell kernels: sums of signed
-#: knot terms that cancel (ROADMAP item 1)
-CANCELLING = {
-    "sloped16-d1-log_cdf-x-13",
-    "sloped16-d1-log_cdf-x-33",
-    "sloped16-d1-log_sf-x33",
-    "sloped16-d0.25-log_cdf-x-17",
-    "sloped16-d0.01-log_cdf-x-4.2",
-}
-#: |x| of the bimodal's cancelling far tails, log_cdf at -x and log_sf at x, from R + 20 sigma
-#: out
-_BIMODAL_CANCELLING = {
-    1.0: (21, 33),
-    0.25: (11, 17),
-    0.05: (5.47214,),
-    0.01: (3, 4.2),
-    0.002: (1.89443, 2),
-    5e-4: (1.44721, 1.5),
-}
-CANCELLING |= {
-    "bimodal-d%g-%s-x%.6g" % (delta, evaluator, side * x)
-    for delta, xs in _BIMODAL_CANCELLING.items()
-    for x in xs
-    for evaluator, side in (("log_cdf", -1), ("log_sf", 1))
-}
 
 
 def _mixed():
@@ -99,41 +71,14 @@ def _abscissae(sm):
     return sorted({sm.center + side * o for o in offsets for side in (-1.0, 1.0)})
 
 
-def _cells_underflow(mu, sigma, evaluator, x):
-    """Whether the value at x needs a cell part below the normal doubles that
-    outweighs the atoms: x lies more than UNDERFLOW_SIGMAS past the cells'
-    outer edge on the side the evaluator reads, and no atom lies beyond that
-    edge.  The cells' log density and tails are logs of linear sums, so there
-    they are -inf or come from a subnormal (ROADMAP item 1)."""
-    if mu.density is None:
-        return False
-    atoms = [a for a, _ in mu.atoms]
-    lo, hi = mu.density.grid[0], mu.density.grid[-1]
-    left = (lo - x) / sigma > UNDERFLOW_SIGMAS and all(a >= lo for a in atoms)
-    right = (x - hi) / sigma > UNDERFLOW_SIGMAS and all(a <= hi for a in atoms)
-    return {"log_density": left or right, "log_cdf": left, "log_sf": right}[evaluator]
-
-
 def _cases():
-    item1 = pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 1: a cell part below the normal doubles is logged from a linear sum",
-    )
-    cancel = pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 1: a far cell tail is a linear sum of cancelling knot terms",
-    )
     for name in MEASURES:
         for delta in DELTAS:
             sm = _smoothed(name, delta)
             for evaluator in EVALUATORS:
                 for x in _abscissae(sm):
-                    known = _cells_underflow(_measure(name), sm.sigma, evaluator, x)
                     ident = "%s-d%g-%s-x%.6g" % (name, delta, evaluator, x)
-                    marks = [item1] if known else [cancel] if ident in CANCELLING else []
-                    yield pytest.param(name, delta, evaluator, x, marks=marks, id=ident)
+                    yield pytest.param(name, delta, evaluator, x, id=ident)
 
 
 def _antiderivatives(z, cdf, pdf):

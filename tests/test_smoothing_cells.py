@@ -5,7 +5,8 @@ uniform density (4 cells, slope 0), where a knot off-by-one cannot show.
 These tests use a seeded 64-cell density with nonzero slopes and a mixed
 atoms+cells measure, check them against direct quadrature over the base
 measure and against per-cell closed forms, pin the kernels bit for bit to a
-per-knot oracle, and check that quantiles round-trip through the CDF.
+per-row oracle, each atom and knot on its own, and check that quantiles
+round-trip through the CDF.
 """
 
 import re
@@ -15,7 +16,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from scipy.special import log_ndtr, logsumexp, ndtr
+from scipy.special import erfcx, log_ndtr, logsumexp, ndtr
 
 import logsob as L
 import logsob.smoothing as smoothing
@@ -129,13 +130,14 @@ def oracle_sf_cells(sm, x):
     return sm.sigma * _add_in_turn(np.maximum(terms, 0.0))
 
 
-# -- per-knot oracle: every grid node a knot, each evaluated on its own --------
+# -- per-row oracle: every atom and knot evaluated on its own ----------------
 
 
 def _oracle_knots(sm):
-    """(g, a, b) of every grid node: the jump a (-v_0 at the first node, v_N at the
-    last, 0 between) and the kink b, the slope to the right minus the slope to the
-    left, with slope 0 outside the grid.  Nodes with neither are kept."""
+    """(g, a, b) of every grid node with a jump a (-v_0 at the first node, v_N at the
+    last, 0 between) or a kink b, the slope to the right minus the slope to the left,
+    with slope 0 outside the grid.  A node with neither adds no term, but would move
+    the nearest row, so it is left out."""
     dens = sm.centered_base.density
     grid, vals = dens.grid, dens.values
     cells = zip(grid[:-1], grid[1:], vals[:-1], vals[1:])
@@ -143,63 +145,131 @@ def _oracle_knots(sm):
     knots = []
     for j, g in enumerate(grid):
         a = -vals[0] if j == 0 else vals[-1] if j == grid.size - 1 else 0.0
-        knots.append((g, a, slopes[j + 1] - slopes[j]))
+        b = slopes[j + 1] - slopes[j]
+        if a != 0.0 or b != 0.0:
+            knots.append((g, a, b))
     return knots
 
 
+def _oracle_rows(sm):
+    """(g, w, a, b) of every atom, then of every knot, each 0 in the other kind's fields."""
+    rows = [(x, w, 0.0, 0.0) for x, w in sm.centered_base.atoms]
+    if sm.centered_base.density is not None:
+        rows += [(g, 0.0, a, b) for g, a, b in _oracle_knots(sm)]
+    return rows
+
+
+def _oracle_interp(grid, vals, x):
+    """The tabulated density at x in the grid hull, as np.interp reads it: the node's value
+    at a node, else the slope of x's cell times the distance to its left node, plus that
+    node's value."""
+    j = max(i for i in range(grid.size) if grid[i] <= x)
+    if grid[j] == x:
+        return vals[j]
+    return (vals[j + 1] - vals[j]) / (grid[j + 1] - grid[j]) * (x - grid[j]) + vals[j]
+
+
 def _oracle_base(sm, t):
-    """The base density f and its slope at each point t, both from the right, and its
-    mass below and above t: the whole cells on each side, added in from that end, plus
-    the trapezoid of t's cell on that side.  Off the grid, f and the slope are 0 and
-    the masses 0 and all the cells' mass."""
-    dens = sm.centered_base.density
-    grid, vals = dens.grid, dens.values
-    n = grid.size - 1
-    cell = [0.5 * (vals[k] + vals[k + 1]) * (grid[k + 1] - grid[k]) for k in range(n)]
-    from_left = from_right = 0.0
+    """The base density f and its slope at each point t, both from the right, and the
+    base mass below t (atoms at t included) and above it.  The breakpoints are the atoms
+    and the grid nodes; each side's mass is its atoms and whole intervals, added in from
+    that end, plus the trapezoid of t's interval on that side.  Off the breakpoints, f
+    and the slope are 0 and the masses 0 and all of it."""
+    mu = sm.centered_base
+    grid, vals = (np.empty(0),) * 2 if mu.density is None else (mu.density.grid, mu.density.values)
+    pts = sorted({x for x, _ in mu.atoms} | set(grid))
+    n = len(pts) - 1
+    at = [0.0] * (n + 1)
+    for x, w in mu.atoms:
+        at[pts.index(x)] += w
+    rows = [(pts[0], 0.0, 0.0, pts[0], 0.0)]  # left end, f there, slope, right end, f there
     for k in range(n):
-        from_left, from_right = from_left + cell[k], from_right + cell[n - 1 - k]
+        p0, p1 = pts[k], pts[k + 1]
+        inside = grid.size and grid[0] <= p0 and p1 <= grid[-1]
+        f0, f1 = (_oracle_interp(grid, vals, p) if inside else 0.0 for p in (p0, p1))
+        rows.append((p0, f0, (f1 - f0) / (p1 - p0), p1, f1))
+    rows.append((pts[-1], 0.0, 0.0, pts[-1], 0.0))
+    # the mass at or below each breakpoint, and at or above it
+    seq = [at[0]]
+    for k in range(n):
+        seq += [0.5 * (rows[k + 1][1] + rows[k + 1][4]) * (pts[k + 1] - pts[k]), at[k + 1]]
+    below, above = [seq[0]], [seq[-1]]
+    for v in seq[1:]:
+        below.append(below[-1] + v)
+    for v in seq[-2::-1]:
+        above.append(above[-1] + v)
+    below, above = below[0::2], above[0::2][::-1]
     out = np.zeros((4, t.size))
     for i, ti in enumerate(t):
-        if not grid[0] <= ti < grid[-1]:
-            out[:, i] = (0.0, 0.0, 0.0, from_right) if ti < grid[0] else (0.0, 0.0, from_left, 0.0)
-            continue
-        k = max(j for j in range(n) if grid[j] <= ti)
-        slope = (vals[k + 1] - vals[k]) / (grid[k + 1] - grid[k])
-        f = vals[k] + slope * (ti - grid[k])
-        below = above = 0.0
-        for j in range(k):
-            below = below + cell[j]
-        for j in range(n - 1, k, -1):
-            above = above + cell[j]
-        below = below + 0.5 * (ti - grid[k]) * (vals[k] + f)
-        above = above + 0.5 * (grid[k + 1] - ti) * (f + vals[k + 1])
-        out[:, i] = (f, slope, below, above)
+        k = sum(p <= ti for p in pts)  # the row: 0 left of every breakpoint
+        p0, f0, slope, p1, f1 = rows[k]
+        lo, hi = (0.0, above[0]) if k == 0 else (below[k - 1], above[k] if k <= n else 0.0)
+        f = f0 + slope * (ti - p0)
+        out[:, i] = (f, slope, lo + 0.5 * (ti - p0) * (f0 + f), hi + 0.5 * (p1 - ti) * (f + f1))
     return out
 
 
-def oracle_knot_cells(sm, t, sf=None):
-    """q of the cells at t: the base density at t plus each knot's term
-    s*a*Phi(z) + sigma*b*A1(z), at z = -|g - t|/sigma with s = -1 for a knot
-    above t and 1 otherwise, added in index order.  With per-point ``sf`` flags,
-    also the mass above t where sf, below it elsewhere: the base's mass above t
-    plus C, or below t minus C, with C = sigma * sum of a*A1(z) + s*sigma*b*A2(z)
-    less delta/2 times the base's slope at t."""
-    q = c = np.zeros(t.shape)
-    for g, a, b in _oracle_knots(sm):
-        u = (g - t) / sm.sigma
-        z, s = -np.abs(u), np.where(u > 0.0, -1.0, 1.0)
-        cdf, pdf = ndtr(z), _oracle_pdf(z)
-        a1 = z * cdf + pdf
-        a2 = 0.5 * ((z * z + 1.0) * cdf + z * pdf)
-        q = q + ((s * a) * cdf + (sm.sigma * b) * a1)
-        c = c + (a * a1 + (s * (sm.sigma * b)) * a2)
+def _odd_factorial(k):
+    """(2k + 1)!! = 1 * 3 * ... * (2k + 1)."""
+    return float(np.prod(np.arange(1, 2 * k + 2, 2)))
+
+
+#: the asymptotic series of J1/y and J2 |z|/(2y), y = 1/z^2, highest power first
+_J1_TERMS = [(-1) ** k * _odd_factorial(k) for k in range(6, -1, -1)]
+_J2_TERMS = [(-1) ** k * (k + 1) * _odd_factorial(k) for k in range(7, -1, -1)]
+
+
+def _oracle_row_parts(z):
+    """M = Phi/phi, J1 = z M + 1 and J2 = z J1 + M at z <= 0, the last two from their
+    asymptotic series past smoothing._FAR."""
+    m = np.sqrt(0.5 * np.pi) * erfcx(z * -np.sqrt(0.5))
+    j1 = z * m + 1.0
+    j2 = z * j1 + m
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        y = z**-2.0
+        far = z < -smoothing._FAR
+        j1 = np.where(far, y * np.polyval(_J1_TERMS, y), j1)
+        j2 = np.where(far, -2.0 * y / z * np.polyval(_J2_TERMS, y), j2)
+    return m, j1, j2
+
+
+def oracle_log_c(sm, t, sf=None):
+    """log q at each t, or with per-point ``sf`` flags (log tail, log q), from each row
+    on its own, added in index order: a row at g at z = -|g/sigma - t/sigma|, with
+    s = -1 if g > t, else 1, adds e (s a M + sigma b J1 + w/sigma) to q and
+    e (s (w M + sigma^2 b J2/2) + sigma a J1) to C, e = exp((z* - z)(z* + z)/2) at
+    the nearest row's z*.  q is f + phi(z*) times their sum, or where f is 0, the log
+    of the sum plus log phi(z*); a tail is the base mass on its side -+ delta f'/2 +-
+    Phi(z*) C/M(z*), or where that base part is 0, log(C/M(z*)) + log_ndtr(z*).  The
+    points are clamped to R + 1e155 sigma, where z*z has overflowed."""
+    lim = sm.radius + 1e155 * sm.sigma
+    t = np.clip(t, -lim, lim)
+    zs = [-np.abs(g / sm.sigma - t / sm.sigma) for g, *_ in _oracle_rows(sm)]
+    zn = np.max(zs, axis=0)
+    q = c = 0.0
+    for (g, w, a, b), z in zip(_oracle_rows(sm), zs):
+        up = g > t
+        e = np.exp(0.5 * (zn - z) * (zn + z))
+        m, j1, j2 = _oracle_row_parts(z)
+        q = q + (np.where(up, -a, a) * m + (sm.sigma * b) * j1 + w / sm.sigma) * e
+        c_row = w * m + (0.5 * sm.delta * b) * j2
+        c = c + (np.where(up, -c_row, c_row) + (sm.sigma * a) * j1) * e
     f, slope, below, above = _oracle_base(sm, t)
-    q = np.maximum(f + q, 0.0)
-    if sf is None:
-        return q
-    c = sm.sigma * c - 0.5 * sm.delta * slope
-    return np.maximum(np.where(sf, above + c, below - c), 0.0), q
+    with np.errstate(over="ignore", divide="ignore"):
+        log_phi = -0.5 * zn * zn - _LOG_SQRT_2PI
+        inner = f != 0.0
+        q = np.where(inner, f + np.exp(log_phi) * q, q)
+        log_q = np.log(np.maximum(q, 0.0)) + np.where(inner, 0.0, log_phi)
+        if sf is None:
+            return log_q
+        c = c / _oracle_row_parts(zn)[0]
+        c = np.where(sf, c, -c)
+        half = 0.5 * sm.delta * slope
+        base = np.where(sf, above - half, below + half)
+        log_cdf, outer = log_ndtr(zn), base == 0.0
+        tail = np.where(outer, c, base + np.exp(log_cdf) * c)
+        log_tail = np.log(np.maximum(tail, 0.0)) + np.where(outer, log_cdf, 0.0)
+    return np.minimum(log_tail, 0.0), log_q
 
 
 def _centered_points(sm, n=241):
@@ -242,37 +312,51 @@ def test_cdf_plus_sf_is_one(case):
     assert np.allclose(sm.cdf(xs) + sm.sf(xs), 1.0, rtol=0.0, atol=1e-10)
 
 
-# -- bitwise identity with the per-knot oracle, closeness to the per-cell one --
+# -- bitwise identity with the per-row oracle, closeness to the per-cell one ---
 
-#: the per-cell closed forms agree with the knots' sums to this relative
-#: tolerance: q differs by up to 2.1e-12 (at delta 1 over 256 narrow cells, where
-#: the terms of both are far larger than q and each is about 2e-12 from the
-#: closed form at 60 digits), the tails by up to 1.3e-9 some 12 sigma out,
-#: where each is about 1e-8 from the closed form at 60 digits
+#: the log kernels agree with the logs of the per-cell closed forms to this tolerance,
+#: relative to max(1, |log value|) as in the contract tests: q differs by up to 2.1e-12
+#: (at delta 1 over 256 narrow cells, where the terms of both are far larger than q and
+#: each is about 2e-12 from the closed form at 60 digits), the tails by up to 1.3e-9
+#: some 12 sigma out, where the per-cell forms are about 1e-8 from the closed form
 CELL_RTOL = {"q": 1e-11, "tail": 1e-8}
 
 
+def _oracle_atom_parts(sm, x):
+    """The atoms' q, cdf and sf at each x, as linear sums."""
+    aloc, awt = _oracle_atoms(sm)
+    z = (x[:, None] - aloc) / sm.sigma
+    return [(awt * v).sum(axis=1) for v in (_oracle_pdf(z) / sm.sigma, ndtr(z), ndtr(-z))]
+
+
 def _assert_near_per_cell(sm, xs):
-    # every kernel clamps its abscissae at R + 40 sigma, the per-cell oracle does not
-    lim = sm.radius + 40.0 * sm.sigma
-    clamped = np.clip(xs, -lim, lim)
-    pairs = [("q", sm._knot_sums(xs), oracle_density_cells(sm, clamped))]
-    for sf, oracle in ((False, oracle_cdf_cells), (True, oracle_sf_cells)):
-        pairs.append(("tail", sm._knot_sums(xs, sf)[0], oracle(sm, clamped)))
+    # where the per-cell forms are normal doubles: beyond, they are 0 or subnormals, and
+    # the contract tests check the kernels against 60 digits
+    q, cdf, sf = _oracle_atom_parts(sm, xs)
+    pairs = [("q", sm._log_density_c(xs), oracle_density_cells(sm, xs) + q)]
+    for side, oracle, atoms in ((False, oracle_cdf_cells, cdf), (True, oracle_sf_cells, sf)):
+        pairs.append(("tail", sm._log_tail_density_c(xs, side)[0], oracle(sm, xs) + atoms))
     for kind, got, want in pairs:
-        assert np.allclose(got, want, rtol=CELL_RTOL[kind], atol=0.0), kind
+        normal = want >= np.finfo(float).tiny
+        assert normal[xs.size // 2], kind
+        want = np.log(want[normal])
+        assert np.all(np.abs(got[normal] - want) <= CELL_RTOL[kind] * np.maximum(1.0, np.abs(want))), kind
+
+
+def _assert_equal_per_row_oracle(sm, xs, sides=None):
+    """Both kernels equal the per-row oracle bit for bit, at one flag for all points or
+    each of ``sides``, and the fused kernel's log q is the density kernel's."""
+    log_q = oracle_log_c(sm, xs)
+    assert np.array_equal(sm._log_density_c(xs), log_q)
+    for sf in (False, True) if sides is None else (sides,):
+        tail, dens = sm._log_tail_density_c(xs, sf)
+        assert np.array_equal(tail, oracle_log_c(sm, xs, np.broadcast_to(sf, xs.shape))[0])
+        assert np.array_equal(dens, log_q)
 
 
 def test_kernels_equal_per_knot_oracle_bitwise(case):
     _, sm = case
-    xs = _centered_points(sm)
-    assert np.array_equal(sm._knot_sums(xs), oracle_knot_cells(sm, xs))
-    for sf in (False, True):
-        got, want = sm._knot_sums(xs, sf), oracle_knot_cells(sm, xs, np.full(xs.size, sf))
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    assert np.array_equal(sm._log_density_c(xs), oracle_log_density_c(sm, xs))
-    for sf in (False, True):
-        assert np.array_equal(sm._log_tail_density_c(xs, sf)[0], oracle_log_tail_c(sm, xs, sf))
+    _assert_equal_per_row_oracle(sm, _centered_points(sm))
 
 
 def test_kernels_match_per_cell_oracle(case):
@@ -294,69 +378,22 @@ def test_quantiles_round_trip_through_cdf(name):
 
 
 def test_fused_tail_and_density_equal_per_knot_oracle_bitwise(case):
-    # everywhere: every cell kernel clamps its abscissae at R + 40 sigma, so
-    # beyond it the cell tail is the oracle's, which does not clamp, at the clamp
+    # everywhere: past R + 1e155 sigma the kernels, and the oracle, clamp the point,
+    # where z*z has overflowed and every scale is 0
     _, sm = case
-    lim = sm.radius + 40.0 * sm.sigma
     far = sm.radius + np.array([41.0 * sm.sigma, 1e10, 1e155, 1e300])
     xs = np.concatenate([_centered_points(sm), far, -far])
-    inside = np.abs(xs) <= lim
-    clamped = np.clip(xs, -lim, lim)
-    sides = np.random.default_rng(5).random(xs.size) < 0.5
-    for sf in (True, False, sides):
-        flags = np.broadcast_to(sf, xs.shape)
-        tail, dens = sm._log_tail_density_c(xs, sf)
-        assert np.array_equal(tail[inside], oracle_log_tail_c(sm, xs[inside], flags[inside]))
-        assert np.array_equal(dens, sm._log_density_c(xs))
-        cell_tail, cell_dens = sm._knot_sums(xs, sf)
-        assert np.array_equal(cell_tail, oracle_knot_cells(sm, clamped, flags)[0])
-        assert np.array_equal(cell_dens, sm._knot_sums(xs))
+    _assert_equal_per_row_oracle(sm, xs)
+    _assert_equal_per_row_oracle(sm, xs, np.random.default_rng(5).random(xs.size) < 0.5)
 
 
-# -- the atom log-sum-exp of the log evaluators ------------------------------
+# -- atoms-only measures through the same pass --------------------------------
 #
-# The log density and log tails reduce the atoms along a leading axis.  The
-# earlier row-major formula is kept here as the oracle, adding each row's
-# terms in index order, as the kernels do at every atom count.  The cells
-# add the log of the per-knot oracle's sum, a tail taken as 0 below the
-# normal doubles.
+# An atom is a row like a knot, adding e/sigma times its weight to q and e M times
+# it to C; the per-row oracle adds each row's terms in index order, as the kernels
+# do at every atom count.
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
-
-
-def _lse_rows(a):
-    m = np.max(a, axis=-1)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    out = safe + np.log(_add_in_turn(np.exp(a - safe[..., None])))
-    return np.where(np.isfinite(m), out, m)
-
-
-def oracle_log_density_c(sm, t):
-    aloc, awt = _oracle_atoms(sm)
-    out = np.full(t.shape, -np.inf)
-    with np.errstate(divide="ignore"):
-        if aloc.size:
-            z = (t[:, None] - aloc) / sm.sigma
-            out = _lse_rows(np.log(awt) - 0.5 * z * z - np.log(sm.sigma) - _LOG_SQRT_2PI)
-        if sm.centered_base.density is not None:
-            out = np.logaddexp(out, np.log(oracle_knot_cells(sm, t)))
-    return out
-
-
-def oracle_log_tail_c(sm, x, sf):
-    """log of the mass above x where ``sf``, below it elsewhere, one flag per point."""
-    aloc, awt = _oracle_atoms(sm)
-    sf = np.broadcast_to(sf, x.shape)
-    out = np.full(x.shape, -np.inf)
-    with np.errstate(divide="ignore"):
-        if aloc.size:
-            z = (x[:, None] - aloc) / sm.sigma
-            out = _lse_rows(np.log(awt) + log_ndtr(np.where(sf[:, None], -z, z)))
-        if sm.centered_base.density is not None:
-            cells = oracle_knot_cells(sm, x, sf)[0]
-            cells[cells < np.finfo(float).tiny] = 0.0
-            out = np.logaddexp(out, np.log(cells))
-    return np.minimum(out, 0.0)
 
 
 def _bundled(name):
@@ -378,12 +415,7 @@ ATOM_MEASURES.update({"atoms%d" % c: partial(_atoms, c) for c in (3, 7, 8, 48, 9
 @pytest.mark.parametrize("name", list(ATOM_MEASURES))
 def test_log_evaluators_equal_row_major_oracle(name, delta):
     sm = L.SmoothedMeasure(ATOM_MEASURES[name](), delta)
-    xs = _centered_points(sm, n=401)
-    pairs = [(sm._log_density_c(xs), oracle_log_density_c(sm, xs))]
-    for sf in (True, False):
-        pairs.append((sm._log_tail_density_c(xs, sf)[0], oracle_log_tail_c(sm, xs, sf)))
-    for got, want in pairs:
-        assert np.array_equal(got, want)
+    _assert_equal_per_row_oracle(sm, _centered_points(sm, n=401))
 
 
 # -- blocked evaluators -------------------------------------------------------
@@ -404,7 +436,7 @@ BLOCK_MEASURES = {"atoms96": partial(_atoms, 96), "cells256": _cells256, "mixed"
 
 
 def _rows(sm):
-    return max(1, smoothing._BLOCK_BYTES // (8 * sm._width))
+    return max(1, smoothing._BLOCK_BYTES // (8 * sm._gs.size))
 
 
 def _evaluator_calls(sm, sides):
@@ -465,12 +497,12 @@ def test_blocked_fused_kernel_peak_memory():
     assert peak <= 4e6
 
 
-# -- one Phi value per knot --------------------------------------------------
+# -- one Mills ratio per knot -------------------------------------------------
 #
-# Each point reads every knot from the knot's own side of the point, one Phi
-# and one phi value per (knot, point), and adds the terms to the base density
-# and its masses at the point.  The per-knot oracle is pinned bit for bit at
-# the delicate points: at knots (z = 0, where the side flips), at cell
+# Each point reads every knot from the knot's own side of the point, one Mills
+# ratio and one scale e per (knot, point), and adds the terms to the base
+# density and its masses at the point.  The per-row oracle is pinned bit for bit
+# at the delicate points: at knots (z = 0, where the side flips), at cell
 # midpoints, one ulp either side of each, and beyond both ends out to 40
 # sigma; the per-cell closed forms are matched there to CELL_RTOL.
 
@@ -497,24 +529,11 @@ def _delicate_points(sm):
     return np.concatenate([spots, *near, ends])
 
 
-def _assert_equal_per_knot_oracle(sm, xs, sides):
-    tail, dens = oracle_knot_cells(sm, xs, sides)
-    assert np.array_equal(sm._knot_sums(xs), dens)
-    got_tail, got_dens = sm._knot_sums(xs, sides)
-    assert np.array_equal(got_tail, tail)
-    assert np.array_equal(got_dens, dens)
-    log_dens = oracle_log_density_c(sm, xs)
-    assert np.array_equal(sm._log_density_c(xs), log_dens)
-    got_tail, got_dens = sm._log_tail_density_c(xs, sides)
-    assert np.array_equal(got_tail, oracle_log_tail_c(sm, xs, sides))
-    assert np.array_equal(got_dens, log_dens)
-
-
 @pytest.mark.parametrize("cells, delta", KNOT_CASES, ids=KNOT_IDS)
 def test_knot_kernels_equal_per_knot_oracle_bitwise(cells, delta):
     sm, rng = _knot_case(cells, delta)
     xs = _delicate_points(sm)
-    _assert_equal_per_knot_oracle(sm, xs, rng.random(xs.size) < 0.5)
+    _assert_equal_per_row_oracle(sm, xs, rng.random(xs.size) < 0.5)
 
 
 @pytest.mark.parametrize("cells, delta", KNOT_CASES, ids=KNOT_IDS)
@@ -551,7 +570,7 @@ def test_gap_between_groups_of_cells(delta):
     sm = L.SmoothedMeasure(L.make_measure(density=bimodal_density()), delta)
     xs = _gap_points(sm)
     _assert_near_per_cell(sm, xs)
-    _assert_equal_per_knot_oracle(sm, xs, np.random.default_rng(7).random(xs.size) < 0.5)
+    _assert_equal_per_row_oracle(sm, xs, np.random.default_rng(7).random(xs.size) < 0.5)
 
 
 @pytest.mark.parametrize("evaluator", ["density", "log_density", "cdf", "sf", "log_cdf", "log_sf"])
@@ -570,34 +589,35 @@ def test_an_all_zero_density_adds_nothing_to_the_atoms(evaluator):
     assert np.allclose(sm.inv_cdf(us), ref.inv_cdf(us), rtol=1e-9)
 
 
-def _ndtr_values(monkeypatch, run):
-    """Phi values ``run()`` asks of smoothing.ndtr."""
+def _erfcx_values(monkeypatch, run):
+    """Mills ratios ``run()`` asks of smoothing.erfcx."""
     count = [0]
 
     def counted(x, *args, **kwargs):
         count[0] += np.size(x)
-        return ndtr(x, *args, **kwargs)
+        return erfcx(x, *args, **kwargs)
 
-    monkeypatch.setattr(smoothing, "ndtr", counted)
+    monkeypatch.setattr(smoothing, "erfcx", counted)
     run()
     return count[0]
 
 
 def test_density_kernels_take_one_phi_value_per_knot(monkeypatch):
-    # one per (point, knot): the fused kernel reads Phi, A1 and A2 of the same
-    # value, and every node of this table is a knot, its slopes all differing
+    # one per (point, knot): the fused kernel reads Phi, J1 and J2 of the same
+    # value and the nearest row's from it, and every node of this table is a
+    # knot, its slopes all differing
     sm = L.SmoothedMeasure(_cells256(), 0.05)
     xs = _centered_points(sm, 1001)
     knots = xs.size * 257
-    assert _ndtr_values(monkeypatch, lambda: sm._log_density_c(xs)) == knots
-    assert _ndtr_values(monkeypatch, lambda: sm._log_tail_density_c(xs, xs >= 0.0)) == knots
+    assert _erfcx_values(monkeypatch, lambda: sm._log_density_c(xs)) == knots
+    assert _erfcx_values(monkeypatch, lambda: sm._log_tail_density_c(xs, xs >= 0.0)) == knots
 
 
 def test_lipschitz_sweep_phi_values_per_abscissa_and_knot(monkeypatch):
     # 4.41 per (abscissa, knot) with a Newton solve per abscissa; the sweep in
     # y = T(x) solves 3 points and reads each grid point once: 1.03
     tm = L.TransportMap(L.SmoothedMeasure(_cells256(), 0.05))
-    count = _ndtr_values(monkeypatch, lambda: tm.lipschitz_estimate(grid_points=1001))
+    count = _erfcx_values(monkeypatch, lambda: tm.lipschitz_estimate(grid_points=1001))
     assert count <= 1.2 * 1001 * 257
 
 
@@ -680,7 +700,7 @@ def _sloped3():
 @pytest.mark.parametrize("evaluator", ["log_density", "log_cdf", "log_sf"])
 def test_evaluators_at_the_largest_doubles_give_their_limits(evaluator, name, x):
     # (edge - t)/sigma, (t - atom)/sigma and the slope times t overflow there;
-    # the cells clamp t to R + 40 sigma first, and nothing may warn.  The
+    # the kernels clamp t to R + 1e155 sigma first, and nothing may warn.  The
     # value is the limit at inf, up to the rounding of the tabulated mass
     sm = L.SmoothedMeasure(_sloped3() if name == "sloped" else LIMIT_MEASURES[name](), 0.25)
     with warnings.catch_warnings():
@@ -693,9 +713,8 @@ def test_evaluators_at_the_largest_doubles_give_their_limits(evaluator, name, x)
 
 @pytest.mark.parametrize("x", [-1e155, 1e155])
 def test_transport_beyond_the_cell_clamp_is_a_bracket_failure(x):
-    # the fused tail and density kernel of the solve is clamped like the
-    # others: its cell tail is below the normal doubles, a typed error, and
-    # z*z in the antiderivatives no longer overflows
+    # past the kernels' clamp at R + 1e155 sigma z*z overflows: the source's
+    # log tail and the solve's are -inf, a typed error, and nothing warns
     tm = L.TransportMap(L.SmoothedMeasure(L.make_uniform(-1.0, 1.0), 0.25))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

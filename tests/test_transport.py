@@ -248,9 +248,9 @@ def test_asymmetric_lipschitz_matches_mpmath_sup(asymmetric, delta):
     assert lip.log == pytest.approx(_oracle_log_slope_sup(asymmetric, delta), rel=1e-10)
 
 
-def test_underflowing_window_end_names_the_left_end(uniform):
+def test_underflowing_window_end_names_the_left_end(uniform, underflowing_tails):
     # the window ends bound every tail the sweep reads, so their solve is the
-    # only one that can underflow; both ends do at delta = 0.002
+    # only one that can read a planted non-finite tail; both ends do at delta = 0.002
     tm = make_map(uniform, 0.002)
     lo = float(_sweep_grid(tm, 3)[0])
     with pytest.raises(
@@ -340,10 +340,9 @@ def test_batched_bernoulli_map_is_zero_at_zero(bernoulli):
     assert abs(tm.eval(xs)[zero]) <= 10 * tm.sigma * tm.target.config.root_tol
 
 
-def test_underflowing_tail_is_a_bracket_failure(uniform):
+def test_underflowing_tail_is_a_bracket_failure(uniform, underflowing_tails):
     # delta = 0.002: normalized |x| of 44.7 and 50 put the source Gaussian
-    # tail where the cells' smoothed tail is below the normal doubles; the
-    # log of a cell tail there is -inf, not the log of a subnormal
+    # tail below the normal doubles, where the planted kernel's tail is -inf
     tm = make_map(uniform, 0.002)
     xs = np.array([0.0, 1.0, 2.0, 50.0 * tm.sigma])
     with pytest.raises(L.BracketFailure, match="2 of 4 points have a residual that is not finite"):
@@ -351,6 +350,17 @@ def test_underflowing_tail_is_a_bracket_failure(uniform):
     t = tm.eval(xs[:2])
     lo, hi = tm.envelope(xs[:2])
     assert np.all((lo <= t) & (t <= hi))
+
+
+def test_cells_tails_below_the_normal_doubles_stay_in_the_envelope(uniform):
+    # the same abscissae without the plant: the cells' log tails are finite
+    # there, and so is every solve
+    tm = make_map(uniform, 0.002)
+    xs = np.array([0.0, 1.0, 2.0, 50.0 * tm.sigma, -_sweep_edge(tm), _sweep_edge(tm)])
+    t = tm.eval(xs)
+    lo, hi = tm.envelope(xs)
+    assert np.all((lo <= t) & (t <= hi))
+    assert np.all(np.diff(t[[4, 0, 1, 2, 3, 5]]) > 0.0)
 
 
 def _counted_table(monkeypatch):
@@ -441,10 +451,10 @@ def test_table_takes_one_density_value_per_point(bernoulli, monkeypatch):
     assert sum(sizes) == 401 and min(sizes) >= 2
 
 
-def test_failed_warm_pass_reports_the_whole_batch(uniform):
+def test_failed_warm_pass_reports_the_whole_batch(uniform, underflowing_tails):
     # the coarse pass fails first; the error must still count the whole table
-    # (582 of its 2001 points need a cell tail below the normal doubles) and
-    # name its first abscissa
+    # (582 of its 2001 points need a planted tail, one below the normal doubles)
+    # and name its first abscissa
     tm = make_map(uniform, 0.002)
     lo = -tm.sigma * (2.0 * tm.radius_normalized + 8.0)
     with pytest.raises(
