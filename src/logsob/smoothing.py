@@ -209,14 +209,14 @@ class SmoothedMeasure:
         self.centered_base = mu_c = centered(base)
 
         # rows, atoms then knots: g and g/sigma, then w/sigma and w of an atom and a, sigma b,
-        # sigma^2 b/2 and sigma a of a knot, each 0 on the other kind's rows
+        # sigma^2 b/2 and sigma a of a knot, each 0 on the other kind's rows, None with no rows
         atoms = np.array(mu_c.atoms, dtype=float).reshape(-1, 2)
         g, a, b = np.empty((3, 0)) if mu_c.density is None else _knots(mu_c.density)
         pad = np.zeros(g.size), np.zeros(len(atoms))
         rows = lambda at, kn: np.concatenate([at, kn])[:, None]
         self._g = rows(atoms[:, 0], g)
         self._gs = self._g / sigma
-        self._wq, self._w = rows(atoms[:, 1] / sigma, pad[0]), rows(atoms[:, 1], pad[0])
+        self._atoms = (rows(atoms[:, 1] / sigma, pad[0]), rows(atoms[:, 1], pad[0])) if atoms.size else None
         knots = (a, sigma * b, 0.5 * self.delta * b, sigma * a)
         self._knots = tuple(rows(pad[1], v) for v in knots) if g.size else None
         self._breaks, self._table = _base_table(atoms, mu_c.density)
@@ -249,17 +249,17 @@ class SmoothedMeasure:
             zn = z[near, cols]
         e = np.exp(0.5 * (zn - z) * (zn + z))
         if self._knots is None:
-            q = self._wq
+            q, w = self._atoms
             m = None if sf is None else _mills(z)
-            c = None if sf is None else np.where(self._g > t, -self._w, self._w) * m
+            c = None if sf is None else np.where(self._g > t, -w, w) * m
         else:
             (a, sb, sb2, sa), up = self._knots, self._g > t
             m = _mills(z)
             j1, j2 = _antiderivatives(z, m, sf is not None)
-            q = np.where(up, -a, a) * m + sb * j1 + self._wq
-            if sf is not None:
-                c = self._w * m + sb2 * j2
-                c = np.where(up, -c, c) + sa * j1
+            q, c = np.where(up, -a, a) * m + sb * j1, None if sf is None else sb2 * j2
+            if self._atoms is not None:  # the atoms' w/sigma and w M, 0 on the knots' rows
+                q, c = q + self._atoms[0], None if sf is None else self._atoms[1] * m + c
+            c = None if sf is None else np.where(up, -c, c) + sa * j1
         q = _sum_terms(q * e)
         log_phi = -0.5 * zn * zn - _LOG_SQRT_2PI
         if self._knots is None and sf is None:
