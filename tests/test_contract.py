@@ -1,5 +1,5 @@
-"""The log evaluators' contract over the regime grid: every value is within
-the stated tolerance of the truth, or a typed LogsobError.
+"""The log evaluators' and the quantiles' contract over the regime grid: every
+value is within the stated tolerance of the truth, or a typed LogsobError.
 
 log_density, log_cdf and log_sf of point mass, Bernoulli, the 1/4-3/4
 two-atom measure, uniform, an atoms-plus-cells measure, a seeded 16-cell
@@ -12,6 +12,17 @@ mpmath's normal pdf and cdf, for cells the antiderivatives
 A(z) = z Phi(z) + phi(z) and B(z) = ((z^2 - 1) Phi(z) + z phi(z))/2 of Phi
 and z Phi.  A -inf where the truth is finite, a NaN, a value off by more
 than the tolerance or an untyped exception fails.
+
+A 1024-cell seeded sloped density is checked at three points (an interior
+log_density, log_cdf and the log_sf at R + 8 sigma) at delta 1 and 0.05, as a
+60-digit point costs about 0.15 s on it.
+
+inv_cdf of the three two-atom measures is checked at delta/R^2 from 0.25 down
+to 5e-4, at u from 1e-300 through 1/2 -+ 1e-9 to 1 - 1e-9: a quantile y is
+right when the closed-form nearer log tail at y -+ root_tol brackets log u
+(log(1 - u) above 1/2).  Between the atoms the CDF is within
+exp(-R^2/(2 delta)) of 1/2, so there the oracle runs at
+60 + R^2/(2 delta ln 10) digits and is compared as an mpf.
 """
 
 import functools
@@ -50,11 +61,22 @@ MEASURES = {
     ),
     "bimodal": lambda: L.make_measure(density=bimodal_density()),
 }
+#: off the grid: checked only at the three points of each delta that `_cases` gives it
+DENSE = {
+    "sloped1024": lambda: L.make_measure(
+        density=sloped_density(np.random.default_rng(1024), -1.0, 1.0, 1024, 1.0)
+    ),
+}
+#: J1/J2 formed by subtraction lose eps z^2 and eps z^4, and the sum of 1024 signed
+#: knot terms amplifies that past TOL at delta 1 (8.2e-11, 5.4e-11 and 1.4e-9 off)
+ITEM19 = pytest.mark.xfail(
+    strict=True, reason="item 19: J1/J2 cancel, and a 1024-cell knot sum amplifies it"
+)
 
 
 @functools.lru_cache(maxsize=None)
 def _measure(name):
-    return MEASURES[name]()
+    return {**MEASURES, **DENSE}[name]()
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,6 +101,13 @@ def _cases():
                 for x in _abscissae(sm):
                     ident = "%s-d%g-%s-x%.6g" % (name, delta, evaluator, x)
                     yield pytest.param(name, delta, evaluator, x, id=ident)
+    for delta in (1.0, 0.05):
+        sm = _smoothed("sloped1024", delta)
+        points = (("log_density", 0.3), ("log_cdf", -0.5), ("log_sf", sm.radius + 8.0 * sm.sigma))
+        for evaluator, x in points:
+            ident = "sloped1024-d%g-%s-x%.6g" % (delta, evaluator, x)
+            marks = ITEM19 if delta == 1.0 else ()
+            yield pytest.param("sloped1024", delta, evaluator, x, id=ident, marks=marks)
 
 
 def _antiderivatives(z, cdf, pdf):
@@ -86,19 +115,20 @@ def _antiderivatives(z, cdf, pdf):
 
 
 @functools.lru_cache(maxsize=None)
-def _node_values(mu, delta, x):
+def _node_values(mu, delta, x, dps):
     """(z, Phi(-|z|), phi(z)) at each grid node of mu's density, z = (x - node)/sqrt(delta),
-    at 60 digits: the smaller tail, as the larger one is 1 minus it.  Cached, as the three
-    evaluators at one x read the same values."""
-    with mpmath.workdps(60):
+    at ``dps`` digits: the smaller tail, as the larger one is 1 minus it.  Cached, as the
+    three evaluators at one x read the same values."""
+    with mpmath.workdps(dps):
         s, x = mpmath.sqrt(mpmath.mpf(delta)), mpmath.mpf(x)
         zs = [(x - mpmath.mpf(g)) / s for g in mu.density.grid]
         return [(z, mpmath.ncdf(-abs(z)), mpmath.npdf(z)) for z in zs]
 
 
-def closed_form(mu, delta, x, evaluator):
-    """log q, log cdf or log sf of mu * gamma_delta at x, at 60 digits."""
-    with mpmath.workdps(60):
+def closed_form(mu, delta, x, evaluator, dps=None):
+    """log q, log cdf or log sf of mu * gamma_delta at x: at 60 digits as a float, or
+    given ``dps``, at that many digits as an mpf."""
+    with mpmath.workdps(dps or 60):
         s, xm = mpmath.sqrt(mpmath.mpf(delta)), mpmath.mpf(x)
         terms = []
         for a, w in mu.atoms:
@@ -112,7 +142,7 @@ def closed_form(mu, delta, x, evaluator):
         if mu.density is not None:
             grid = [mpmath.mpf(g) for g in mu.density.grid]
             vals = [mpmath.mpf(v) for v in mu.density.values]
-            nodes = _node_values(mu, delta, x)
+            nodes = _node_values(mu, delta, x, dps or 60)
             cells = zip(grid[:-1], grid[1:], vals[:-1], vals[1:], nodes[:-1], nodes[1:])
             for s0, s1, v0, v1, (z0, t0, p0), (z1, t1, p1) in cells:
                 beta = (v1 - v0) / (s1 - s0)
@@ -130,7 +160,8 @@ def closed_form(mu, delta, x, evaluator):
                     (a0, b0) = _antiderivatives(-z0, t0 if z0 > 0 else 1 - t0, p0)
                     (a1, b1) = _antiderivatives(-z1, t1 if z1 > 0 else 1 - t1, p1)
                     terms.append(s * (lin * (a1 - a0) + beta * s * (b1 - b0)))
-        return float(mpmath.log(mpmath.fsum(terms)))
+        value = mpmath.log(mpmath.fsum(terms))
+        return value if dps else float(value)
 
 
 @pytest.mark.parametrize("name, delta, evaluator, x", list(_cases()))
@@ -142,3 +173,44 @@ def test_log_evaluator_is_right_or_a_typed_error(name, delta, evaluator, x):
     except L.LogsobError:
         return
     assert abs(got - want) <= TOL * max(1.0, abs(want)), (got, want)
+
+
+QUANTILE_DELTAS = DELTAS[1:]
+QUANTILES = (1e-300, 1e-9, 0.5 - 1e-3, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.5 + 1e-3, 1.0 - 1e-9)
+#: (measure, delta, u) on the plateau: between the atoms G(y) - 1/2 is below rounding, so
+#: the solve stops where the residual rounds to 0 (inv_cdf(1/2) = -0.5000000000112 at 5e-4)
+PLATEAU = {
+    ("bernoulli", 0.01, 0.5 - 1e-9),
+    ("bernoulli", 0.01, 0.5 + 1e-9),
+    ("bernoulli", 0.002, 0.5 - 1e-9),
+    ("bernoulli", 5e-4, 0.5),
+}
+ITEM1 = pytest.mark.xfail(
+    strict=True, reason="item 1: between the atoms G(y) - 1/2 is below rounding"
+)
+
+
+def _quantile_cases():
+    for name in ("point_mass", "bernoulli", "asymmetric"):
+        for delta in QUANTILE_DELTAS:
+            for u in QUANTILES:
+                marks = ITEM1 if (name, delta, u) in PLATEAU else ()
+                yield pytest.param(name, delta, u, id="%s-d%g-u%.10g" % (name, delta, u), marks=marks)
+
+
+@pytest.mark.parametrize("name, delta, u", list(_quantile_cases()))
+def test_quantile_is_right_or_a_typed_error(name, delta, u):
+    sm = _smoothed(name, delta)
+    try:
+        y = sm.inv_cdf(u)
+    except L.LogsobError:
+        return
+    mu, tol, upper = _measure(name), sm.config.root_tol, u > 0.5
+    dps = 60 + math.ceil(mu.radius**2 / (2.0 * delta * math.log(10.0)))
+    with mpmath.workdps(dps):
+        target = mpmath.log(1 - mpmath.mpf(u) if upper else mpmath.mpf(u))
+        ends = [
+            closed_form(mu, delta, mpmath.mpf(y) + d, "log_sf" if upper else "log_cdf", dps)
+            for d in (-tol, tol)
+        ]
+        assert min(ends) <= target <= max(ends), y
