@@ -1,16 +1,15 @@
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
-from scipy.special import logsumexp
 
 import logsob as L
 import logsob.bounds as bounds
 from logsob.errors import DomainError, SupremumNotLocalized
 from logsob.logdomain import record
-from logsob.quadrature import golden_section_max
 
 from conftest import dense_quantile_oracle
 
@@ -213,20 +212,21 @@ def test_bg_boundary_guard(point_mass):
 
 
 def test_bg_boundary_guard_above_the_median(asymmetric):
-    # mirrored asymmetric, delta 0.25, tail_mult 1: the sup above the median
-    # sits near 0.81, beyond the window edge at 0.72, while the side below
-    # the median is localized; bobkov_goetze must raise for the upper side
+    # mirrored asymmetric, delta 0.25, tail_mult 1: below the median the functional peaks
+    # inside the window, while above it, it still rises at the window edge 0.72 (its sup
+    # sits near 0.81); bobkov_goetze must raise for the upper side
     sm = L.SmoothedMeasure(L.pushforward_affine(asymmetric, -1.0), 0.25)
-    med = L.median(sm)
-    half = sm.radius + sm.sigma
-    dist = np.linspace(0.0, half, 201)
-    below, above = bounds._bg_scan(sm, med, dist)
-    d0, x0 = bounds._bg_side(sm, med, -1.0, dist, *below)
-    assert math.isfinite(d0.log) and med - half < x0 < med
-    with pytest.raises(SupremumNotLocalized):
-        bounds._bg_side(sm, med, 1.0, dist, *above)
     with pytest.raises(SupremumNotLocalized):
         L.bobkov_goetze(sm, scan_points=201, tail_mult=1.0)
+    med, half = L.median(sm), sm.radius + sm.sigma
+    assert not _rises_at_the_edge(sm, med, -1.0, half, half / 200)
+    assert _rises_at_the_edge(sm, med, 1.0, half, half / 200)
+    # the wide default window holds both sups: the one below is the narrow window's peak
+    below = _bg_functional(sm, med, -1.0)
+    peak = minimize_scalar(lambda v: -below(v), bounds=(med - half, med), method="bounded")
+    wide = L.bobkov_goetze(sm, scan_points=801)
+    assert wide.d0.log == pytest.approx(-peak.fun, rel=0.0, abs=1e-8)
+    assert med + half < wide.argmax_above < med + 2 * half
 
 
 def _mixed_measure():
@@ -265,82 +265,6 @@ def _scan_measure(name):
     return L.make_measure(density=L.TabulatedDensity(grid, values))
 
 
-def _per_side_bg(sm, n, tail_mult):
-    """(d0, x0), (d1, x1) through the public evaluators, side by side: a scan
-    of log_cdf or log_sf and two log_density calls, and a Brent polish that
-    reads log_cdf or log_sf at x and log_density at the 9 Simpson nodes of
-    x's partial cell; the oracle of :func:`bounds._bg_scan` and of the
-    fused-kernel polish in :func:`bounds._bg_side`."""
-    med = L.median(sm)
-    dist = np.linspace(0.0, sm.radius + tail_mult * sm.sigma, n)
-    h = np.diff(dist)
-    weights = np.array([1, 4, 2, 4, 2, 4, 2, 4, 1], dtype=float)
-    out = []
-    for s in (-1.0, 1.0):
-        xs = med + s * dist
-        log_tail_at = sm.log_sf if s > 0 else sm.log_cdf
-        log_tail = log_tail_at(xs)
-        linv = -sm.log_density(xs)
-        linv_mids = -sm.log_density(0.5 * (xs[:-1] + xs[1:]))
-        cells = [np.log(h / 6.0) + linv[:-1], np.log(4.0 * h / 6.0) + linv_mids]
-        cell_log = logsumexp(np.stack(cells + [np.log(h / 6.0) + linv[1:]]), axis=0)
-        log_int = np.concatenate([[-np.inf], np.logaddexp.accumulate(cell_log)])
-        with np.errstate(invalid="ignore"):
-            log_h = log_tail + np.log(-log_tail) + log_int
-        log_h = np.where(np.isneginf(log_tail), -np.inf, log_h)
-        i = int(np.argmax(log_h))
-        if i == n - 1:
-            raise SupremumNotLocalized("scan boundary")
-
-        def exact(x):
-            k = min(max(int(np.searchsorted(dist, s * (x - med), side="left")) - 1, 0), n - 2)
-            lt = float(log_tail_at(x))
-            if lt == -math.inf:
-                return -math.inf
-            a, b = sorted((float(xs[k]), x))
-            seg = -math.inf
-            if b > a:
-                lv = -sm.log_density(np.linspace(a, b, 9))
-                m = float(lv.max())
-                w = (b - a) / 8.0 / 3.0 * weights
-                seg = m + math.log(float(np.dot(w, np.exp(lv - m))))
-            return lt + math.log(-lt) + float(np.logaddexp(log_int[k], seg))
-
-        lo, hi = xs[i - 1], xs[i + 1]
-        xr, fr = golden_section_max(exact, lo, hi, xtol=1e-6 * abs(hi - lo))
-        out.append((fr, xr) if fr > log_h[i] else (float(log_h[i]), float(xs[i])))
-    return out
-
-
-@pytest.mark.parametrize("tail_mult", [10.0, 1.0, 0.5])
-@pytest.mark.parametrize("delta", [0.05, 0.25, 1.0])
-@pytest.mark.parametrize("name", ["atoms", "cells", "mixed"])
-def test_bg_matches_the_public_evaluator_route(name, delta, tail_mult, monkeypatch):
-    # scan and polish run on the private fused kernels: with every public
-    # evaluator but the median's inv_cdf refused, the estimate still matches
-    sm = L.SmoothedMeasure(_scan_measure(name), delta)
-    try:
-        want = _per_side_bg(sm, 401, tail_mult)
-    except SupremumNotLocalized:
-        want = None
-
-    def refuse(self, x):
-        raise AssertionError("public evaluator called")
-
-    for attr in ("density", "log_density", "cdf", "sf", "log_cdf", "log_sf"):
-        monkeypatch.setattr(L.SmoothedMeasure, attr, refuse)
-    if want is None:
-        with pytest.raises(SupremumNotLocalized):
-            L.bobkov_goetze(sm, scan_points=401, tail_mult=tail_mult)
-        return
-    (d0, x0), (d1, x1) = want
-    bg = L.bobkov_goetze(sm, scan_points=401, tail_mult=tail_mult)
-    assert bg.d0.log == pytest.approx(d0, rel=1e-13, abs=0.0)
-    assert bg.d1.log == pytest.approx(d1, rel=1e-13, abs=0.0)
-    assert bg.argmax_below == pytest.approx(x0, abs=1e-6)
-    assert bg.argmax_above == pytest.approx(x1, abs=1e-6)
-
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -360,24 +284,46 @@ def _bg_functional(sm, med, s):
     return f
 
 
-@pytest.mark.parametrize("scan_points", [101, 401])
-@pytest.mark.parametrize("delta", [0.05, 0.25, 1.0])
-@pytest.mark.parametrize("name", ["atoms", "cells", "mixed"])
-def test_bg_polish_reaches_the_supremum_between_scan_nodes(name, delta, scan_points):
-    # the grid max misses the sup by up to 1e-3 in log; the polish leaves only
-    # the scan's Simpson error, of order h^4 in the scan step h
+def _rises_at_the_edge(sm, med, s, half, h):
+    """Whether the functional on side s still rises over the last step h of the window."""
+    f = _bg_functional(sm, med, s)
+    return f(med + s * half) > f(med + s * (half - h))
+
+
+def _polish_cases():
+    """(name, delta, tail_mult, scan_points); the default tail_mult 10 keeps its bare ID."""
+    axes = (("atoms", "cells", "mixed"), (0.05, 0.25, 1.0), (10.0, 1.0, 0.5), (101, 401))
+    for name, delta, tail_mult, n in itertools.product(*axes):
+        tail = "" if tail_mult == 10.0 else "-tail%g" % tail_mult
+        yield pytest.param(name, delta, tail_mult, n, id="%s-%r-%d%s" % (name, delta, n, tail))
+
+
+@pytest.mark.parametrize("name, delta, tail_mult, scan_points", list(_polish_cases()))
+def test_bg_polish_reaches_the_supremum_between_scan_nodes(
+    name, delta, tail_mult, scan_points, monkeypatch
+):
+    # the grid max misses the sup by up to 1e-3 in log; the polish leaves only the scan's
+    # Simpson error, of order h^4 in the scan step h.  Scan and polish run on the private
+    # fused kernels: every public evaluator but the median's inv_cdf is refused meanwhile
     sm = L.SmoothedMeasure(_scan_measure(name), delta)
-    bg = L.bobkov_goetze(sm, scan_points=scan_points)
+    with monkeypatch.context() as m:
+        for attr in ("density", "log_density", "cdf", "sf", "log_cdf", "log_sf"):
+            m.setattr(L.SmoothedMeasure, attr, lambda self, x: pytest.fail("public evaluator called"))
+        try:
+            bg = L.bobkov_goetze(sm, scan_points=scan_points, tail_mult=tail_mult)
+        except SupremumNotLocalized:
+            bg = None
     med = L.median(sm)
-    h = bg.scan_halfwidth / (scan_points - 1)
+    half = sm.radius + tail_mult * sm.sigma
+    h = half / (scan_points - 1)
+    if bg is None:  # raised at delta 1 and tail_mult 0.5 only, on all three measures
+        assert any(_rises_at_the_edge(sm, med, s, half, h) for s in (-1.0, 1.0))
+        return
     tol = 1e-6 * (100.0 / (scan_points - 1)) ** 4
     for s, d, x in ((-1.0, bg.d0, bg.argmax_below), (1.0, bg.d1, bg.argmax_above)):
         f = _bg_functional(sm, med, s)
         best = minimize_scalar(
-            lambda v: -f(v),
-            bounds=(x - 2 * h, x + 2 * h),
-            method="bounded",
-            options={"xatol": 1e-10},
+            lambda v: -f(v), bounds=(x - 2 * h, x + 2 * h), method="bounded", options={"xatol": 1e-10}
         )
         assert d.log == pytest.approx(-best.fun, rel=0.0, abs=tol)
         assert x == pytest.approx(best.x, abs=0.01 * h)

@@ -125,10 +125,19 @@ def _node_values(mu, delta, x, dps):
         return [(z, mpmath.ncdf(-abs(z)), mpmath.npdf(z)) for z in zs]
 
 
+def _default_digits(mu, delta, x):
+    """60 digits, plus two per decade of the largest |z| = |x - node|/sqrt(delta) over the
+    atoms and grid nodes: the cells' antiderivatives cancel by about z^2 far out."""
+    nodes = [a for a, _ in mu.atoms] + ([] if mu.density is None else list(mu.density.grid))
+    z = max(abs(x - g) for g in nodes) / math.sqrt(delta)
+    return 60 + max(0, math.ceil(2.0 * math.log10(max(z, 1.0))))
+
+
 def closed_form(mu, delta, x, evaluator, dps=None):
-    """log q, log cdf or log sf of mu * gamma_delta at x: at 60 digits as a float, or
-    given ``dps``, at that many digits as an mpf."""
-    with mpmath.workdps(dps or 60):
+    """log q, log cdf or log sf of mu * gamma_delta at x: at :func:`_default_digits` as a
+    float, or given ``dps``, at that many digits as an mpf."""
+    work = dps or _default_digits(mu, delta, x)
+    with mpmath.workdps(work):
         s, xm = mpmath.sqrt(mpmath.mpf(delta)), mpmath.mpf(x)
         terms = []
         for a, w in mu.atoms:
@@ -142,7 +151,7 @@ def closed_form(mu, delta, x, evaluator, dps=None):
         if mu.density is not None:
             grid = [mpmath.mpf(g) for g in mu.density.grid]
             vals = [mpmath.mpf(v) for v in mu.density.values]
-            nodes = _node_values(mu, delta, x, dps or 60)
+            nodes = _node_values(mu, delta, x, work)
             cells = zip(grid[:-1], grid[1:], vals[:-1], vals[1:], nodes[:-1], nodes[1:])
             for s0, s1, v0, v1, (z0, t0, p0), (z1, t1, p1) in cells:
                 beta = (v1 - v0) / (s1 - s0)

@@ -329,7 +329,7 @@ def test_small_delta_map_stays_in_the_envelope(name, delta, request):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="cancellation plateau: between the atoms G(y) - 1/2 is below rounding, "
+    reason="item 1: cancellation plateau: between the atoms G(y) - 1/2 is below rounding, "
     "so a warm start there passes for a root",
 )
 def test_batched_bernoulli_map_is_zero_at_zero(bernoulli):

@@ -1,7 +1,15 @@
-"""verify_lsi and ratio_lower_bound integrate family members in batches.
+"""verify_lsi and ratio_lower_bound against a rule that shares no code with them.
 
-The oracle below is the per-member path: one scalar adaptive Simpson pass
-for (f^2 mass, energy) and one for the entropy, on the member's own window.
+The rule is per member: 20-point Gauss-Legendre on CELLS equal cells of the
+member's own window (the smoothed measure's, widened on the side of its
+``window_shift``), log q from the public ``log_density``, and the mass and the
+entropy from the same nodes.  It is run at CELLS and 2 CELLS cells, which must
+agree to 1e-10.  Each member's entropy and energy must be within 10 rtol of it,
+the base of the benchmark checker's verify tolerance: the members of every
+shipped family at delta 0.5, and the 672 members of the bundled sweep.  A
+member over that bound is a strict xfail naming ROADMAP item 18.  That a member
+has the same bits in a batch as alone is test_quadrature's
+``test_batched_simpson_equals_oracle_bitwise``.
 """
 
 import functools
@@ -11,58 +19,126 @@ import numpy as np
 import pytest
 
 import logsob as L
-from logsob.cli import bundled_data_path
+from logsob.cli import bundled_data_path, load_sweep_config
 from logsob.errors import NonintegrableTestFunction
-from logsob.quadrature import adaptive_simpson
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+#: cells of a member's window; at CELLS and 2 CELLS the rule agrees to 9e-13 or better on
+#: every member here (the step of width 0.05 needs more than 64 cells)
+CELLS = 128
+FAMILIES = ("exponential", "bump", "step")
+SWEEP = load_sweep_config(bundled_data_path("sweep.json"))
 
 
-def per_member_oracle(tf, sm, rtol):
-    """(entropy, energy) of one member, integrated alone."""
-    pad = sm.config.tail_mult * sm.sigma
-    lo = sm.center - sm.radius - pad + min(0.0, tf.window_shift)
-    hi = sm.center + sm.radius + pad + max(0.0, tf.window_shift)
-    cells = int(min(128, max(8, math.ceil((hi - lo) / sm.sigma))))
-
-    def pair(x):
-        lq = sm.log_density(x)
-        return np.stack([np.exp(tf.log_f2(x) + lq), np.exp(tf.log_grad2(x) + lq)], axis=-1)
-
-    mass, en = adaptive_simpson(pair, lo, hi, rtol=rtol, initial_cells=cells)
-    log_mass = math.log(mass)
-
-    def ent_integrand(x):
-        lf = tf.log_f2(x)
-        return np.exp(lf + sm.log_density(x)) * (lf - log_mass)
-
-    ent = adaptive_simpson(
-        ent_integrand, lo, hi, rtol=rtol, atol=1e-15 * max(mass, 1.0), initial_cells=cells
-    )
-    return ent, en
+def _gauss_legendre(tf, sm, cells):
+    """(entropy, energy) of one member by 20-point Gauss-Legendre on ``cells`` equal cells
+    of its window, f^2 q scaled by its largest node value."""
+    lo, hi = sm.window()
+    shift = float(tf.window_shift)
+    edges = np.linspace(lo + min(0.0, shift), hi + max(0.0, shift), cells + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * _GL_NODES
+    w = half * _GL_WEIGHTS
+    log_q, log_f2 = sm.log_density(x), tf.log_f2(x)
+    top = np.max(log_f2 + log_q)
+    scaled = w * np.exp(log_f2 + log_q - top)
+    log_mass = top + math.log(np.sum(scaled))
+    ent = math.exp(top) * float(np.sum(scaled * (log_f2 - log_mass)))
+    return ent, float(np.sum(w * np.exp(tf.log_grad2(x) + log_q)))
 
 
-@pytest.mark.parametrize("name", ["bernoulli", "asymmetric", "uniform"])
-def test_batched_verify_matches_per_member_oracle(name, request):
-    sm = L.SmoothedMeasure(request.getfixturevalue(name), 0.5)
-    families = list(L.shipped_families(sm).values())
-    report = L.verify_lsi(sm, 1.0, families)
-    assert {e.family for e in report.entries} == {"exponential", "bump", "step"}
-    members = [fam.build(p) for fam in families for p in fam.grid]
+def gauss_legendre_moments(tf, sm):
+    """(entropy, energy) of one member at 2 CELLS cells, checked against CELLS cells."""
+    fine = _gauss_legendre(tf, sm, 2 * CELLS)
+    assert _gauss_legendre(tf, sm, CELLS) == pytest.approx(fine, rel=1e-10, abs=0.0)
+    return fine
+
+
+@functools.lru_cache(maxsize=None)
+def verify_case(name, delta, families):
+    """(sm, members, report): the bundled measure ``name`` at delta, verified at the
+    default rtol 1e-8 over the named shipped families."""
+    sm = L.SmoothedMeasure(L.load_measure(bundled_data_path(name + ".json")), delta)
+    fams = [L.shipped_families(sm)[f] for f in families]
+    members = [fam.build(p) for fam in fams for p in fam.grid]
+    return sm, members, L.verify_lsi(sm, 1.0, fams)
+
+
+def _key(name, delta, tf):
+    return name, delta, tf.family, tuple(float("%.4g" % p) for p in tf.params)
+
+
+#: members over 10 rtol of the rule, keyed as :func:`_key`, with the measured relative
+#: error: verify's entropy pass subtracts m log m with the mass of its first pass, and
+#: m/Ent amplifies that mass's rtol-level error
+ITEM18 = {
+    ("asymmetric", 0.5, "exponential", (0.0581,)): "entropy 5.9e-7",
+    ("asymmetric", 0.5, "exponential", (0.1662,)): "entropy 2.3e-7",
+    ("asymmetric", 0.5, "exponential", (0.2418,)): "entropy 1.7e-7",
+    ("uniform", 0.5, "exponential", (0.07277,)): "entropy 3.6e-7",
+    ("uniform", 0.5, "exponential", (0.07844,)): "entropy 3.0e-7",
+    ("point_mass", 0.25, "exponential", (0.08788,)): "entropy 5.1e-6",
+    ("bernoulli", 0.25, "exponential", (0.08788,)): "entropy 1.1e-7",
+    ("asymmetric", 0.25, "exponential", (0.08788,)): "entropy 4.9e-5, energy 1.8e-7",
+    ("uniform", 1.0, "exponential", (0.1324,)): "entropy 1.3e-7",
+    ("uniform", 1.0, "step", (-1.5, 0.2154)): "entropy 1.9e-7",
+}
+
+
+def _assert_near_the_rule(sm, tf, entropy, energy, rtol):
+    ent, en = gauss_legendre_moments(tf, sm)
+    assert entropy == pytest.approx(ent, rel=10.0 * rtol, abs=0.0), tf.params
+    assert energy == pytest.approx(en, rel=10.0 * rtol, abs=0.0), tf.params
+
+
+def _assert_members_near_the_rule(name, delta, families):
+    sm, members, report = verify_case(name, delta, families)
     assert len(members) == len(report.entries)
     for tf, entry in zip(members, report.entries):
         assert entry.params == tf.params
-        ent, en = per_member_oracle(tf, sm, rtol=1e-8)
-        assert entry.entropy == pytest.approx(ent, rel=1e-12, abs=0.0)
-        assert entry.energy == pytest.approx(en, rel=1e-12, abs=0.0)
+        if _key(name, delta, tf) not in ITEM18:  # those are the strict xfails below
+            _assert_near_the_rule(sm, tf, entry.entropy, entry.energy, 1e-8)
+
+
+@pytest.mark.parametrize("name", ["bernoulli", "asymmetric", "uniform"])
+def test_batched_verify_matches_per_member_oracle(name):
+    _, _, report = verify_case(name, 0.5, FAMILIES)
+    assert {e.family for e in report.entries} == set(FAMILIES)
+    _assert_members_near_the_rule(name, 0.5, FAMILIES)
+
+
+@pytest.mark.parametrize("delta", SWEEP.deltas)
+@pytest.mark.parametrize("name", [path.stem for path in SWEEP.measures])
+def test_bundled_verify_matches_the_rule(name, delta):
+    _assert_members_near_the_rule(name, delta, SWEEP.verify_families)
+
+
+@pytest.mark.parametrize(
+    "name, delta, family, params",
+    [
+        pytest.param(
+            *key,
+            id="%s-d%g-%s%r" % key,
+            marks=pytest.mark.xfail(strict=True, reason="item 18: m log m leaves " + error),
+        )
+        for key, error in ITEM18.items()
+    ],
+)
+def test_member_over_the_bound_waits_for_item_18(name, delta, family, params):
+    sm, members, report = verify_case(name, delta, (family,))
+    ((tf, entry),) = [
+        (tf, e) for tf, e in zip(members, report.entries) if _key(name, delta, tf)[3] == params
+    ]
+    _assert_near_the_rule(sm, tf, entry.entropy, entry.energy, 1e-8)
 
 
 def test_batched_ratio_grid_matches_per_member_oracle(asymmetric):
+    # measured within 1.4e-12 of the rule
     sm = L.SmoothedMeasure(asymmetric, 0.5)
     fam = L.step_family(sm.radius, sm.delta)
     rs = L.ratio_lower_bound(fam, sm, refine=False)
     for row in rs.table:
-        ent, en = per_member_oracle(fam.build(row.params), sm, rtol=1e-10)
-        assert row.entropy == pytest.approx(ent, rel=1e-12, abs=0.0)
-        assert row.energy == pytest.approx(en, rel=1e-12, abs=0.0)
+        _assert_near_the_rule(sm, fam.build(row.params), row.entropy, row.energy, 1e-10)
 
 
 def untilted_exponentials(rates):
@@ -103,7 +179,7 @@ def point_mass_cases():
             if delta == 0.25 and abs(rate - 0.0879) < 1e-3:
                 marks = pytest.mark.xfail(
                     strict=True,
-                    reason="the entropy pass subtracts m log m with the mass of the "
+                    reason="item 18: the entropy pass subtracts m log m with the mass of the "
                     "first pass; its rtol-level error, amplified by m/Ent, leaves "
                     "this member 5.1e-6 off",
                 )
