@@ -329,6 +329,28 @@ def test_bg_polish_reaches_the_supremum_between_scan_nodes(
         assert x == pytest.approx(best.x, abs=0.01 * h)
 
 
+@pytest.mark.parametrize(
+    "name, delta, tail_mult", [(n, d, 10.0) for n in ("atoms", "cells", "mixed") for d in (0.05, 0.25, 1.0)]
+)
+def test_bg_matches_the_public_evaluator_route(name, delta, tail_mult):
+    # the public route: the functional from log_cdf, log_sf and log_density, its sup over the
+    # whole default window by an 80-point grid and a bounded minimizer; the polish test checks
+    # BG's peak only within two scan steps, this one that the scan chose the global peak
+    sm = L.SmoothedMeasure(_scan_measure(name), delta)
+    bg = L.bobkov_goetze(sm, scan_points=401, tail_mult=tail_mult)
+    med, half = L.median(sm), sm.radius + tail_mult * sm.sigma
+    grid = np.linspace(0.0, half, 81)[1:]
+    for s, d, x in ((-1.0, bg.d0, bg.argmax_below), (1.0, bg.d1, bg.argmax_above)):
+        f = _bg_functional(sm, med, s)
+        k = int(np.argmax([f(med + s * r) for r in grid]))
+        lo, hi = sorted(med + s * grid[[max(k - 1, 0), min(k + 1, len(grid) - 1)]])
+        best = minimize_scalar(
+            lambda v: -f(v), bounds=(lo, hi), method="bounded", options={"xatol": 1e-10}
+        )
+        assert d.log == pytest.approx(-best.fun, rel=0.0, abs=1e-6 * (100.0 / 400) ** 4)
+        assert x == pytest.approx(best.x, abs=0.01 * half / 400)
+
+
 def _oracle_bg_below(mu, delta, tail_mult=10.0, dps=25, nodes=16):
     """(sup, argmax) over the scan window below the median of
     log(cdf * log(1/cdf) * integral of 1/q from x to the median), in mpmath:
