@@ -35,15 +35,15 @@ def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=
 
     Each interval starts from ``initial_cells`` equal panels (one vectorized
     call seeds them all).  A cell is accepted once one extra halving changes
-    its value by no more than 15 * (atol + rtol * max(|value|, eps * scale))
-    in every output component; eps is the double-precision epsilon and scale
-    the interval's sum of |initial panel estimates| in that component.  The
-    usual one-fifteenth Richardson correction is folded into the accepted
-    value.  The scale floor stops the refinement of cells too small to move
-    the integral: each floored cell errs by at most eps * rtol * scale, so
-    together they spend a negligible share of the rtol budget as long as
-    the cell count stays far below 1/eps.  ``atol`` is a per-cell floor,
-    needed for integrands that change sign.
+    its value by no more than 15 * (atol + rtol * max(|value|, rtol * scale))
+    in every output component; scale is the interval's sum of |initial
+    panel estimates| in that component.  The usual one-fifteenth Richardson
+    correction is folded into the accepted value.  The scale floor stops the
+    refinement of cells too small to move the integral: a cell below rtol *
+    scale errs by at most rtol**2 * scale, so N such cells spend at most
+    N * rtol of the rtol * scale budget, negligible while N stays far below
+    1/rtol.  ``atol`` is a per-cell floor, needed for integrands that change
+    sign.
 
     Each round adds its accepted cells to their intervals' totals one at a
     time in index order (``np.add.at``).  Batching keeps the relative order
@@ -92,7 +92,7 @@ def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=
     _require_finite(cell, member, a, b)
     floor = np.zeros((count,) + out_shape)
     np.add.at(floor, member, np.abs(cell))
-    floor *= np.finfo(float).eps
+    floor *= rtol
     total = np.zeros((count,) + out_shape)
 
     for _ in range(max_depth):

@@ -128,6 +128,30 @@ def test_tail_certificate_triggers():
         L.entropy(runaway, sm)
 
 
+@pytest.mark.parametrize(
+    "rate, rtol, holds",
+    [(5.5, 1e-12, False), (5.5, 1e-10, False), (5.5, 1e-8, True), (5.0, 1e-12, False),
+     (5.0, 1e-10, True), (4.5, 1e-12, True)],
+)
+def test_tail_certificate_holds_to_the_pass_rtol(rate, rtol, holds):
+    # on a window that ignores the tilt, the tail of f^2 q past the window
+    # grows with the rate; rate 5.5 at rtol 1e-12 used to return an entropy
+    # 1.3e-10 off under a certificate fixed at 1e-8 of the mass
+    sm = gaussian_smoothed(1.0)
+    tf = L.TestFunction(
+        family="untilted",
+        params=(rate,),
+        log_f2=lambda x: rate * np.asarray(x, dtype=float),
+        log_grad2=lambda x: 2.0 * math.log(0.5 * rate) + rate * np.asarray(x, dtype=float),
+    )
+    if not holds:
+        with pytest.raises(NonintegrableTestFunction, match=r"tail certificate failed"):
+            L.entropy(tf, sm, rtol=rtol)
+        return
+    t = rate * rate / 2.0
+    assert L.entropy(tf, sm, rtol=rtol) == pytest.approx(t * math.exp(t), rel=rtol, abs=0.0)
+
+
 def test_verify_accepts_valid_constant(bernoulli):
     sm = L.SmoothedMeasure(bernoulli, 1.0)
     c = L.bound_transport(sm.radius, sm.delta)

@@ -291,14 +291,102 @@ def test_maximizer_ignores_the_order_of_the_bracket_ends():
     )
 
 
+def _counted(f, nodes):
+    """``f``, appending the number of abscissae of every call to ``nodes``."""
+
+    def g(x, *k):
+        nodes.append(x.size)
+        return f(x, *k)
+
+    return g
+
+
+def _panel_scale(f, a, b, cells):
+    """Sum of |Simpson estimates| over ``cells`` equal panels of [a, b]: the
+    scale of which adaptive Simpson's floor is the fraction rtol."""
+    edges = np.linspace(a, b, cells + 1)
+    lo, hi = edges[:-1], edges[1:]
+    return float(np.sum(np.abs((hi - lo) / 6.0 * (f(lo) + 4.0 * f(0.5 * (lo + hi)) + f(hi)))))
+
+
+def _wide_gaussian(rtol, nodes):
+    return adaptive_simpson(
+        _counted(lambda x: np.exp(-x * x), nodes), -40.0, 40.0, rtol=rtol, initial_cells=80
+    )
+
+
 def test_scale_floor_keeps_wide_gaussian_within_rtol():
-    # most of [-40, 40] holds cells far below eps * rtol of the integral;
-    # leaving them unrefined must not cost the rtol budget
-    for rtol in (1e-8, 1e-12):
-        val = adaptive_simpson(
-            lambda x: np.exp(-x * x), -40.0, 40.0, rtol=rtol, initial_cells=80
-        )
+    # most of [-40, 40] holds cells far below rtol of the integral's scale;
+    # accepting them at an error near rtol**2 of it must not cost the rtol
+    # budget (measured 1.2e-11 relative at rtol 1e-8)
+    for rtol in (1e-8, 1e-10, 1e-12):
+        val = _wide_gaussian(rtol, [])
         assert abs(val - math.sqrt(math.pi)) <= rtol * math.sqrt(math.pi)
+
+
+#: exponential rates of the delta = 0.25 family's range, each on a verify-like
+#: window [-13, 13 + rate] of 26 initial panels
+TILT_RATES = np.geomspace(0.05, 8.0, 16)
+TILT_LO, TILT_HI = np.full(16, -13.0), 13.0 + TILT_RATES
+TILT_MASS = np.exp(0.5 * TILT_RATES**2)
+
+
+def _tilted(x, k):
+    """e^{rx} phi(x) at rate TILT_RATES[k]; its mass over the line is TILT_MASS[k]."""
+    return np.exp(TILT_RATES[k] * x - 0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def _tilted_entropy(x, k):
+    """e^{rx} phi(x) (rx - log m): an entropy integrand that changes sign at x = r/2,
+    with integral m r^2 / 2 over the line."""
+    return _tilted(x, k) * (TILT_RATES[k] * x - np.log(TILT_MASS[k]))
+
+
+def _tilted_batch(f, rtol, atol, nodes):
+    return adaptive_simpson(
+        _counted(f, nodes), TILT_LO, TILT_HI, rtol=rtol, atol=atol, initial_cells=26
+    )
+
+
+def _assert_within_scale(val, truth, f, rtol):
+    for k in range(truth.size):
+        scale = _panel_scale(lambda x: f(x, np.full(x.shape, k)), TILT_LO[k], TILT_HI[k], 26)
+        assert abs(val[k] - truth[k]) <= rtol * (abs(truth[k]) + scale), TILT_RATES[k]
+
+
+@pytest.mark.parametrize("rtol", [1e-8, 1e-10, 1e-12])
+def test_scale_floor_keeps_tilted_gaussians_within_rtol(rtol):
+    # over the window the integral is e^{r^2/2} (Phi(13) - Phi(-13 - r)); measured
+    # at most 3.3e-10 relative at rtol 1e-8
+    val = _tilted_batch(_tilted, rtol, 0.0, [])
+    lower = [math.erfc((13.0 + r) / math.sqrt(2.0)) for r in TILT_RATES]
+    truth = TILT_MASS * 0.5 * (math.erfc(-13.0 / math.sqrt(2.0)) - np.array(lower))
+    _assert_within_scale(val, truth, _tilted, rtol)
+
+
+@pytest.mark.parametrize("rtol", [1e-8, 1e-10, 1e-12])
+def test_scale_floor_keeps_sign_changing_entropy_within_rtol(rtol):
+    # atol as in verify's entropy pass; the window drops under e^-84 of m; measured
+    # at most 4.5e-9 relative at rtol 1e-8
+    atol = 1e-15 * np.maximum(TILT_MASS, 1.0)
+    val = _tilted_batch(_tilted_entropy, rtol, atol, [])
+    _assert_within_scale(val, TILT_MASS * TILT_RATES**2 / 2.0, _tilted_entropy, rtol)
+
+
+@pytest.mark.parametrize(
+    "integrate, most",
+    [
+        (lambda nodes: _wide_gaussian(1e-8, nodes), 2200),
+        (lambda nodes: _tilted_batch(_tilted, 1e-8, 0.0, nodes), 32000),
+    ],
+    ids=["gaussian", "tilted"],
+)
+def test_scale_floor_spares_cells_below_rtol_of_the_scale(integrate, most):
+    # node counts repeat exactly: 1625 and 22528 abscissae at rtol 1e-8, against
+    # 2945 and 42888 with the floor at eps of the scale
+    nodes = []
+    integrate(nodes)
+    assert sum(nodes) <= most
 
 
 def test_batched_intervals_match_scalar_calls():
@@ -366,7 +454,7 @@ def _oracle_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=1
     cell = ((hi - lo)[pad] / 6.0) * (flo + 4.0 * fmid + fhi)
     floor = np.zeros((count,) + out_shape)
     np.add.at(floor, member, np.abs(cell))
-    floor *= np.finfo(float).eps
+    floor *= rtol
     total = np.zeros((count,) + out_shape)
 
     for _ in range(max_depth):
