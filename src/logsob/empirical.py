@@ -154,10 +154,12 @@ def shipped_families(sm: SmoothedMeasure, grid_size=None) -> dict:
 
 
 #: Members integrated in one quadrature pass.  Their pending cells share one
-#: array per round, so peak memory grows with the batch while the time saved
-#: levels off at 16.  Shipped sweep on a 2-vCPU Xeon, batch 8/16/32: peak RSS
-#: 58.0/58.3/59.1 MB, verify stage 0.58/0.44/0.43 s (medians of 24 interleaved runs).
-_BATCH_MEMBERS = 16
+#: array per round, so peak memory grows with the batch while the integrand
+#: calls, each with a fixed cost, fall with it.  Shipped sweep, one fresh
+#: interpreter per run on a 2-vCPU Xeon, batch 16/32/64: verify stage
+#: 0.39/0.32/0.31 s, process peak RSS 58.1/58.6/60.7 MB (medians of 12
+#: interleaved runs).
+_BATCH_MEMBERS = 32
 
 
 def _moments(name, params, stacked, sm: SmoothedMeasure, rtol: float):
@@ -181,7 +183,10 @@ def _moments(name, params, stacked, sm: SmoothedMeasure, rtol: float):
     def pair(x, k):
         tf = stacked(k)
         lq = sm.log_density(x)
-        return np.stack([np.exp(tf.log_f2(x) + lq), np.exp(tf.log_grad2(x) + lq)], axis=-1)
+        out = np.empty((2, x.size))  # rows: each exp writes contiguously, as into a new array
+        np.exp(tf.log_f2(x) + lq, out=out[0])
+        np.exp(tf.log_grad2(x) + lq, out=out[1])
+        return out.T
 
     vals = adaptive_simpson(pair, lo, hi, rtol=rtol, initial_cells=cells)
     mass, en = vals[:, 0], vals[:, 1]

@@ -33,11 +33,12 @@ def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=
     K = 1 case: every interval is refined and summed exactly as if it were
     integrated alone.
 
-    Each interval starts from ``initial_cells`` equal panels (one vectorized
-    call seeds them all).  A cell is accepted once one extra halving changes
-    its value by no more than 15 * (atol + rtol * max(|value|, rtol * scale))
-    in every output component; scale is the interval's sum of |initial
-    panel estimates| in that component.  The usual one-fifteenth Richardson
+    Each interval starts from ``initial_cells`` equal panels, their edges
+    rounded as ``np.linspace`` rounds them, and one vectorized call seeds
+    them all.  A cell is accepted once one extra halving changes its value
+    by no more than 15 * (atol + rtol * max(|value|, rtol * scale)) in
+    every output component; scale is the interval's sum of |initial panel
+    estimates| in that component.  The usual one-fifteenth Richardson
     correction is folded into the accepted value.  The scale floor stops the
     refinement of cells too small to move the integral: a cell below rtol *
     scale errs by at most rtol**2 * scale, so N such cells spend at most
@@ -45,9 +46,11 @@ def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=
     1/rtol.  ``atol`` is a per-cell floor, needed for integrands that change
     sign.
 
-    Each round adds its accepted cells to their intervals' totals one at a
-    time in index order (``np.add.at``).  Batching keeps the relative order
-    of an interval's cells, so a batched value has its lone bits.
+    The accepted cells are summed into their intervals' totals once, one at
+    a time in the order they were accepted (round by round, index order
+    within a round), by one ordered ``np.bincount`` per component.  Batching
+    keeps the relative order of an interval's cells, so a batched value has
+    its lone bits.
 
     Raises DomainError, before any evaluation, unless eps <= rtol < inf and
     0 <= atol < inf: below them every cell can fail every round, doubling
@@ -66,13 +69,16 @@ def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=
         raise DomainError("need eps <= rtol < inf, 0 <= atol < inf; got %r, %r" % got)
     atol = np.broadcast_to(atol, a.shape)
     panels = np.broadcast_to(np.maximum(1, np.asarray(initial_cells, dtype=int)), a.shape)
-    edges = [
-        np.linspace(min(ak, bk), max(ak, bk), m + 1) for ak, bk, m in zip(a, b, panels)
-    ]
+    # every interval's panel edges as np.linspace(min, max, m + 1) rounds them
+    start, stop = np.where(b < a, b, a), np.where(b > a, b, a)
     member = np.repeat(np.arange(count), panels)
     last = np.cumsum(panels) - 1
-    lo = np.concatenate([e[:-1] for e in edges])
-    hi = np.concatenate([e[1:] for e in edges])
+    j, m = np.arange(member.size) - (last + 1 - panels)[member], panels[member]
+    span = (stop - start)[member]
+    step = span / m  # where it underflows to 0, linspace takes (j / m) * span
+    lo = start[member] + np.where(step == 0.0, j / m * span, j * step)
+    hi = np.roll(lo, -1)
+    hi[last] = stop
     n = lo.size
     call = f if batched else (lambda x, k: f(x))
     first = np.asarray(
@@ -90,34 +96,28 @@ def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=
     pad = (Ellipsis,) + (None,) * len(out_shape)
     cell = ((hi - lo)[pad] / 6.0) * (flo + 4.0 * fmid + fhi)
     _require_finite(cell, member, a, b)
-    floor = np.zeros((count,) + out_shape)
-    np.add.at(floor, member, np.abs(cell))
-    floor *= rtol
-    total = np.zeros((count,) + out_shape)
+    floor = rtol * _sum_by(member, np.abs(cell), count)
+    accepted = []
 
     for _ in range(max_depth):
         mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        vals = np.asarray(
-            call(np.concatenate([lmid, rmid]), np.concatenate([member, member])), dtype=float
-        )
+        x = np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)])
+        vals = np.asarray(call(x, np.tile(member, 2)), dtype=float)
         n = lo.size
-        flm, frm = vals[:n], vals[n:]
         h12 = (hi - lo)[pad] / 12.0
-        s_left = h12 * (flo + 4.0 * flm + fmid)
-        s_right = h12 * (fmid + 4.0 * frm + fhi)
+        s_left = h12 * (flo + 4.0 * vals[:n] + fmid)
+        s_right = h12 * (fmid + 4.0 * vals[n:] + fhi)
         s2 = s_left + s_right
         _require_finite(s2, member, a, b)
-        err = np.abs(s2 - cell)
         tol = 15.0 * (atol[member][pad] + rtol * np.maximum(np.abs(s2), floor[member]))
         # AND the component columns: reducing a short axis costs more per cell
-        ok = functools.reduce(np.logical_and, (err <= tol).reshape(n, -1).T)
+        ok = functools.reduce(np.logical_and, (np.abs(s2 - cell) <= tol).reshape(n, -1).T)
         done = s2[ok]
         done += (done - cell[ok]) / 15.0
-        np.add.at(total, member[ok], done)
+        accepted.append((member[ok], done))
         if ok.all():
-            total *= sign[pad]
+            k, done = (np.concatenate(c) for c in zip(*accepted))
+            total = sign[pad] * _sum_by(k, done, count)
             if batched:
                 return total
             return total[0] if out_shape else float(total[0])
@@ -126,14 +126,24 @@ def adaptive_simpson(f, a, b, rtol=1e-12, atol=0.0, max_depth=48, initial_cells=
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         flo = np.concatenate([flo[keep], fmid])
         fhi = np.concatenate([fmid, fhi[keep]])
-        fmid = np.concatenate([flm[keep], frm[keep]])
+        fmid = np.concatenate([vals[:n][keep], vals[n:][keep]])
         cell = np.concatenate([s_left[keep], s_right[keep]])
         member = np.tile(member[keep], 2)
+        del vals, s_left, s_right, s2, tol  # dead before the next call
     raise QuadratureFailure(
         "adaptive Simpson did not reach tolerance rtol=%g after %d halvings "
         "(%d cells pending in %d of %d intervals)"
         % (rtol, max_depth, lo.size, np.unique(member).size, count)
     )
+
+
+def _sum_by(index, values, count):
+    """Rows of ``values`` summed into ``count`` rows by ``index``, one at a time
+    in index order from 0 (one ordered np.bincount per component): the bits of
+    np.add.at into zeros."""
+    cols = values.reshape(index.size, -1).T
+    sums = [np.bincount(index, col, minlength=count) for col in cols]
+    return np.stack(sums, axis=-1).reshape((count,) + values.shape[1:])
 
 
 def _require_finite(cell, member, a, b):

@@ -559,6 +559,44 @@ def test_scalar_simpson_equals_oracle_bitwise(shape, ab):
     assert np.array_equal(val, ref)
 
 
+class _FirstCall(Exception):
+    pass
+
+
+def _first_call(simpson, a, b, cells):
+    """The abscissae and interval indices of ``simpson``'s first integrand call."""
+    calls = []
+
+    def f(x, k):
+        calls.append((x.copy(), k.copy()))
+        raise _FirstCall
+
+    with pytest.raises(_FirstCall):
+        simpson(f, a, b, rtol=1e-10, initial_cells=cells)
+    return calls
+
+
+def test_initial_panels_equal_linspace_bitwise():
+    # verify seeds up to 128 panels per interval; the oracle tests above stop at 11
+    rng = np.random.default_rng(40)
+    a, b = 10.0 ** rng.uniform(-12.0, 12.0, (2, 40)) * rng.choice([-1.0, 1.0], (2, 40))
+    a[:8], b[:8] = np.minimum(a[:8], b[:8]), np.maximum(a[:8], b[:8])
+    a[8:16], b[8:16] = b[:8], a[:8]  # reversed
+    b[16:20] = a[16:20]  # empty
+    a[20], b[20] = 0.0, -0.0  # empty, ends of opposite signs
+    a[21], b[21] = 0.0, 3 * 5e-324  # a step that underflows to 0 in linspace
+    cells = rng.integers(1, 129, 40)
+    cells[:4] = [1, 128, 2, 127]
+    cells[21] = 128
+    got = _first_call(adaptive_simpson, a, b, cells)
+    want = _first_call(_oracle_simpson, a, b, cells)
+    assert got[0][0].size == 2 * cells.sum() + 40
+    # as bytes, so that a zero of the wrong sign fails too
+    assert [(x.tobytes(), k.tobytes()) for x, k in got] == [
+        (x.tobytes(), k.tobytes()) for x, k in want
+    ]
+
+
 @pytest.mark.parametrize(
     "rtol, atol",
     [

@@ -9,7 +9,8 @@ the base of the benchmark checker's verify tolerance: the members of every
 shipped family at delta 0.5, and the 672 members of the bundled sweep.  A
 member over that bound is a strict xfail naming ROADMAP item 18.  That a member
 has the same bits in a batch as alone is test_quadrature's
-``test_batched_simpson_equals_oracle_bitwise``.
+``test_batched_simpson_equals_oracle_bitwise``, and that verify's report has
+the same bits in batches of 1, 16, 32 and 64 is ``test_batch_size_moves_no_bit``.
 """
 
 import functools
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 import logsob as L
+from logsob import empirical
 from logsob.cli import bundled_data_path, load_sweep_config
 from logsob.errors import NonintegrableTestFunction
 
@@ -133,14 +135,45 @@ def test_member_over_the_bound_waits_for_item_18(name, delta, family, params):
 
 
 def test_bundled_verify_spares_cells_below_rtol_of_the_scale(monkeypatch):
-    # node counts repeat exactly: verify on Bernoulli at delta 0.25 reads log q at
-    # 258,804 points, against 388,732 with adaptive Simpson's floor at eps of the scale
+    # node counts repeat exactly: verify on Bernoulli at delta 0.25 reads log q through
+    # the public evaluator at 258,804 points, against 388,732 with adaptive Simpson's
+    # floor at eps of the scale; its 84 members call the integrands 56 times in batches
+    # of 32 members, 111 times in batches of 16
     sm = L.SmoothedMeasure(L.load_measure(bundled_data_path("bernoulli.json")), 0.25)
-    points = []
+    points, calls = [], []
     log_density = sm.log_density
     monkeypatch.setattr(sm, "log_density", lambda t: points.append(np.size(t)) or log_density(t))
+    simpson = empirical.adaptive_simpson
+
+    def counted(f, *args, **kwargs):
+        return simpson(lambda x, k: calls.append(x.size) or f(x, k), *args, **kwargs)
+
+    monkeypatch.setattr(empirical, "adaptive_simpson", counted)
     L.verify_lsi(sm, 1.0, [L.shipped_families(sm)[f] for f in SWEEP.verify_families])
-    assert sum(points) <= 320_000
+    assert sum(points) == 258_804
+    assert len(calls) <= 64
+
+
+def test_batch_size_moves_no_bit(monkeypatch):
+    # a member's cells are refined and summed in their lone order in any batch, and log q
+    # gives a point its bits in any batch, so the batch size is invisible in the report
+    sm = L.SmoothedMeasure(L.load_measure(bundled_data_path("asymmetric.json")), 0.25)
+    families = [L.shipped_families(sm)[f] for f in SWEEP.verify_families]
+    reports = []
+    for batch in (1, 16, 32, 64):
+        monkeypatch.setattr(empirical, "_BATCH_MEMBERS", batch)
+        reports.append(_bits(L.verify_lsi(sm, 1.0, families)))
+    assert len(reports[0]) == 84
+    assert all(report == reports[0] for report in reports[1:])
+
+
+def _bits(report):
+    return [
+        (e.family, e.params, e.passed) + tuple(
+            float.hex(v) for v in (e.entropy, e.energy, e.ratio, e.margin)
+        )
+        for e in report.entries
+    ]
 
 
 def test_batched_ratio_grid_matches_per_member_oracle(asymmetric):
